@@ -18,10 +18,8 @@ from .aggregation import (
     normalize_features,
     reduce_series,
     singleton_grid,
-    ward_distance,
 )
 from .ingestion import (
-    CaseData,
     LoadedTrace,
     ScenarioConfig,
     build_portfolio,
@@ -32,8 +30,8 @@ from .ingestion import (
     write_timeseries,
 )
 from .model import (
+    PowerSystem,
     Schedule,
-    SystemInstance,
     ThermalUnit,
     UcModel,
     build_uc_model,
@@ -43,7 +41,6 @@ from .model import (
 from .simulation import (
     ComparisonReport,
     DayAheadPlan,
-    PowerSystem,
     RealTimeResult,
     compare_day,
     fix_from_plan,
@@ -52,13 +49,12 @@ from .simulation import (
     run_real_time,
     run_rolling_horizon,
 )
-from .solver import BackendConfig, MipSolution, brute_force_solve, solve
+from .solver import BackendConfig, MipSolution, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackendConfig",
-    "CaseData",
     "ComparisonReport",
     "DayAheadPlan",
     "FeatureMatrix",
@@ -69,11 +65,9 @@ __all__ = [
     "RealTimeResult",
     "ScenarioConfig",
     "Schedule",
-    "SystemInstance",
     "ThermalUnit",
     "TimeGrid",
     "UcModel",
-    "brute_force_solve",
     "build_portfolio",
     "build_uc_model",
     "cluster_adjacent",
@@ -94,6 +88,5 @@ __all__ = [
     "run_rolling_horizon",
     "singleton_grid",
     "solve",
-    "ward_distance",
     "write_timeseries",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ALLOWED_STEPS = (5, 10, 15, 30, 60)
+ALLOWED_STEPS = (5, 10, 30, 60)
 
 FEATURE_SELECTORS = ("net_demand_only", "demand_wind_solar")
 
@@ -174,14 +174,6 @@ def normalize_features(
         else:
             scaled[:, j] = (col - lo) / (hi - lo)
     return FeatureMatrix(values=scaled, constant_columns=tuple(constant))
-
-
-def ward_distance(size_i: int, centroid_i: np.ndarray, size_j: int, centroid_j: np.ndarray) -> float:
-    """Merge cost between two clusters: the increase in within-cluster variance."""
-    if size_i <= 0 or size_j <= 0:
-        raise ValueError("cluster sizes must be positive")
-    diff = np.asarray(centroid_i, dtype=float) - np.asarray(centroid_j, dtype=float)
-    return 2.0 * size_i * size_j / (size_i + size_j) * float(np.dot(diff, diff))
 
 
 def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) -> TimeGrid:

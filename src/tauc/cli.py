@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import HiResSeries, cluster_adjacent, normalize_features
+from .aggregation import cluster_adjacent, normalize_features
 from .ingestion import (
     LoadedTrace,
     ScenarioConfig,
@@ -24,17 +24,18 @@ from .ingestion import (
     load_scenario,
     load_timeseries,
 )
+from .model import PowerSystem
 from .simulation import (
     MODE_CH,
     MODE_TA,
     ComparisonReport,
     DayAheadPlan,
-    PowerSystem,
     RealTimeResult,
-    fix_from_plan,
+    cost_delta,
+    day_windows,
     reports_to_csv,
     run_day_ahead,
-    run_real_time,
+    run_one_mode,
     run_rolling_horizon,
 )
 
@@ -56,17 +57,9 @@ SUMMARY_COLUMNS = (
 
 def _scaled_trace(config: ScenarioConfig) -> LoadedTrace:
     trace = load_timeseries(config.data_path, config.step_minutes)
-    if config.demand_scale == 1.0:
-        return trace
     series = trace.series
-    scaled = HiResSeries(
-        demand=series.demand * config.demand_scale,
-        wind_cf=series.wind_cf,
-        solar_cf=series.solar_cf,
-        step_minutes=series.step_minutes,
-        start_offset_hours=series.start_offset_hours,
-    )
-    return LoadedTrace(series=scaled, start=trace.start)
+    scaled = dataclasses.replace(series, demand=series.demand * config.demand_scale)
+    return dataclasses.replace(trace, series=scaled)
 
 
 def _system_for(config: ScenarioConfig, trace: LoadedTrace) -> PowerSystem:
@@ -126,28 +119,6 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _first_day_window(trace: LoadedTrace, lookahead_hours: float) -> HiResSeries:
-    series = trace.series
-    step = series.step_minutes
-    per_hour = 60 // step
-    skip = ((24.0 - series.start_offset_hours) % 24.0) * per_hour
-    if abs(skip - round(skip)) > 1e-9:
-        raise ValueError("trace start is not aligned to the sampling step")
-    first = int(round(skip))
-    per_day = 24 * per_hour
-    if first + per_day > series.n_points:
-        raise ValueError("trace does not contain one complete midnight-to-midnight day")
-    tail = min(int(round(lookahead_hours * per_hour)), series.n_points - first - per_day)
-    tail -= tail % per_hour
-    stop = first + per_day + tail
-    return HiResSeries(
-        demand=series.demand[first:stop],
-        wind_cf=series.wind_cf[first:stop],
-        solar_cf=series.solar_cf[first:stop],
-        step_minutes=step,
-    )
-
-
 def _write_plan(path: Path, system: PowerSystem, plan: DayAheadPlan) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -169,12 +140,15 @@ def cmd_plan(args) -> int:
     config = _effective(load_scenario(args.config), args)
     trace = _scaled_trace(config)
     system = _system_for(config, trace)
-    window = _first_day_window(trace, config.lookahead_hours)
+    first = next(day_windows(trace, config.lookahead_hours), None)
+    if first is None:
+        raise ValueError("trace does not contain one complete midnight-to-midnight day")
+    day, window = first
     out = _out_dir(args)
     modes = {"ch": [MODE_CH], "ta": [MODE_TA], "both": [MODE_CH, MODE_TA]}[args.mode]
     for mode in modes:
         plan = run_day_ahead(
-            system, window, mode, config.features, config.solver_config(), label="day 1"
+            system, window, mode, config.features, config.solver_config(), label=day.isoformat()
         )
         path = out / f"plan_{mode.lower()}.csv"
         _write_plan(path, system, plan)
@@ -208,22 +182,18 @@ def _summary_counts(reports: list[ComparisonReport]) -> dict[str, float]:
     }
 
 
-def _write_summary(path: Path, summary: dict[str, float]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow(
-            [
-                summary["days"],
-                f"{summary['c_ch_total']:.2f}",
-                f"{summary['c_ta_total']:.2f}",
-                f"{summary['delta_pct']:.4f}",
-                summary["n_ta_lt_ch"],
-                summary["n_ta_eq_ch"],
-                summary["n_ta_gt_ch"],
-                summary["n_skipped"],
-            ]
-        )
+def _summary_row(summary: dict[str, float]) -> list:
+    """One row under SUMMARY_COLUMNS, formatted as summary.csv and sweep_summary.csv carry it."""
+    return [
+        summary["days"],
+        f"{summary['c_ch_total']:.2f}",
+        f"{summary['c_ta_total']:.2f}",
+        f"{summary['delta_pct']:.4f}",
+        summary["n_ta_lt_ch"],
+        summary["n_ta_eq_ch"],
+        summary["n_ta_gt_ch"],
+        summary["n_skipped"],
+    ]
 
 
 def _run_comparison(config: ScenarioConfig) -> tuple[list[ComparisonReport], dict[str, float]]:
@@ -252,7 +222,10 @@ def cmd_compare(args) -> int:
         return 2
     out = _out_dir(args)
     (out / "comparison.csv").write_text(reports_to_csv(reports))
-    _write_summary(out / "summary.csv", summary)
+    with open(out / "summary.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerow(_summary_row(summary))
     print(
         f"{summary['days']} days: delta {summary['delta_pct']:.2f}%, "
         f"TA<CH {summary['n_ta_lt_ch']}, TA=CH {summary['n_ta_eq_ch']}, "
@@ -265,35 +238,15 @@ def cmd_sweep(args) -> int:
     configs = []
     for path in args.configs:
         configs.append((Path(path).stem, _effective(load_scenario(path), args)))
-    results: list[tuple[str, list[ComparisonReport], dict[str, float]]] = []
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_run_comparison, cfg) for _, cfg in configs]
-            for (name, _), future in zip(configs, futures):
-                reports, summary = future.result()
-                results.append((name, reports, summary))
-    else:
-        for name, cfg in configs:
-            reports, summary = _run_comparison(cfg)
-            results.append((name, reports, summary))
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        futures = [pool.submit(_run_comparison, cfg) for _, cfg in configs]
+        results = [(name, *future.result()) for (name, _), future in zip(configs, futures)]
     out = _out_dir(args)
     with open(out / "sweep_summary.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("scenario",) + SUMMARY_COLUMNS)
         for name, _, summary in results:
-            writer.writerow(
-                [
-                    name,
-                    summary["days"],
-                    f"{summary['c_ch_total']:.2f}",
-                    f"{summary['c_ta_total']:.2f}",
-                    f"{summary['delta_pct']:.4f}",
-                    summary["n_ta_lt_ch"],
-                    summary["n_ta_eq_ch"],
-                    summary["n_ta_gt_ch"],
-                    summary["n_skipped"],
-                ]
-            )
+            writer.writerow([name] + _summary_row(summary))
     for name, reports, _ in results:
         (out / f"comparison_{name}.csv").write_text(reports_to_csv(reports))
     print(f"swept {len(results)} scenarios into {out / 'sweep_summary.csv'}")
@@ -336,21 +289,11 @@ def _operation_block(title: str, system: PowerSystem, rt: RealTimeResult) -> lis
 
 
 def cmd_reproduce_example(args) -> int:
-    case = illustrative_case()
-    system = PowerSystem(
-        units=case.units,
-        wind_capacity=case.wind_capacity,
-        solar_capacity=case.solar_capacity,
-        load_shed_cost=case.load_shed_cost,
-    )
-    series = case.series
+    system, series = illustrative_case()
     lines: list[str] = ["Teaching example: 6 x 30-minute periods", ""]
     results = {}
     for mode, name in ((MODE_CH, "Hourly"), (MODE_TA, "Adaptive")):
-        plan = run_day_ahead(system, series, mode, label="example")
-        rt = run_real_time(
-            system, series, fix_from_plan(plan, system.units, series.n_points), label="example"
-        )
+        plan, rt = run_one_mode(system, series, mode, label="example")
         results[mode] = rt
         lines.extend(_plan_block(f"{name} day-ahead plan:", system, plan))
         lines.append("")
@@ -358,7 +301,7 @@ def cmd_reproduce_example(args) -> int:
         lines.append("")
     c_ch = results[MODE_CH].cost
     c_ta = results[MODE_TA].cost
-    delta = 100.0 * (c_ch - c_ta) / c_ch
+    delta = cost_delta(c_ch, c_ta)
     lines.append(
         f"Costs: hourly {c_ch:.2f} EUR, adaptive {c_ta:.2f} EUR, saving {delta:.2f}%"
     )
@@ -373,6 +316,13 @@ def cmd_reproduce_example(args) -> int:
     for failure in failures:
         print(f"assertion failed: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--gap", type=float, default=None)
     p_sweep.add_argument("--lookahead-hours", type=float, default=None)
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel scenario workers")
+    p_sweep.add_argument(
+        "--workers", type=_positive_int, default=1, help="parallel scenario workers (>= 1)"
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_repro = sub.add_parser(

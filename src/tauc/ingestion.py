@@ -18,15 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import FEATURE_SELECTORS, HiResSeries
-from .model import ThermalUnit
+from .aggregation import ALLOWED_STEPS, FEATURE_SELECTORS, HiResSeries
+from .model import PowerSystem, ThermalUnit
 from .solver import BackendConfig
 
 PORTFOLIO_IDS = ("example6", "study13", "spanish70")
 
 TRACE_HEADER = ("timestamp", "demand_mw", "wind_cf", "solar_cf")
-
-CONFIG_STEPS = (5, 10, 30, 60)
 
 
 @dataclass(frozen=True)
@@ -367,18 +365,7 @@ def build_portfolio(portfolio: str | Path) -> tuple[ThermalUnit, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CaseData:
-    """A self-contained small system: trace plus generators plus fleet sizes."""
-
-    series: HiResSeries
-    units: tuple[ThermalUnit, ...]
-    wind_capacity: float
-    solar_capacity: float
-    load_shed_cost: float
-
-
-def illustrative_case() -> CaseData:
+def illustrative_case() -> tuple[PowerSystem, HiResSeries]:
     """The six-period teaching example used by the reproduce-example command.
 
     Three hours in 30-minute steps: flat 500 MW demand with full solar for
@@ -391,13 +378,13 @@ def illustrative_case() -> CaseData:
         solar_cf=np.array([1.0, 1.0, 1.0, 1.0, 2.0 / 3.0, 0.0]),
         step_minutes=30,
     )
-    return CaseData(
-        series=series,
+    system = PowerSystem(
         units=_example6(),
         wind_capacity=0.0,
         solar_capacity=300.0,
         load_shed_cost=default_shed_cost("example6"),
     )
+    return system, series
 
 
 @dataclass(frozen=True)
@@ -427,9 +414,9 @@ class ScenarioConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.step_minutes not in CONFIG_STEPS:
+        if self.step_minutes not in ALLOWED_STEPS:
             raise ValueError(
-                f"step_minutes must be one of {CONFIG_STEPS}, got {self.step_minutes}"
+                f"step_minutes must be one of {ALLOWED_STEPS}, got {self.step_minutes}"
             )
         if not self.demand_scale > 0:
             raise ValueError(f"demand_scale must be positive, got {self.demand_scale}")

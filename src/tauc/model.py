@@ -9,6 +9,7 @@ every instance feasible for any commitment.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -91,22 +92,18 @@ class ThermalUnit:
 
 
 @dataclass(frozen=True)
-class SystemInstance:
-    """Units plus one reduced window: the full input of a single solve."""
+class PowerSystem:
+    """Generators and renewable fleet sizes, independent of any window."""
 
     units: tuple[ThermalUnit, ...]
     wind_capacity: float
     solar_capacity: float
     load_shed_cost: float
-    periods: tuple[ReducedPeriod, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "units", tuple(self.units))
-        object.__setattr__(self, "periods", tuple(self.periods))
         if not self.units:
-            raise ValueError("instance needs at least one unit")
-        if not self.periods:
-            raise ValueError("instance needs at least one period")
+            raise ValueError("system needs at least one unit")
         ids = [u.unit_id for u in self.units]
         if len(set(ids)) != len(ids):
             raise ValueError("unit ids must be unique")
@@ -114,16 +111,19 @@ class SystemInstance:
             raise ValueError("capacities must be nonnegative")
         if self.load_shed_cost <= 0:
             raise ValueError("load_shed_cost must be positive")
-        if any(p.duration_h <= 0 for p in self.periods):
-            raise ValueError("period durations must be positive")
 
-    @property
-    def n_periods(self) -> int:
-        return len(self.periods)
+    def with_units(self, units: tuple[ThermalUnit, ...]) -> "PowerSystem":
+        return dataclasses.replace(self, units=tuple(units))
 
-    @property
-    def durations(self) -> np.ndarray:
-        return np.array([p.duration_h for p in self.periods])
+
+def period_durations(periods: Sequence[ReducedPeriod]) -> np.ndarray:
+    """Durations in hours of a window's periods, which must be nonempty and positive."""
+    if not periods:
+        raise ValueError("a window needs at least one period")
+    d = np.array([p.duration_h for p in periods])
+    if np.any(d <= 0):
+        raise ValueError("period durations must be positive")
+    return d
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,13 @@ def effective_min_times(
 
 
 def compute_effective_params(
-    instance: SystemInstance, d_prev: float | None = None
+    system: PowerSystem, periods: Sequence[ReducedPeriod], d_prev: float | None = None
 ) -> EffectiveParams:
-    """Assemble the duration-rescaled parameters for every unit of an instance."""
-    d = instance.durations
+    """Assemble the duration-rescaled parameters for every unit over a window."""
+    d = period_durations(periods)
     lead = d[0] if d_prev is None else float(d_prev)
     d_hat = 0.5 * (np.concatenate(([lead], d[:-1])) + d)
-    g = len(instance.units)
+    g = len(system.units)
     n = len(d)
     shape = (g, n)
     ru = np.empty(shape)
@@ -251,7 +251,7 @@ def compute_effective_params(
     dt_init = np.empty(g, dtype=int)
     dt_end = np.empty(g, dtype=int)
     dt_counts = np.empty(shape, dtype=int)
-    for i, unit in enumerate(instance.units):
+    for i, unit in enumerate(system.units):
         ru[i], rd[i], su[i], sd[i] = effective_ramp_limits(unit, d, d_prev)
         ut_init[i], ut_end[i], ut_counts[i], dt_init[i], dt_end[i], dt_counts[i] = (
             effective_min_times(unit, d)
@@ -384,12 +384,13 @@ def _add(coeffs: dict[str, float], name: str, value: float) -> None:
 
 
 def build_uc_model(
-    instance: SystemInstance,
+    system: PowerSystem,
+    periods: Sequence[ReducedPeriod],
     params: EffectiveParams | None = None,
     fixings: Mapping[str, float] | None = None,
     prune_fixed_rows: bool = False,
 ) -> UcModel:
-    """Build the commitment MILP for one instance.
+    """Build the commitment MILP for one system over one window of periods.
 
     fixings maps variable names to frozen values and is applied as equality
     bounds. With prune_fixed_rows, rows whose variables are all fixed are
@@ -397,38 +398,37 @@ def build_uc_model(
     reported in pruned_violations rather than making the model infeasible,
     which is what a simulation of a committed plan needs.
     """
+    d = period_durations(periods)
     if params is None:
-        params = compute_effective_params(instance)
-    nt = instance.n_periods
-    d = instance.durations
-    periods = instance.periods
+        params = compute_effective_params(system, periods)
+    nt = len(d)
 
     variables: list[Variable] = []
-    for unit in instance.units:
+    for unit in system.units:
         variables.extend(Variable(u_name(unit.unit_id, t), 0.0, 1.0, binary=True) for t in range(1, nt + 1))
-    for unit in instance.units:
+    for unit in system.units:
         variables.extend(Variable(pg_name(unit.unit_id, t), 0.0, unit.pmax) for t in range(1, nt + 1))
-    for unit in instance.units:
+    for unit in system.units:
         variables.extend(Variable(su_name(unit.unit_id, t), 0.0, math.inf) for t in range(1, nt + 1))
     variables.extend(
-        Variable(pw_name(t), 0.0, periods[t - 1].wind_cf * instance.wind_capacity) for t in range(1, nt + 1)
+        Variable(pw_name(t), 0.0, periods[t - 1].wind_cf * system.wind_capacity) for t in range(1, nt + 1)
     )
     variables.extend(
-        Variable(ps_name(t), 0.0, periods[t - 1].solar_cf * instance.solar_capacity) for t in range(1, nt + 1)
+        Variable(ps_name(t), 0.0, periods[t - 1].solar_cf * system.solar_capacity) for t in range(1, nt + 1)
     )
     variables.extend(Variable(pd_name(t), 0.0, periods[t - 1].demand_mw) for t in range(1, nt + 1))
 
     rows: list[Row] = []
     for t in range(1, nt + 1):
         coeffs: dict[str, float] = {}
-        for unit in instance.units:
+        for unit in system.units:
             _add(coeffs, pg_name(unit.unit_id, t), 1.0)
         _add(coeffs, pw_name(t), 1.0)
         _add(coeffs, ps_name(t), 1.0)
         _add(coeffs, pd_name(t), -1.0)
         rows.append(Row(f"bal_{t}", coeffs, "=", 0.0))
 
-    for gi, unit in enumerate(instance.units):
+    for gi, unit in enumerate(system.units):
         uid = unit.unit_id
         # commitment-linked dispatch bounds
         for t in range(1, nt + 1):
@@ -541,13 +541,13 @@ def build_uc_model(
 
     objective: dict[str, float] = {}
     offset = 0.0
-    for unit in instance.units:
+    for unit in system.units:
         for t in range(1, nt + 1):
             _add(objective, pg_name(unit.unit_id, t), unit.marginal_cost * d[t - 1])
             _add(objective, su_name(unit.unit_id, t), 1.0)
     for t in range(1, nt + 1):
-        _add(objective, pd_name(t), -instance.load_shed_cost * d[t - 1])
-        offset += instance.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw
+        _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
+        offset += system.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw
 
     fixings = dict(fixings or {})
     if fixings:
@@ -602,7 +602,7 @@ def build_uc_model(
 class Schedule:
     """Solved operating plan on one grid, in physical quantities.
 
-    Unit-indexed arrays follow the instance's unit order; column t is period
+    Unit-indexed arrays follow the system's unit order; column t is period
     t+1. shed and spill entries are derived from the balance variables and
     clamped of numerical dust (they are asserted nonnegative to 1e-6 first).
     """
@@ -618,14 +618,16 @@ class Schedule:
     solar_spill: np.ndarray
 
 
-def extract_schedule(instance: SystemInstance, values: Mapping[str, float]) -> Schedule:
+def extract_schedule(
+    system: PowerSystem, periods: Sequence[ReducedPeriod], values: Mapping[str, float]
+) -> Schedule:
     """Turn a solution's variable values into a Schedule."""
-    nt = instance.n_periods
-    g = len(instance.units)
+    nt = len(periods)
+    g = len(system.units)
     commitment = np.zeros((g, nt), dtype=int)
     dispatch = np.zeros((g, nt))
     startup = np.zeros((g, nt))
-    for i, unit in enumerate(instance.units):
+    for i, unit in enumerate(system.units):
         for t in range(1, nt + 1):
             uval = values[u_name(unit.unit_id, t)]
             if abs(uval - round(uval)) > 1e-6:
@@ -636,9 +638,9 @@ def extract_schedule(instance: SystemInstance, values: Mapping[str, float]) -> S
     p_wind = np.array([values[pw_name(t)] for t in range(1, nt + 1)])
     p_solar = np.array([values[ps_name(t)] for t in range(1, nt + 1)])
     p_served = np.array([values[pd_name(t)] for t in range(1, nt + 1)])
-    demand = np.array([p.demand_mw for p in instance.periods])
-    wind_avail = np.array([p.wind_cf for p in instance.periods]) * instance.wind_capacity
-    solar_avail = np.array([p.solar_cf for p in instance.periods]) * instance.solar_capacity
+    demand = np.array([p.demand_mw for p in periods])
+    wind_avail = np.array([p.wind_cf for p in periods]) * system.wind_capacity
+    solar_avail = np.array([p.solar_cf for p in periods]) * system.solar_capacity
     shed = demand - p_served
     wind_spill = wind_avail - p_wind
     solar_spill = solar_avail - p_solar
@@ -659,14 +661,17 @@ def extract_schedule(instance: SystemInstance, values: Mapping[str, float]) -> S
 
 
 def operating_cost(
-    instance: SystemInstance, schedule: Schedule, periods: slice | None = None
+    system: PowerSystem,
+    periods: Sequence[ReducedPeriod],
+    schedule: Schedule,
+    span: slice | None = None,
 ) -> float:
     """Operating cost of (part of) a schedule: energy, start-ups, shed penalty."""
-    sl = periods if periods is not None else slice(None)
-    d = instance.durations[sl]
+    sl = span if span is not None else slice(None)
+    d = period_durations(periods)[sl]
     cost = 0.0
-    for i, unit in enumerate(instance.units):
+    for i, unit in enumerate(system.units):
         cost += float(np.sum(unit.marginal_cost * schedule.dispatch[i, sl] * d))
         cost += float(np.sum(schedule.startup_cost[i, sl]))
-    cost += float(instance.load_shed_cost * np.sum(schedule.shed[sl] * d))
+    cost += float(system.load_shed_cost * np.sum(schedule.shed[sl] * d))
     return cost

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from io import StringIO
+from typing import Iterator
 
 import csv
 
@@ -33,8 +34,8 @@ from .aggregation import (
 )
 from .ingestion import LoadedTrace
 from .model import (
+    PowerSystem,
     Schedule,
-    SystemInstance,
     ThermalUnit,
     build_uc_model,
     extract_schedule,
@@ -49,28 +50,6 @@ MODE_TA = "TA"
 MODES = (MODE_CH, MODE_TA)
 
 TECHNOLOGIES = ("wind", "solar", "base", "medium", "peak")
-
-
-@dataclass(frozen=True)
-class PowerSystem:
-    """Generators and renewable fleet sizes, independent of any window."""
-
-    units: tuple[ThermalUnit, ...]
-    wind_capacity: float
-    solar_capacity: float
-    load_shed_cost: float
-
-    def instance(self, periods) -> SystemInstance:
-        return SystemInstance(
-            units=self.units,
-            wind_capacity=self.wind_capacity,
-            solar_capacity=self.solar_capacity,
-            load_shed_cost=self.load_shed_cost,
-            periods=periods,
-        )
-
-    def with_units(self, units: tuple[ThermalUnit, ...]) -> "PowerSystem":
-        return dataclasses.replace(self, units=tuple(units))
 
 
 @dataclass(frozen=True)
@@ -160,12 +139,12 @@ def run_day_ahead(
 ) -> DayAheadPlan:
     """Solve the commitment problem on the reduced grid for one window."""
     grid = day_ahead_grid(series, mode, features, system.wind_capacity, system.solar_capacity)
-    instance = system.instance(reduce_series(series, grid))
-    model = build_uc_model(instance)
+    periods = reduce_series(series, grid)
+    model = build_uc_model(system, periods)
     result = solve(model, config)
     if result.status != "optimal":
         raise RuntimeError(f"day-ahead {mode} solve for {label} ended {result.status}: {result.message}")
-    schedule = extract_schedule(instance, result.values)
+    schedule = extract_schedule(system, periods, result.values)
     return DayAheadPlan(
         mode=mode,
         grid=grid,
@@ -245,18 +224,17 @@ def run_real_time(
     """
     feats = normalize_features(series, features, system.wind_capacity, system.solar_capacity)
     grid = singleton_grid(feats, series.step_minutes)
-    instance = system.instance(reduce_series(series, grid))
-    model = build_uc_model(instance, fixings=fixings, prune_fixed_rows=True)
+    periods = reduce_series(series, grid)
+    model = build_uc_model(system, periods, fixings=fixings, prune_fixed_rows=True)
     result = solve(model, config)
     if result.status != "optimal":
         raise RuntimeError(
             f"real-time solve for {label} ended {result.status} despite load-shed slack: "
             f"{result.message}"
         )
-    schedule = extract_schedule(instance, result.values)
-    n = instance.n_periods
-    day_periods = min(n, int(math.ceil(round(day_hours * 60.0 / series.step_minutes, 9))))
-    cost = operating_cost(instance, schedule, slice(0, day_periods))
+    schedule = extract_schedule(system, periods, result.values)
+    day_periods = min(len(periods), int(math.ceil(round(day_hours * 60.0 / series.step_minutes, 9))))
+    cost = operating_cost(system, periods, schedule, slice(0, day_periods))
     return RealTimeResult(
         cost=cost,
         schedule=schedule,
@@ -290,15 +268,16 @@ def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, 
     return {tech: 100.0 * energy[tech] / total for tech in TECHNOLOGIES}
 
 
-def _run_one_mode(
+def run_one_mode(
     system: PowerSystem,
     window: HiResSeries,
     mode: str,
-    day_hours: float,
-    features: str,
-    config: BackendConfig | None,
-    label: str,
+    day_hours: float = 24.0,
+    features: str = "net_demand_only",
+    config: BackendConfig | None = None,
+    label: str = "window",
 ) -> tuple[DayAheadPlan, RealTimeResult]:
+    """Plan one window in one mode, then operate it in real time under the plan."""
     plan = run_day_ahead(system, window, mode, features, config, label)
     fixings = fix_from_plan(plan, system.units, window.n_points)
     result = run_real_time(system, window, fixings, day_hours, features, config, label)
@@ -315,8 +294,8 @@ def compare_day(
     config: BackendConfig | None = None,
 ) -> tuple[ComparisonReport, RealTimeResult, RealTimeResult]:
     """Run both modes on one window and assemble the day's report."""
-    plan_ch, rt_ch = _run_one_mode(system_ch, window, MODE_CH, day_hours, features, config, day_label)
-    plan_ta, rt_ta = _run_one_mode(system_ta, window, MODE_TA, day_hours, features, config, day_label)
+    plan_ch, rt_ch = run_one_mode(system_ch, window, MODE_CH, day_hours, features, config, day_label)
+    plan_ta, rt_ta = run_one_mode(system_ta, window, MODE_TA, day_hours, features, config, day_label)
     if rt_ch.cost > 0:
         delta = cost_delta(rt_ch.cost, rt_ta.cost)
     else:
@@ -332,6 +311,21 @@ def compare_day(
         solve_time_ta=plan_ta.solve_time + rt_ta.solve_time,
     )
     return report, rt_ch, rt_ta
+
+
+def _skipped_day(label: str, reason: str) -> ComparisonReport:
+    """The record of a day that could not be compared: no costs, only the reason."""
+    return ComparisonReport(
+        date=label,
+        c_ch=math.nan,
+        c_ta=math.nan,
+        delta_pct=math.nan,
+        shares_ch={},
+        shares_ta={},
+        solve_time_ch=0.0,
+        solve_time_ta=0.0,
+        warning=f"day skipped: {reason}",
+    )
 
 
 def apply_states(
@@ -355,6 +349,46 @@ def _parse_date(value) -> date | None:
     return date.fromisoformat(value)
 
 
+def _first_midnight(series: HiResSeries) -> int:
+    """Index of the first sample that falls on a midnight."""
+    per_hour = 60 // series.step_minutes
+    skip = ((24.0 - series.start_offset_hours) % 24.0) * per_hour
+    if abs(skip - round(skip)) > 1e-9:
+        raise ValueError(
+            f"trace starts {series.start_offset_hours} h past midnight, which the "
+            f"{series.step_minutes}-minute step cannot align to a day boundary"
+        )
+    return int(round(skip))
+
+
+def _sample_date(trace: LoadedTrace, index: int) -> date:
+    return (trace.start + timedelta(minutes=index * trace.series.step_minutes)).date()
+
+
+def day_windows(trace: LoadedTrace, lookahead_hours: float) -> Iterator[tuple[date, HiResSeries]]:
+    """Yield (date, window) for each complete midnight-to-midnight day of a trace.
+
+    A window is the day's 24 hours plus a look-ahead tail of lookahead_hours,
+    truncated to whole hours where the trace ends first.
+    """
+    if lookahead_hours < 0:
+        raise ValueError("lookahead_hours must be nonnegative")
+    series = trace.series
+    per_hour = 60 // series.step_minutes
+    per_day = 24 * per_hour
+    lookahead = int(round(lookahead_hours * per_hour))
+    for start in range(_first_midnight(series), series.n_points - per_day + 1, per_day):
+        tail = min(lookahead, series.n_points - start - per_day)
+        stop = start + per_day + tail - tail % per_hour
+        window = HiResSeries(
+            demand=series.demand[start:stop],
+            wind_cf=series.wind_cf[start:stop],
+            solar_cf=series.solar_cf[start:stop],
+            step_minutes=series.step_minutes,
+        )
+        yield _sample_date(trace, start), window
+
+
 def run_rolling_horizon(
     system: PowerSystem,
     trace: LoadedTrace,
@@ -366,54 +400,23 @@ def run_rolling_horizon(
 ) -> list[ComparisonReport]:
     """Compare both modes over every complete midnight-to-midnight day.
 
-    Each day is planned over its 24 hours plus a look-ahead tail (truncated
-    to whole hours at the end of the trace). Terminal states chain into the
-    next day separately per mode. Days without complete data, or outside the
-    requested date range, produce warning records instead of results.
+    Each day is planned over its 24 hours plus a look-ahead tail (see
+    day_windows). Terminal states chain into the next day separately per
+    mode. Days outside the requested date range are left out; a day that
+    fails, or a trace without one complete day, gives a warning record
+    instead of a result.
     """
-    series = trace.series
-    step = series.step_minutes
-    per_hour = 60 // step
-    per_day = 24 * per_hour
     lo_date = _parse_date(start_date)
     hi_date = _parse_date(end_date)
-    if lookahead_hours < 0:
-        raise ValueError("lookahead_hours must be nonnegative")
-
-    offset_hours = series.start_offset_hours
-    to_midnight = (24.0 - offset_hours) % 24.0
-    skip = to_midnight * per_hour
-    if abs(skip - round(skip)) > 1e-9:
-        raise ValueError(
-            f"trace starts {offset_hours} h past midnight, which the {step}-minute "
-            "step cannot align to a day boundary"
-        )
-    first = int(round(skip))
-
-    lookahead_periods = int(round(lookahead_hours * per_hour))
-    lookahead_periods -= lookahead_periods % per_hour
-
     units_ch = system.units
     units_ta = system.units
     reports: list[ComparisonReport] = []
-    day_start = first
-    while day_start + per_day <= series.n_points:
-        day = (trace.start + timedelta(minutes=day_start * step)).date()
-        label = day.isoformat()
-        day_start_next = day_start + per_day
-        in_range = (lo_date is None or day >= lo_date) and (hi_date is None or day <= hi_date)
-        if not in_range:
-            day_start = day_start_next
+    any_day = False
+    for day, window in day_windows(trace, lookahead_hours):
+        any_day = True
+        if (lo_date is not None and day < lo_date) or (hi_date is not None and day > hi_date):
             continue
-        tail = min(lookahead_periods, series.n_points - day_start_next)
-        tail -= tail % per_hour
-        stop = day_start_next + tail
-        window = HiResSeries(
-            demand=series.demand[day_start:stop],
-            wind_cf=series.wind_cf[day_start:stop],
-            solar_cf=series.solar_cf[day_start:stop],
-            step_minutes=step,
-        )
+        label = day.isoformat()
         try:
             report, rt_ch, rt_ta = compare_day(
                 system.with_units(units_ch),
@@ -425,40 +428,15 @@ def run_rolling_horizon(
                 config=config,
             )
         except (RuntimeError, ValueError) as exc:
-            reports.append(
-                ComparisonReport(
-                    date=label,
-                    c_ch=math.nan,
-                    c_ta=math.nan,
-                    delta_pct=math.nan,
-                    shares_ch={},
-                    shares_ta={},
-                    solve_time_ch=0.0,
-                    solve_time_ta=0.0,
-                    warning=f"day skipped: {exc}",
-                )
-            )
-            day_start = day_start_next
+            reports.append(_skipped_day(label, str(exc)))
             continue
         reports.append(report)
         units_ch = apply_states(units_ch, rt_ch.terminal_states)
         units_ta = apply_states(units_ta, rt_ta.terminal_states)
-        day_start = day_start_next
 
-    if first + per_day > series.n_points:
-        reports.append(
-            ComparisonReport(
-                date=(trace.start + timedelta(minutes=first * step)).date().isoformat(),
-                c_ch=math.nan,
-                c_ta=math.nan,
-                delta_pct=math.nan,
-                shares_ch={},
-                shares_ta={},
-                solve_time_ch=0.0,
-                solve_time_ta=0.0,
-                warning="day skipped: trace shorter than one full day",
-            )
-        )
+    if not any_day:
+        first = _sample_date(trace, _first_midnight(trace.series))
+        reports.append(_skipped_day(first.isoformat(), "trace shorter than one full day"))
     return reports
 
 

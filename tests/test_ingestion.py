@@ -9,7 +9,6 @@ import pytest
 
 from tauc.aggregation import HiResSeries
 from tauc.ingestion import (
-    CaseData,
     ScenarioConfig,
     build_portfolio,
     compute_installed_capacity,
@@ -20,6 +19,7 @@ from tauc.ingestion import (
     scenario_to_json,
     write_timeseries,
 )
+from tauc.model import PowerSystem
 
 
 def series_for_tests(n=48, step=30, seed=7):
@@ -234,15 +234,15 @@ def test_unknown_portfolio_id_rejected():
 
 
 def test_illustrative_case_matches_published_numbers():
-    case = illustrative_case()
-    assert isinstance(case, CaseData)
+    system, series = illustrative_case()
+    assert isinstance(system, PowerSystem) and isinstance(series, HiResSeries)
     np.testing.assert_array_equal(
-        case.series.demand, [500.0, 500.0, 500.0, 500.0, 650.0, 850.0]
+        series.demand, [500.0, 500.0, 500.0, 500.0, 650.0, 850.0]
     )
-    assert case.series.step_minutes == 30
-    assert case.wind_capacity == 0.0 and case.solar_capacity == 300.0
-    assert case.load_shed_cost == 100.0
-    net = case.series.demand - case.solar_capacity * case.series.solar_cf
+    assert series.step_minutes == 30
+    assert system.wind_capacity == 0.0 and system.solar_capacity == 300.0
+    assert system.load_shed_cost == 100.0
+    net = series.demand - system.solar_capacity * series.solar_cf
     np.testing.assert_allclose(net, [200.0, 200.0, 200.0, 200.0, 450.0, 850.0])
 
 

@@ -12,7 +12,7 @@ from helpers import (
     unit,
 )
 from tauc.model import (
-    SystemInstance,
+    PowerSystem,
     ThermalUnit,
     build_uc_model,
     compute_effective_params,
@@ -147,25 +147,20 @@ def test_min_time_zero_gives_all_zero_counts():
 # ---------------------------------------------------------------------------
 
 
-def _flat_instance() -> SystemInstance:
+def _flat_instance():
     units = tuple(
         unit(f"b{i}", "base", 200.0, 200.0, 10.0) for i in range(1, 5)
     ) + (
         unit("m1", "medium", 50.0, 100.0, 30.0),
         unit("p1", "peak", 0.0, 50.0, 50.0),
     )
-    return SystemInstance(
-        units=units,
-        wind_capacity=0.0,
-        solar_capacity=300.0,
-        load_shed_cost=100.0,
-        periods=periods_from([2.0, 0.5, 0.5], [500.0, 650.0, 850.0],
-                             solar_cf=[1.0, 2.0 / 3.0, 0.0]),
-    )
+    system = PowerSystem(units=units, wind_capacity=0.0, solar_capacity=300.0, load_shed_cost=100.0)
+    periods = periods_from([2.0, 0.5, 0.5], [500.0, 650.0, 850.0], solar_cf=[1.0, 2.0 / 3.0, 0.0])
+    return system, periods
 
 
 def test_build_counts_for_unconstrained_units():
-    model = build_uc_model(_flat_instance())
+    model = build_uc_model(*_flat_instance())
     assert model.n_binaries == 18
     assert len(model.variables) == 63
     families = {}
@@ -179,8 +174,7 @@ def test_build_counts_for_unconstrained_units():
 
 
 def test_build_objective_prices_energy_and_shedding():
-    inst = _flat_instance()
-    model = build_uc_model(inst)
+    model = build_uc_model(*_flat_instance())
     assert model.objective["pg_b1_1"] == pytest.approx(10.0 * 2.0)
     assert model.objective["pg_m1_2"] == pytest.approx(30.0 * 0.5)
     assert model.objective["su_p1_3"] == 1.0
@@ -190,8 +184,7 @@ def test_build_objective_prices_energy_and_shedding():
 
 
 def test_build_variable_bounds_follow_availability():
-    inst = _flat_instance()
-    vmap = build_uc_model(inst).variable_map
+    vmap = build_uc_model(*_flat_instance()).variable_map
     assert (vmap["pd_2"].lb, vmap["pd_2"].ub) == (0.0, 650.0)
     assert vmap["ps_1"].ub == pytest.approx(300.0)
     assert vmap["ps_2"].ub == pytest.approx(200.0)
@@ -202,8 +195,7 @@ def test_build_variable_bounds_follow_availability():
 
 
 def test_build_min_time_rows_emitted_with_pins():
-    inst = two_unit_fixture()
-    model = build_uc_model(inst)
+    model = build_uc_model(*two_unit_fixture())
     labels = {r.label for r in model.constraints}
     # a1 entered the horizon with 1 of its 2.5 on-hours served: 2 pinned periods
     assert "upinit_a1" in labels
@@ -215,7 +207,7 @@ def test_build_min_time_rows_emitted_with_pins():
 
 
 def test_build_ramp_rows_reference_adjacent_periods():
-    model = build_uc_model(two_unit_fixture())
+    model = build_uc_model(*two_unit_fixture())
     row = next(r for r in model.constraints if r.label == "rampup_a1_2")
     # p2 - p1 <= 100*u1 + 100*(u2-u1) + 250*(1-u2): clamped rates are 100
     assert row.coeffs == pytest.approx(
@@ -228,10 +220,10 @@ def test_build_ramp_rows_reference_adjacent_periods():
 
 
 def test_structural_equality_with_conventional_hourly_builder():
-    inst = two_unit_fixture()
-    model = build_uc_model(inst)
+    system, periods = two_unit_fixture()
+    model = build_uc_model(system, periods)
     got_rows = rows_as_maps(model)
-    want_rows, want_obj, want_offset = conventional_hourly_model(inst)
+    want_rows, want_obj, want_offset = conventional_hourly_model(system, periods)
     assert got_rows == want_rows
     assert dict(model.objective) == pytest.approx(want_obj)
     assert model.objective_offset == pytest.approx(want_offset)
@@ -239,18 +231,18 @@ def test_structural_equality_with_conventional_hourly_builder():
 
 def test_fixing_unknown_label_raises_keyerror():
     with pytest.raises(KeyError, match="unknown variable"):
-        build_uc_model(_flat_instance(), fixings={"pg_zz_1": 1.0})
+        build_uc_model(*_flat_instance(), fixings={"pg_zz_1": 1.0})
 
 
 def test_fixing_outside_bounds_rejected():
     with pytest.raises(ValueError, match="outside bounds"):
-        build_uc_model(_flat_instance(), fixings={"pg_b1_1": 500.0})
+        build_uc_model(*_flat_instance(), fixings={"pg_b1_1": 500.0})
     with pytest.raises(ValueError, match="binary"):
-        build_uc_model(_flat_instance(), fixings={"u_b1_1": 0.5})
+        build_uc_model(*_flat_instance(), fixings={"u_b1_1": 0.5})
 
 
 def test_fixing_narrows_bounds_to_equality():
-    model = build_uc_model(_flat_instance(), fixings={"u_b1_1": 1.0, "pg_b1_1": 200.0})
+    model = build_uc_model(*_flat_instance(), fixings={"u_b1_1": 1.0, "pg_b1_1": 200.0})
     vmap = model.variable_map
     assert (vmap["u_b1_1"].lb, vmap["u_b1_1"].ub) == (1.0, 1.0)
     assert (vmap["pg_b1_1"].lb, vmap["pg_b1_1"].ub) == (200.0, 200.0)
@@ -258,14 +250,14 @@ def test_fixing_narrows_bounds_to_equality():
 
 
 def test_prune_drops_constant_rows_and_reports_violations():
-    inst = two_unit_fixture()
+    system, periods = two_unit_fixture()
     # freeze a1 entirely to a plan that breaks its own ramp limit (9->160+)
     fix = {}
     dispatch = [100.0, 250.0, 100.0, 100.0]
     for t, p in enumerate(dispatch, start=1):
         fix[f"u_a1_{t}"] = 1.0
         fix[f"pg_a1_{t}"] = p
-    model = build_uc_model(inst, fixings=fix, prune_fixed_rows=True)
+    model = build_uc_model(system, periods, fixings=fix, prune_fixed_rows=True)
     labels = {r.label for r in model.constraints}
     assert not any(l.startswith(("rampup_a1", "onmin_a1", "up_a1", "upinit_a1")) for l in labels)
     # the 100 -> 250 jump exceeds the clamped 100 MW/h room by 50
@@ -288,19 +280,20 @@ def test_unit_initial_state_validation():
 
 def test_instance_validation():
     with pytest.raises(ValueError, match="unique"):
-        SystemInstance(
+        PowerSystem(
             units=(unit("a", "base", 0, 10, 5), unit("a", "base", 0, 10, 5)),
             wind_capacity=0.0,
             solar_capacity=0.0,
             load_shed_cost=100.0,
-            periods=periods_from([1.0], [10.0]),
         )
     with pytest.raises(ValueError, match="period"):
-        SystemInstance(
-            units=(unit("a", "base", 0, 10, 5),),
-            wind_capacity=0.0,
-            solar_capacity=0.0,
-            load_shed_cost=100.0,
+        build_uc_model(
+            PowerSystem(
+                units=(unit("a", "base", 0, 10, 5),),
+                wind_capacity=0.0,
+                solar_capacity=0.0,
+                load_shed_cost=100.0,
+            ),
             periods=(),
         )
 
@@ -311,13 +304,13 @@ def test_instance_validation():
 
 
 def _toy_solution():
-    inst = SystemInstance(
+    system = PowerSystem(
         units=(unit("a", "base", 50.0, 100.0, 10.0),),
         wind_capacity=0.0,
         solar_capacity=100.0,
         load_shed_cost=500.0,
-        periods=periods_from([1.0, 0.5], [120.0, 200.0], solar_cf=[0.5, 1.0]),
     )
+    periods = periods_from([1.0, 0.5], [120.0, 200.0], solar_cf=[0.5, 1.0])
     values = {
         "u_a_1": 1.0, "u_a_2": 1.0,
         "pg_a_1": 100.0, "pg_a_2": 100.0,
@@ -326,12 +319,12 @@ def _toy_solution():
         "ps_1": 20.0, "ps_2": 80.0,
         "pd_1": 120.0, "pd_2": 180.0,
     }
-    return inst, values
+    return system, periods, values
 
 
 def test_extract_schedule_derives_shed_and_spill():
-    inst, values = _toy_solution()
-    sched = extract_schedule(inst, values)
+    system, periods, values = _toy_solution()
+    sched = extract_schedule(system, periods, values)
     assert sched.commitment.tolist() == [[1, 1]]
     assert sched.shed == pytest.approx([0.0, 20.0])
     assert sched.solar_spill == pytest.approx([30.0, 20.0])
@@ -339,23 +332,23 @@ def test_extract_schedule_derives_shed_and_spill():
 
 
 def test_extract_schedule_rejects_fractional_commitment():
-    inst, values = _toy_solution()
+    system, periods, values = _toy_solution()
     values["u_a_2"] = 0.4
     with pytest.raises(ValueError, match="integral"):
-        extract_schedule(inst, values)
+        extract_schedule(system, periods, values)
 
 
 def test_extract_schedule_rejects_oversupply():
-    inst, values = _toy_solution()
+    system, periods, values = _toy_solution()
     values["pd_2"] = 230.0  # above the 200 MW forecast: negative shed
     with pytest.raises(ValueError, match="shed"):
-        extract_schedule(inst, values)
+        extract_schedule(system, periods, values)
 
 
 def test_operating_cost_full_and_sliced():
-    inst, values = _toy_solution()
-    sched = extract_schedule(inst, values)
+    system, periods, values = _toy_solution()
+    sched = extract_schedule(system, periods, values)
     # energy: 100*1*10 + 100*0.5*10 ; shed: 20 MW * 0.5 h * 500
-    assert operating_cost(inst, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)
-    assert operating_cost(inst, sched, slice(0, 1)) == pytest.approx(1000.0)
-    assert operating_cost(inst, sched, slice(1, 2)) == pytest.approx(5500.0)
+    assert operating_cost(system, periods, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)
+    assert operating_cost(system, periods, sched, slice(0, 1)) == pytest.approx(1000.0)
+    assert operating_cost(system, periods, sched, slice(1, 2)) == pytest.approx(5500.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import duck_day_series, flat_day_series, random_day_series
+from oracle import brute_force_solve
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid, normalize_features
 from tauc.ingestion import LoadedTrace, illustrative_case
 from tauc.model import build_uc_model
@@ -16,7 +17,6 @@ from tauc.simulation import (
     MODE_CH,
     MODE_TA,
     ComparisonReport,
-    PowerSystem,
     apply_states,
     compare_day,
     cost_delta,
@@ -28,18 +28,7 @@ from tauc.simulation import (
     run_real_time,
     run_rolling_horizon,
 )
-from tauc.solver import brute_force_solve, solve
-
-
-def example_system() -> tuple[PowerSystem, HiResSeries]:
-    case = illustrative_case()
-    system = PowerSystem(
-        units=case.units,
-        wind_capacity=case.wind_capacity,
-        solar_capacity=case.solar_capacity,
-        load_shed_cost=case.load_shed_cost,
-    )
-    return system, case.series
+from tauc.solver import solve
 
 
 def class_totals(system, matrix, flex):
@@ -48,7 +37,7 @@ def class_totals(system, matrix, flex):
 
 
 def test_planning_grids_on_the_example_day():
-    system, series = example_system()
+    system, series = illustrative_case()
     ch = day_ahead_grid(series, MODE_CH, solar_capacity=system.solar_capacity)
     assert ch.cluster_bounds == ((0, 2), (2, 4), (4, 6))
     np.testing.assert_array_equal(ch.durations, [1.0, 1.0, 1.0])
@@ -58,7 +47,7 @@ def test_planning_grids_on_the_example_day():
 
 
 def test_hourly_day_ahead_plan_matches_published_tables():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_CH)
     np.testing.assert_allclose(
         class_totals(system, plan.dispatch, "base"), [200.0, 200.0, 600.0], atol=1e-6
@@ -75,7 +64,7 @@ def test_hourly_day_ahead_plan_matches_published_tables():
 
 
 def test_adaptive_day_ahead_plan_matches_published_tables():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_TA)
     np.testing.assert_allclose(
         class_totals(system, plan.dispatch, "base"), [200.0, 400.0, 800.0], atol=1e-6
@@ -87,7 +76,7 @@ def test_adaptive_day_ahead_plan_matches_published_tables():
 
 
 def test_real_time_costs_match_published_example():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan_ch = run_day_ahead(system, series, MODE_CH)
     fix_ch = fix_from_plan(plan_ch, system.units, series.n_points)
     rt_ch = run_real_time(system, series, fix_ch)
@@ -103,7 +92,7 @@ def test_real_time_costs_match_published_example():
 
 
 def test_hourly_plan_sheds_and_spills_where_the_tables_say():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_CH)
     rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
     np.testing.assert_allclose(rt.schedule.shed, [0, 0, 0, 0, 0, 100.0], atol=1e-6)
@@ -118,10 +107,9 @@ def test_hourly_plan_sheds_and_spills_where_the_tables_say():
 
 def test_adaptive_plan_model_agrees_with_exhaustive_search():
     """The planning MILP for the example day is small enough to enumerate."""
-    system, series = example_system()
+    system, series = illustrative_case()
     grid = day_ahead_grid(series, MODE_TA, solar_capacity=system.solar_capacity)
-    instance = system.instance(reduce_series(series, grid))
-    model = build_uc_model(instance)
+    model = build_uc_model(system, reduce_series(series, grid))
     assert model.n_binaries == 18
     exact = brute_force_solve(model)
     assert exact.status == "optimal"
@@ -130,7 +118,7 @@ def test_adaptive_plan_model_agrees_with_exhaustive_search():
 
 
 def test_generation_shares_match_published_example():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_TA)
     rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
     shares = generation_shares(rt, system)
@@ -151,7 +139,7 @@ def test_cost_delta_golden_values():
 
 def test_fixing_dominance_on_a_random_day():
     """A plan's fixings can only restrict the real-time problem."""
-    system, _ = example_system()
+    system, _ = illustrative_case()
     rng = np.random.default_rng(90125)
     series = random_day_series(rng, step_minutes=60)
     free = run_real_time(system, series, {})
@@ -162,7 +150,7 @@ def test_fixing_dominance_on_a_random_day():
 
 
 def test_refixing_the_free_optimum_changes_nothing():
-    system, series = example_system()
+    system, series = illustrative_case()
     free = run_real_time(system, series, {})
     fixings = {}
     for i, unit in enumerate(system.units):
@@ -178,7 +166,7 @@ def test_refixing_the_free_optimum_changes_nothing():
 
 def test_flat_day_makes_both_modes_identical():
     """Constant features leave nothing for clustering to exploit."""
-    system, _ = example_system()
+    system, _ = illustrative_case()
     series = flat_day_series(step_minutes=30)
     report, rt_ch, rt_ta = compare_day(system, system, series, "flat")
     assert report.c_ta == pytest.approx(report.c_ch, rel=1e-6)
@@ -193,7 +181,7 @@ def test_flat_day_makes_both_modes_identical():
 
 
 def test_energy_accounting_served_plus_shed_is_demand():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     rng = np.random.default_rng(5150)
     series = random_day_series(rng, step_minutes=60)
     for mode in (MODE_CH, MODE_TA):
@@ -206,7 +194,7 @@ def test_energy_accounting_served_plus_shed_is_demand():
 
 
 def test_terminal_states_reflect_final_commitments():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_TA)
     rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
     states = rt.terminal_states
@@ -227,14 +215,14 @@ def test_terminal_states_reflect_final_commitments():
 
 
 def test_fixings_must_cover_the_window():
-    system, series = example_system()
+    system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_TA)
     with pytest.raises(ValueError, match="covers 6"):
         fix_from_plan(plan, system.units, 8)
 
 
 def test_unknown_mode_rejected():
-    _, series = example_system()
+    _, series = illustrative_case()
     with pytest.raises(ValueError, match="mode"):
         day_ahead_grid(series, "XX")
 
@@ -253,7 +241,7 @@ def repeat_days(day: HiResSeries, n: int) -> HiResSeries:
 
 
 def test_two_identical_flat_days_give_identical_reports():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     day = flat_day_series(step_minutes=60)
     trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, tzinfo=timezone.utc))
     reports = run_rolling_horizon(system, trace, lookahead_hours=0.0)
@@ -266,7 +254,7 @@ def test_two_identical_flat_days_give_identical_reports():
 
 
 def test_rolling_aligns_to_midnight_and_truncates_lookahead():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     day = flat_day_series(step_minutes=60)
     # trace starts at 18:00; 6 hours of lead-in, then two full days, then 2 hours
     lead = HiResSeries(
@@ -291,7 +279,7 @@ def test_rolling_aligns_to_midnight_and_truncates_lookahead():
 
 
 def test_rolling_date_filter_and_short_trace_warning():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     day = flat_day_series(step_minutes=60)
     trace = make_trace(repeat_days(day, 3), datetime(2023, 6, 1, tzinfo=timezone.utc))
     reports = run_rolling_horizon(
@@ -312,7 +300,7 @@ def test_rolling_date_filter_and_short_trace_warning():
 
 
 def test_reports_render_as_csv():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     day = flat_day_series(step_minutes=60)
     trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, tzinfo=timezone.utc))
     reports = run_rolling_horizon(system, trace, lookahead_hours=4.0)
@@ -333,7 +321,7 @@ def test_reports_render_as_csv():
 
 
 def test_duck_day_favors_the_adaptive_grid():
-    system, _ = example_system()
+    system, _ = illustrative_case()
     series = duck_day_series(step_minutes=30)
     report, _, _ = compare_day(system, system, series, "duck")
     assert report.c_ta < report.c_ch

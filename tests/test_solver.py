@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import random_small_instance, two_unit_fixture
-from tauc._simplex import solve_lp
-from tauc.model import Row, UcModel, Variable, build_uc_model, u_name
+from oracle import brute_force_solve, read_model_file, solve_lp
+from tauc.model import PowerSystem, Row, UcModel, Variable, build_uc_model, u_name
 from tauc.solver import (
     BackendConfig,
-    brute_force_solve,
     check_solution,
     emit_model_file,
     parse_solution_file,
-    read_model_file,
     solve,
 )
 
@@ -157,22 +155,21 @@ def test_emitted_lp_matches_golden_text():
 
 
 def test_emission_is_deterministic():
-    model_a = build_uc_model(two_unit_fixture())
-    model_b = build_uc_model(two_unit_fixture())
+    model_a = build_uc_model(*two_unit_fixture())
+    model_b = build_uc_model(*two_unit_fixture())
     text = emit_model_file(model_a)
     assert emit_model_file(model_b) == text
     assert emit_model_file(model_a) == text
 
 
 def test_lp_round_trip_preserves_every_coefficient():
-    model = build_uc_model(two_unit_fixture())
+    model = build_uc_model(*two_unit_fixture())
     parsed = read_model_file(emit_model_file(model))
     assert_models_equivalent(model, parsed)
 
 
 def test_lp_round_trip_with_fixed_binaries():
-    instance = two_unit_fixture()
-    model = build_uc_model(instance, fixings={u_name("a1", 1): 1.0})
+    model = build_uc_model(*two_unit_fixture(), fixings={u_name("a1", 1): 1.0})
     parsed = read_model_file(emit_model_file(model))
     assert_models_equivalent(model, parsed)
     assert parsed.variable_map[u_name("a1", 1)].lb == 1.0
@@ -261,7 +258,7 @@ def test_parse_solution_xml():
 
 
 def test_check_solution_flags_bound_row_and_integrality_violations():
-    model = build_uc_model(two_unit_fixture())
+    model = build_uc_model(*two_unit_fixture())
     good = solve(model)
     assert good.status == "optimal"
     assert check_solution(model, good.values) == []
@@ -284,7 +281,7 @@ def test_check_solution_flags_bound_row_and_integrality_violations():
 
 
 def test_oracle_matches_default_backend_on_the_two_unit_fixture():
-    model = build_uc_model(two_unit_fixture())
+    model = build_uc_model(*two_unit_fixture())
     fast = solve(model)
     reference = brute_force_solve(model)
     assert fast.status == "optimal"
@@ -297,7 +294,7 @@ def test_oracle_matches_default_backend_on_random_instances():
     rng = np.random.default_rng(20250816)
     solved = 0
     for _ in range(18):
-        model = build_uc_model(random_small_instance(rng))
+        model = build_uc_model(*random_small_instance(rng))
         fast = solve(model)
         reference = brute_force_solve(model)
         assert fast.status == reference.status
@@ -309,11 +306,11 @@ def test_oracle_matches_default_backend_on_random_instances():
 
 
 def test_oracle_honours_fixings():
-    instance = two_unit_fixture()
-    base = solve(build_uc_model(instance))
+    system, periods = two_unit_fixture()
+    base = solve(build_uc_model(system, periods))
     fixings = {name: base.values[name]
-               for name in build_uc_model(instance).binary_names}
-    fixed_model = build_uc_model(instance, fixings=fixings)
+               for name in build_uc_model(system, periods).binary_names}
+    fixed_model = build_uc_model(system, periods, fixings=fixings)
     reference = brute_force_solve(fixed_model)
     assert reference.status == "optimal"
     assert reference.objective == pytest.approx(base.objective, rel=1e-8)
@@ -325,10 +322,7 @@ def test_oracle_refuses_oversized_models():
 
     units = tuple(unit(f"g{i}", "peak", 0.0, 100.0, 30.0 + i) for i in range(3))
     periods = periods_from([1.0] * 7, [150.0] * 7, [0.0] * 7, [0.0] * 7)
-    from tauc.model import SystemInstance
-
-    instance = SystemInstance(units, 0.0, 0.0, 1000.0, periods)
-    model = build_uc_model(instance)
+    model = build_uc_model(PowerSystem(units, 0.0, 0.0, 1000.0), periods)
     assert model.n_binaries == 21
     with pytest.raises(ValueError):
         brute_force_solve(model)
@@ -360,7 +354,7 @@ def test_oracle_reports_infeasible_models():
 
 
 def test_solve_returns_audited_objective_and_gap():
-    model = build_uc_model(two_unit_fixture())
+    model = build_uc_model(*two_unit_fixture())
     res = solve(model)
     assert res.status == "optimal"
     recomputed = model.objective_offset + sum(
@@ -371,9 +365,9 @@ def test_solve_returns_audited_objective_and_gap():
 
 
 def test_solve_accepts_gap_and_oracle_backend():
-    model = build_uc_model(two_unit_fixture())
+    model = build_uc_model(*two_unit_fixture())
     loose = solve(model, BackendConfig(gap=0.05))
-    exact = solve(model, BackendConfig(backend="oracle"))
+    exact = brute_force_solve(model)
     assert loose.status == "optimal"
     assert exact.status == "optimal"
     # a 5% gap target may stop early but never below the true optimum
