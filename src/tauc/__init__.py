@@ -45,6 +45,7 @@ from .simulation import (
     compare_day,
     fix_from_plan,
     generation_shares,
+    run_chain,
     run_day_ahead,
     run_real_time,
     run_rolling_horizon,
@@ -83,6 +84,7 @@ __all__ = [
     "normalize_features",
     "operating_cost",
     "reduce_series",
+    "run_chain",
     "run_day_ahead",
     "run_real_time",
     "run_rolling_horizon",

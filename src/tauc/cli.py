@@ -169,7 +169,7 @@ def _summary_counts(reports: list[ComparisonReport]) -> dict[str, float]:
             gt += 1
     c_ch_total = sum(r.c_ch for r in solved)
     c_ta_total = sum(r.c_ta for r in solved)
-    delta = 100.0 * (c_ch_total - c_ta_total) / c_ch_total if c_ch_total > 0 else 0.0
+    delta = cost_delta(c_ch_total, c_ta_total) if c_ch_total > 0 else 0.0
     return {
         "days": len(solved),
         "c_ch_total": c_ch_total,
@@ -235,12 +235,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    configs = []
-    for path in args.configs:
-        configs.append((Path(path).stem, _effective(load_scenario(path), args)))
+    names = [Path(path).stem for path in args.configs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scenario names (config file stems) repeat: {', '.join(repeated)}")
+    configs = [_effective(load_scenario(path), args) for path in args.configs]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(_run_comparison, cfg) for _, cfg in configs]
-        results = [(name, *future.result()) for (name, _), future in zip(configs, futures)]
+        futures = [pool.submit(_run_comparison, cfg) for cfg in configs]
+        results = [(name, *future.result()) for name, future in zip(names, futures)]
     out = _out_dir(args)
     with open(out / "sweep_summary.csv", "w", newline="") as handle:
         writer = csv.writer(handle)

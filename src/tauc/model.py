@@ -126,37 +126,14 @@ def period_durations(periods: Sequence[ReducedPeriod]) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Duration-rescaled coupling parameters, one row per unit in order.
-
-    d_hat[t] is the mean of the durations of periods t-1 and t (the span over
-    which an inter-period power change physically happens). Ramp limits are
-    the per-hour rates scaled by d_hat and clamped into [pmin, pmax]. The
-    minimum-time counts translate hour thresholds into numbers of periods:
-    each count is the smallest number of consecutive periods whose durations
-    sum to the threshold, capped at the periods actually available.
-    """
-
-    d_hat: np.ndarray
-    ru_hat: np.ndarray
-    rd_hat: np.ndarray
-    su_hat: np.ndarray
-    sd_hat: np.ndarray
-    ut_init: np.ndarray
-    ut_end: np.ndarray
-    ut_counts: np.ndarray
-    dt_init: np.ndarray
-    dt_end: np.ndarray
-    dt_counts: np.ndarray
-
-
 def effective_ramp_limits(
     unit: ThermalUnit, durations: Sequence[float], d_prev: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-period ramp-up, ramp-down, startup and shutdown power limits.
 
-    d_prev is the duration of the last period of the previously solved
+    Each limit is the per-hour rate times the mean of the period's duration
+    and the previous one's (the span over which an inter-period power change
+    happens), clamped into [pmin, pmax]. d_prev is the duration of the last period of the previously solved
     window; a cold start reuses the first duration instead.
     """
     d = np.asarray(durations, dtype=float)
@@ -229,46 +206,6 @@ def effective_min_times(
     ut_init, ut_end, ut_counts = family(unit.min_up, ut_pin)
     dt_init, dt_end, dt_counts = family(unit.min_down, dt_pin)
     return ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts
-
-
-def compute_effective_params(
-    system: PowerSystem, periods: Sequence[ReducedPeriod], d_prev: float | None = None
-) -> EffectiveParams:
-    """Assemble the duration-rescaled parameters for every unit over a window."""
-    d = period_durations(periods)
-    lead = d[0] if d_prev is None else float(d_prev)
-    d_hat = 0.5 * (np.concatenate(([lead], d[:-1])) + d)
-    g = len(system.units)
-    n = len(d)
-    shape = (g, n)
-    ru = np.empty(shape)
-    rd = np.empty(shape)
-    su = np.empty(shape)
-    sd = np.empty(shape)
-    ut_init = np.empty(g, dtype=int)
-    ut_end = np.empty(g, dtype=int)
-    ut_counts = np.empty(shape, dtype=int)
-    dt_init = np.empty(g, dtype=int)
-    dt_end = np.empty(g, dtype=int)
-    dt_counts = np.empty(shape, dtype=int)
-    for i, unit in enumerate(system.units):
-        ru[i], rd[i], su[i], sd[i] = effective_ramp_limits(unit, d, d_prev)
-        ut_init[i], ut_end[i], ut_counts[i], dt_init[i], dt_end[i], dt_counts[i] = (
-            effective_min_times(unit, d)
-        )
-    return EffectiveParams(
-        d_hat=d_hat,
-        ru_hat=ru,
-        rd_hat=rd,
-        su_hat=su,
-        sd_hat=sd,
-        ut_init=ut_init,
-        ut_end=ut_end,
-        ut_counts=ut_counts,
-        dt_init=dt_init,
-        dt_end=dt_end,
-        dt_counts=dt_counts,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +323,20 @@ def _add(coeffs: dict[str, float], name: str, value: float) -> None:
 def build_uc_model(
     system: PowerSystem,
     periods: Sequence[ReducedPeriod],
-    params: EffectiveParams | None = None,
     fixings: Mapping[str, float] | None = None,
     prune_fixed_rows: bool = False,
 ) -> UcModel:
     """Build the commitment MILP for one system over one window of periods.
 
-    fixings maps variable names to frozen values and is applied as equality
-    bounds. With prune_fixed_rows, rows whose variables are all fixed are
-    removed (they are constants); any such row the frozen values violate is
-    reported in pruned_violations rather than making the model infeasible,
-    which is what a simulation of a committed plan needs.
+    Each unit's ramp limits and minimum-time counts are rescaled to the
+    period durations (effective_ramp_limits, effective_min_times). fixings
+    maps variable names to frozen values and is applied as equality bounds.
+    With prune_fixed_rows, rows whose variables are all fixed are removed
+    (they are constants); any such row the frozen values violate is reported
+    in pruned_violations rather than making the model infeasible, which is
+    what a simulation of a committed plan needs.
     """
     d = period_durations(periods)
-    if params is None:
-        params = compute_effective_params(system, periods)
     nt = len(d)
 
     variables: list[Variable] = []
@@ -428,8 +364,10 @@ def build_uc_model(
         _add(coeffs, pd_name(t), -1.0)
         rows.append(Row(f"bal_{t}", coeffs, "=", 0.0))
 
-    for gi, unit in enumerate(system.units):
+    for unit in system.units:
         uid = unit.unit_id
+        ru_hat, rd_hat, su_hat, sd_hat = effective_ramp_limits(unit, d)
+        ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(unit, d)
         # commitment-linked dispatch bounds
         for t in range(1, nt + 1):
             coeffs = {pg_name(uid, t): 1.0}
@@ -452,11 +390,7 @@ def build_uc_model(
         # once every limit clamps to pmax)
         emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
         emit_dn = unit.ramp_down is not None or unit.shutdown_ramp is not None
-        for t in range(1, nt + 1):
-            ru = params.ru_hat[gi, t - 1]
-            rd = params.rd_hat[gi, t - 1]
-            suh = params.su_hat[gi, t - 1]
-            sdh = params.sd_hat[gi, t - 1]
+        for t, ru, rd, suh, sdh in zip(range(1, nt + 1), ru_hat, rd_hat, su_hat, sd_hat):
             if emit_up:
                 coeffs = {pg_name(uid, t): 1.0}
                 rhs = unit.pmax
@@ -478,21 +412,19 @@ def build_uc_model(
                     rhs += -unit.p0 - (unit.pmax - sdh) * unit.u0
                 rows.append(Row(f"rampdn_{uid}_{t}", coeffs, "<=", rhs))
         if emit_dn:
-            for t in range(1, nt):
-                sdh = params.sd_hat[gi, t - 1]
+            for t, sdh in zip(range(1, nt), sd_hat):
                 coeffs = {pg_name(uid, t): 1.0}
                 _add(coeffs, u_name(uid, t + 1), sdh - unit.pmax)
                 _add(coeffs, u_name(uid, t), -sdh)
                 rows.append(Row(f"sdramp_{uid}_{t}", coeffs, "<=", 0.0))
         # minimum up time
         if unit.min_up > 0:
-            pin = int(params.ut_init[gi])
-            end = int(params.ut_end[gi])
+            pin, end = ut_init, ut_end
             if pin >= 1:
                 coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
                 rows.append(Row(f"upinit_{uid}", coeffs, "=", float(pin)))
             for t in range(pin + 1, nt - end + 2):
-                omega = int(params.ut_counts[gi, t - 1])
+                omega = int(ut_counts[t - 1])
                 coeffs = {}
                 for tau in range(t, t + omega):
                     _add(coeffs, u_name(uid, tau), 1.0)
@@ -513,13 +445,12 @@ def build_uc_model(
                 rows.append(Row(f"upend_{uid}_{t}", coeffs, ">=", 0.0))
         # minimum down time
         if unit.min_down > 0:
-            pin = int(params.dt_init[gi])
-            end = int(params.dt_end[gi])
+            pin, end = dt_init, dt_end
             if pin >= 1:
                 coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
                 rows.append(Row(f"dninit_{uid}", coeffs, "=", 0.0))
             for t in range(pin + 1, nt - end + 2):
-                omega = int(params.dt_counts[gi, t - 1])
+                omega = int(dt_counts[t - 1])
                 coeffs = {}
                 for tau in range(t, t + omega):
                     _add(coeffs, u_name(uid, tau), -1.0)

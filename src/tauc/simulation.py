@@ -7,8 +7,10 @@ The commitment problem is solved on that grid, then the high-resolution day
 is re-solved with the plan partially frozen: base units keep commitment and
 dispatch, medium units keep commitment only, peak units stay free. The cost
 difference between the two real-time outcomes is the value of the adaptive
-grid. Rolling runs chain each day's terminal unit states into the next day's
-initial conditions, independently per mode.
+grid. A rolling run is one chain of days per mode: each day's real-time
+result hands the fleet, with its initial conditions set from the day's end,
+to the next day of the same mode, and the comparison joins the two chains by
+date.
 """
 from __future__ import annotations
 
@@ -65,29 +67,20 @@ class DayAheadPlan:
 
 
 @dataclass(frozen=True)
-class UnitState:
-    """Initial-condition snapshot for one unit at a day boundary."""
-
-    u0: int
-    hours_on0: float
-    hours_off0: float
-    p0: float
-
-
-@dataclass(frozen=True)
 class RealTimeResult:
     """High-resolution operation of one window under a plan's fixings.
 
     cost covers only the first day_periods periods (the look-ahead tail is
-    planned but its cost belongs to the next day). terminal_states snapshot
-    each unit at the end of that day, ready to seed the following one.
+    planned but its cost belongs to the next day). next_units are the
+    system's units with their initial conditions set from the end of that
+    day, ready to seed the following one.
     """
 
     cost: float
     schedule: Schedule
     step_minutes: int
     day_periods: int
-    terminal_states: dict[str, UnitState]
+    next_units: tuple[ThermalUnit, ...]
     objective: float
     solve_time: float
 
@@ -184,15 +177,15 @@ def fix_from_plan(
     return fixings
 
 
-def _terminal_states(
+def _next_units(
     units: tuple[ThermalUnit, ...],
     schedule: Schedule,
     day_periods: int,
     step_minutes: int,
-) -> dict[str, UnitState]:
-    """Snapshot commitment streaks and output at the end of the day."""
+) -> tuple[ThermalUnit, ...]:
+    """The units with commitment streaks and output taken from the end of the day."""
     hours_per_period = step_minutes / 60.0
-    states: dict[str, UnitState] = {}
+    out = []
     for i, unit in enumerate(units):
         row = schedule.commitment[i, :day_periods]
         u_end = int(row[-1])
@@ -202,17 +195,22 @@ def _terminal_states(
         hours = min(streak * hours_per_period, 24.0)
         if u_end:
             p_end = float(np.clip(schedule.dispatch[i, day_periods - 1], unit.pmin, unit.pmax))
-            states[unit.unit_id] = UnitState(1, hours, 24.0, p_end)
+            out.append(dataclasses.replace(unit, u0=1, hours_on0=hours, hours_off0=24.0, p0=p_end))
         else:
-            states[unit.unit_id] = UnitState(0, 24.0, hours, 0.0)
-    return states
+            out.append(dataclasses.replace(unit, u0=0, hours_on0=24.0, hours_off0=hours, p0=0.0))
+    return tuple(out)
+
+
+def _held_units(units: tuple[ThermalUnit, ...]) -> tuple[ThermalUnit, ...]:
+    """The units after a day that could not be solved: each keeps its commitment
+    and output through the day, so both streak counters reach the 24 h cap."""
+    return tuple(dataclasses.replace(u, hours_on0=24.0, hours_off0=24.0) for u in units)
 
 
 def run_real_time(
     system: PowerSystem,
     series: HiResSeries,
     fixings: dict[str, float],
-    day_hours: float = 24.0,
     features: str = "net_demand_only",
     config: BackendConfig | None = None,
     label: str = "window",
@@ -233,14 +231,14 @@ def run_real_time(
             f"{result.message}"
         )
     schedule = extract_schedule(system, periods, result.values)
-    day_periods = min(len(periods), int(math.ceil(round(day_hours * 60.0 / series.step_minutes, 9))))
+    day_periods = min(len(periods), 24 * 60 // series.step_minutes)
     cost = operating_cost(system, periods, schedule, slice(0, day_periods))
     return RealTimeResult(
         cost=cost,
         schedule=schedule,
         step_minutes=series.step_minutes,
         day_periods=day_periods,
-        terminal_states=_terminal_states(system.units, schedule, day_periods, series.step_minutes),
+        next_units=_next_units(system.units, schedule, day_periods, series.step_minutes),
         objective=result.objective,
         solve_time=result.wall_time,
     )
@@ -272,7 +270,6 @@ def run_one_mode(
     system: PowerSystem,
     window: HiResSeries,
     mode: str,
-    day_hours: float = 24.0,
     features: str = "net_demand_only",
     config: BackendConfig | None = None,
     label: str = "window",
@@ -280,37 +277,41 @@ def run_one_mode(
     """Plan one window in one mode, then operate it in real time under the plan."""
     plan = run_day_ahead(system, window, mode, features, config, label)
     fixings = fix_from_plan(plan, system.units, window.n_points)
-    result = run_real_time(system, window, fixings, day_hours, features, config, label)
+    result = run_real_time(system, window, fixings, features, config, label)
     return plan, result
 
 
+def _report(
+    label: str,
+    system: PowerSystem,
+    ch: tuple[DayAheadPlan, RealTimeResult],
+    ta: tuple[DayAheadPlan, RealTimeResult],
+) -> ComparisonReport:
+    """One day's report from the (plan, real-time result) pair of each mode."""
+    (plan_ch, rt_ch), (plan_ta, rt_ta) = ch, ta
+    return ComparisonReport(
+        date=label,
+        c_ch=rt_ch.cost,
+        c_ta=rt_ta.cost,
+        delta_pct=cost_delta(rt_ch.cost, rt_ta.cost) if rt_ch.cost > 0 else 0.0,
+        shares_ch=generation_shares(rt_ch, system),
+        shares_ta=generation_shares(rt_ta, system),
+        solve_time_ch=plan_ch.solve_time + rt_ch.solve_time,
+        solve_time_ta=plan_ta.solve_time + rt_ta.solve_time,
+    )
+
+
 def compare_day(
-    system_ch: PowerSystem,
-    system_ta: PowerSystem,
+    system: PowerSystem,
     window: HiResSeries,
     day_label: str,
-    day_hours: float = 24.0,
     features: str = "net_demand_only",
     config: BackendConfig | None = None,
 ) -> tuple[ComparisonReport, RealTimeResult, RealTimeResult]:
     """Run both modes on one window and assemble the day's report."""
-    plan_ch, rt_ch = run_one_mode(system_ch, window, MODE_CH, day_hours, features, config, day_label)
-    plan_ta, rt_ta = run_one_mode(system_ta, window, MODE_TA, day_hours, features, config, day_label)
-    if rt_ch.cost > 0:
-        delta = cost_delta(rt_ch.cost, rt_ta.cost)
-    else:
-        delta = 0.0
-    report = ComparisonReport(
-        date=day_label,
-        c_ch=rt_ch.cost,
-        c_ta=rt_ta.cost,
-        delta_pct=delta,
-        shares_ch=generation_shares(rt_ch, system_ch),
-        shares_ta=generation_shares(rt_ta, system_ta),
-        solve_time_ch=plan_ch.solve_time + rt_ch.solve_time,
-        solve_time_ta=plan_ta.solve_time + rt_ta.solve_time,
-    )
-    return report, rt_ch, rt_ta
+    ch = run_one_mode(system, window, MODE_CH, features, config, day_label)
+    ta = run_one_mode(system, window, MODE_TA, features, config, day_label)
+    return _report(day_label, system, ch, ta), ch[1], ta[1]
 
 
 def _skipped_day(label: str, reason: str) -> ComparisonReport:
@@ -326,21 +327,6 @@ def _skipped_day(label: str, reason: str) -> ComparisonReport:
         solve_time_ta=0.0,
         warning=f"day skipped: {reason}",
     )
-
-
-def apply_states(
-    units: tuple[ThermalUnit, ...], states: dict[str, UnitState]
-) -> tuple[ThermalUnit, ...]:
-    """New unit records with initial conditions taken from a day's end."""
-    out = []
-    for unit in units:
-        s = states[unit.unit_id]
-        out.append(
-            dataclasses.replace(
-                unit, u0=s.u0, hours_on0=s.hours_on0, hours_off0=s.hours_off0, p0=s.p0
-            )
-        )
-    return tuple(out)
 
 
 def _parse_date(value) -> date | None:
@@ -389,6 +375,39 @@ def day_windows(trace: LoadedTrace, lookahead_hours: float) -> Iterator[tuple[da
         yield _sample_date(trace, start), window
 
 
+def run_chain(
+    system: PowerSystem,
+    trace: LoadedTrace,
+    mode: str,
+    lookahead_hours: float = 8.0,
+    features: str = "net_demand_only",
+    config: BackendConfig | None = None,
+    start_date=None,
+    end_date=None,
+) -> Iterator[tuple[str, tuple[DayAheadPlan, RealTimeResult] | str]]:
+    """Operate one mode's fleet day after day over a trace.
+
+    Yields (label, (plan, result)) for each solved day in the date range, or
+    (label, reason) for a day that failed. A solved day hands its next_units
+    to the following day; after a failed day the units keep their commitment
+    and output, with both streak counters at the 24 h cap.
+    """
+    lo_date = _parse_date(start_date)
+    hi_date = _parse_date(end_date)
+    for day, window in day_windows(trace, lookahead_hours):
+        if (lo_date is not None and day < lo_date) or (hi_date is not None and day > hi_date):
+            continue
+        label = day.isoformat()
+        try:
+            plan, rt = run_one_mode(system, window, mode, features, config, label)
+        except (RuntimeError, ValueError) as exc:
+            yield label, str(exc)
+            system = system.with_units(_held_units(system.units))
+        else:
+            yield label, (plan, rt)
+            system = system.with_units(rt.next_units)
+
+
 def run_rolling_horizon(
     system: PowerSystem,
     trace: LoadedTrace,
@@ -400,43 +419,28 @@ def run_rolling_horizon(
 ) -> list[ComparisonReport]:
     """Compare both modes over every complete midnight-to-midnight day.
 
-    Each day is planned over its 24 hours plus a look-ahead tail (see
-    day_windows). Terminal states chain into the next day separately per
-    mode. Days outside the requested date range are left out; a day that
-    fails, or a trace without one complete day, gives a warning record
-    instead of a result.
+    Each mode runs its own chain (see run_chain) and the reports join the
+    two chains by date, one day at a time. Days outside the requested date
+    range are left out; a day that fails in either mode, or a trace without
+    one complete day, gives a warning record instead of a result.
     """
-    lo_date = _parse_date(start_date)
-    hi_date = _parse_date(end_date)
-    units_ch = system.units
-    units_ta = system.units
-    reports: list[ComparisonReport] = []
-    any_day = False
-    for day, window in day_windows(trace, lookahead_hours):
-        any_day = True
-        if (lo_date is not None and day < lo_date) or (hi_date is not None and day > hi_date):
-            continue
-        label = day.isoformat()
-        try:
-            report, rt_ch, rt_ta = compare_day(
-                system.with_units(units_ch),
-                system.with_units(units_ta),
-                window,
-                label,
-                day_hours=24.0,
-                features=features,
-                config=config,
-            )
-        except (RuntimeError, ValueError) as exc:
-            reports.append(_skipped_day(label, str(exc)))
-            continue
-        reports.append(report)
-        units_ch = apply_states(units_ch, rt_ch.terminal_states)
-        units_ta = apply_states(units_ta, rt_ta.terminal_states)
-
-    if not any_day:
+    if next(day_windows(trace, lookahead_hours), None) is None:
         first = _sample_date(trace, _first_midnight(trace.series))
-        reports.append(_skipped_day(first.isoformat(), "trace shorter than one full day"))
+        return [_skipped_day(first.isoformat(), "trace shorter than one full day")]
+    chains = [
+        run_chain(system, trace, mode, lookahead_hours, features, config, start_date, end_date)
+        for mode in MODES
+    ]
+    reports: list[ComparisonReport] = []
+    for (label, ch), (_, ta) in zip(*chains):
+        failed = [f"{mode}: {out}" for mode, out in zip(MODES, (ch, ta)) if isinstance(out, str)]
+        if failed:
+            reports.append(_skipped_day(label, "; ".join(failed)))
+            continue
+        try:
+            reports.append(_report(label, system, ch, ta))
+        except ValueError as exc:  # no energy served, so no shares
+            reports.append(_skipped_day(label, str(exc)))
     return reports
 
 

@@ -34,7 +34,6 @@ from tauc.simulation import (
     MODE_CH,
     MODE_TA,
     PowerSystem,
-    apply_states,
     compare_day,
     day_ahead_grid,
     fix_from_plan,
@@ -190,7 +189,7 @@ def test_criterion_6_property_suite_on_random_days():
 def test_criterion_7_duck_curve_directional():
     system, _ = illustrative_case()
     duck = duck_day_series(step_minutes=30)
-    duck_report, _, _ = compare_day(system, system, duck, "duck")
+    duck_report, _, _ = compare_day(system, duck, "duck")
     assert duck_report.c_ta < duck_report.c_ch
 
     n = 48
@@ -202,7 +201,7 @@ def test_criterion_7_duck_curve_directional():
         step_minutes=30,
     )
     windy = PowerSystem(system.units, wind_capacity=200.0, solar_capacity=0.0, load_shed_cost=100.0)
-    smooth_report, _, _ = compare_day(windy, windy, smooth, "smooth")
+    smooth_report, _, _ = compare_day(windy, smooth, "smooth")
     assert abs(smooth_report.delta_pct) < 0.1
     note(
         f"criterion 7 PASS: duck delta {duck_report.delta_pct:.2f}% (TA cheaper), "
@@ -283,7 +282,7 @@ def test_criterion_8_rolling_horizon_chaining():
                 day_system, window, fix_from_plan(plan, day_system.units, window.n_points)
             )
             manual_costs[mode].append(rt.cost)
-            next_units = apply_states(units[mode], rt.terminal_states)
+            next_units = rt.next_units
             for i, unit in enumerate(units[mode]):
                 u_end, hours = streak_from_schedule(
                     rt.schedule.commitment[i, : rt.day_periods], step

@@ -165,6 +165,23 @@ def test_sweep_merges_scenarios(tmp_path):
             assert next(csv.DictReader(handle)) == {k: v for k, v in row.items() if k != "scenario"}
 
 
+def test_sweep_rejects_repeated_scenario_names(tmp_path, capsys, monkeypatch):
+    trace = flat_trace_csv(tmp_path, days=1)
+    configs = []
+    for folder, alpha in (("a", 0.2), ("b", 0.4)):
+        (tmp_path / folder).mkdir()
+        configs.append(str(write_config(tmp_path / folder / "s.json", trace, alpha_solar=alpha)))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a scenario was solved before its name was checked")
+
+    monkeypatch.setattr(simulation, "run_day_ahead", no_solve)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *configs, "--out", str(out)]) == 2
+    assert "repeat: s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=1))
     for workers in ("0", "-1"):

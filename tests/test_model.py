@@ -15,7 +15,6 @@ from tauc.model import (
     PowerSystem,
     ThermalUnit,
     build_uc_model,
-    compute_effective_params,
     effective_min_times,
     effective_ramp_limits,
     extract_schedule,

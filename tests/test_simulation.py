@@ -1,23 +1,27 @@
 """Tests for day-ahead planning, fixed real-time operation and rolling runs."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import duck_day_series, flat_day_series, random_day_series
 from oracle import brute_force_solve
+from test_acceptance import chaining_portfolio, seven_day_trace
+from tauc import simulation
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid, normalize_features
 from tauc.ingestion import LoadedTrace, illustrative_case
-from tauc.model import build_uc_model
+from tauc.model import PowerSystem, build_uc_model
 from tauc.simulation import (
     CSV_COLUMNS,
     MODE_CH,
     MODE_TA,
     ComparisonReport,
-    apply_states,
     compare_day,
     cost_delta,
     day_ahead_grid,
@@ -168,7 +172,7 @@ def test_flat_day_makes_both_modes_identical():
     """Constant features leave nothing for clustering to exploit."""
     system, _ = illustrative_case()
     series = flat_day_series(step_minutes=30)
-    report, rt_ch, rt_ta = compare_day(system, system, series, "flat")
+    report, rt_ch, rt_ta = compare_day(system, series, "flat")
     assert report.c_ta == pytest.approx(report.c_ch, rel=1e-6)
     assert abs(report.delta_pct) < 1e-6
     # at a 60-minute step the adaptive target equals the sample count, so the
@@ -197,8 +201,8 @@ def test_terminal_states_reflect_final_commitments():
     system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_TA)
     rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
-    states = rt.terminal_states
-    assert set(states) == {u.unit_id for u in system.units}
+    assert [u.unit_id for u in rt.next_units] == [u.unit_id for u in system.units]
+    states = {u.unit_id: u for u in rt.next_units}
     for i, unit in enumerate(system.units):
         s = states[unit.unit_id]
         assert s.u0 == rt.schedule.commitment[i, -1]
@@ -210,7 +214,7 @@ def test_terminal_states_reflect_final_commitments():
     assert medium.u0 == 1 and medium.hours_on0 == pytest.approx(1.0)
     base_states = [states[f"b{i}"] for i in range(1, 5)]
     assert all(s.u0 == 1 for s in base_states)
-    chained = apply_states(system.units, states)
+    chained = rt.next_units
     assert chained[4].u0 == 1 and chained[4].hours_on0 == pytest.approx(1.0)
 
 
@@ -323,5 +327,90 @@ def test_reports_render_as_csv():
 def test_duck_day_favors_the_adaptive_grid():
     system, _ = illustrative_case()
     series = duck_day_series(step_minutes=30)
-    report, _, _ = compare_day(system, system, series, "duck")
+    report, _, _ = compare_day(system, series, "duck")
     assert report.c_ta < report.c_ch
+
+
+WEEK = [f"2023-06-0{day}" for day in range(1, 8)]
+
+
+def memoized(memo, fn, key):
+    def wrapper(*args):
+        k = key(*args)
+        if k not in memo:
+            memo[k] = fn(*args)
+        return memo[k]
+
+    return wrapper
+
+
+def forced_failure_week(memo, failing):
+    """Roll the criterion-8 week with run_day_ahead raising for each (mode, date)
+    in failing. Returns the reports and the units each (mode, date) started from.
+
+    Solves are memoized on everything they depend on (mode, date, units and,
+    in real time, the fixings), so examples share the days they have in common.
+    """
+    system = PowerSystem(chaining_portfolio(), 0.0, 600.0, 10000.0)
+    plan = memoized(
+        memo, simulation.run_day_ahead, lambda s, w, mode, *rest: ("da", mode, rest[-1], s.units)
+    )
+    operate = memoized(
+        memo,
+        simulation.run_real_time,
+        lambda s, w, fixings, *rest: ("rt", rest[-1], s.units, frozenset(fixings.items())),
+    )
+    seen = {}
+
+    def day_ahead(system, window, mode, *args):
+        label = args[-1]
+        seen[mode, label] = system.units
+        if (mode, label) in failing:
+            raise RuntimeError("forced failure")
+        return plan(system, window, mode, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "run_day_ahead", day_ahead)
+        mp.setattr(simulation, "run_real_time", operate)
+        reports = run_rolling_horizon(system, seven_day_trace(step_minutes=60), lookahead_hours=8.0)
+    return reports, seen
+
+
+@pytest.fixture(scope="module")
+def roll_week():
+    """forced_failure_week with one memo of solves shared by every call."""
+    memo = {}
+    return lambda failing: forced_failure_week(memo, failing)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    failing=st.sets(
+        st.tuples(st.sampled_from((MODE_CH, MODE_TA)), st.sampled_from(WEEK)), min_size=1, max_size=3
+    )
+)
+def test_a_failed_day_holds_only_the_failing_fleet(roll_week, failing):
+    base_reports, base_seen = roll_week(set())
+    assert [r.date for r in base_reports] == WEEK and not any(r.warning for r in base_reports)
+    reports, seen = roll_week(failing)
+    assert [r.date for r in reports] == WEEK
+    for mode, cost in ((MODE_CH, "c_ch"), (MODE_TA, "c_ta")):
+        if any(m == mode for m, _ in failing):
+            continue
+        # a mode that never fails runs the same fleet, so the same costs, as without failures
+        assert all(seen[mode, day] == base_seen[mode, day] for day in WEEK)
+        for rep, base in zip(reports, base_reports):
+            if not rep.warning:
+                assert getattr(rep, cost) == pytest.approx(getattr(base, cost), rel=1e-9)
+    for rep in reports:
+        modes = {m for m, day in failing if day == rep.date}
+        assert bool(rep.warning) == bool(modes)
+        for mode in (MODE_CH, MODE_TA):
+            assert (f"{mode}: forced failure" in rep.warning) == (mode in modes)
+    for mode, day in failing:
+        k = WEEK.index(day)
+        if k + 1 < len(WEEK):
+            held = tuple(
+                dataclasses.replace(u, hours_on0=24.0, hours_off0=24.0) for u in seen[mode, day]
+            )
+            assert seen[mode, WEEK[k + 1]] == held
