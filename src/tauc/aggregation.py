@@ -22,15 +22,14 @@ class HiResSeries:
     """One contiguous window of high-resolution system data.
 
     demand is in MW; wind_cf and solar_cf are capacity factors in [0, 1].
-    start_offset_hours locates the first sample relative to midnight, which
-    rolling simulations use to slice calendar days out of longer traces.
+    Where a trace starts in time is not part of the series: LoadedTrace
+    carries that instant.
     """
 
     demand: np.ndarray
     wind_cf: np.ndarray
     solar_cf: np.ndarray
     step_minutes: int
-    start_offset_hours: float = 0.0
 
     def __post_init__(self) -> None:
         demand = np.asarray(self.demand, dtype=float)
@@ -93,20 +92,17 @@ class TimeGrid:
     """A contiguous partition of a window into variable-duration periods.
 
     cluster_bounds are half-open [start, stop) sample-index ranges covering
-    the window in order. durations are in hours; merge_distances records the
-    clustering cost of each merge that produced the grid, in merge order
-    (empty for grids built directly, e.g. uniform hourly ones).
+    the window in order; every other fact about the grid follows from them
+    and the sampling step. merge_distances records the clustering cost of
+    each merge that produced the grid, in merge order (empty for grids built
+    directly, e.g. uniform hourly ones).
     """
 
     cluster_bounds: tuple[tuple[int, int], ...]
-    durations: np.ndarray
-    centroids: np.ndarray
     step_minutes: int
     merge_distances: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "durations", np.asarray(self.durations, dtype=float))
-        object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
         bounds = tuple((int(a), int(b)) for a, b in self.cluster_bounds)
         object.__setattr__(self, "cluster_bounds", bounds)
         if not bounds:
@@ -116,10 +112,6 @@ class TimeGrid:
             if start != prev_stop or stop <= start:
                 raise ValueError(f"cluster bounds are not a contiguous partition: {bounds}")
             prev_stop = stop
-        counts = np.array([b - a for a, b in bounds], dtype=float)
-        expect = counts * self.step_minutes / 60.0
-        if not np.allclose(self.durations, expect, rtol=0, atol=1e-12):
-            raise ValueError("durations do not match member counts times the step")
 
     @property
     def n_periods(self) -> int:
@@ -128,6 +120,11 @@ class TimeGrid:
     @property
     def member_counts(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in self.cluster_bounds)
+
+    @property
+    def durations(self) -> np.ndarray:
+        """Period lengths in hours: member count times the step."""
+        return np.array(self.member_counts, dtype=float) * self.step_minutes / 60.0
 
 
 @dataclass(frozen=True)
@@ -206,36 +203,22 @@ def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) 
         centroids[k] = merged_centroid
         sizes = np.delete(sizes, k + 1)
         sizes[k] = merged_size
-    durations = np.array([b - a for a, b in bounds], dtype=float) * step_minutes / 60.0
-    return TimeGrid(
-        cluster_bounds=tuple(bounds),
-        durations=durations,
-        centroids=centroids,
-        step_minutes=step_minutes,
-        merge_distances=tuple(merges),
-    )
+    return TimeGrid(tuple(bounds), step_minutes, tuple(merges))
 
 
-def hourly_grid(features: FeatureMatrix, step_minutes: int) -> TimeGrid:
-    """Uniform one-hour partition of the window (the conventional grid)."""
+def hourly_grid(n_points: int, step_minutes: int) -> TimeGrid:
+    """Uniform one-hour partition of n_points samples (the conventional grid)."""
     per_hour = 60 // step_minutes
     if 60 % step_minutes:
         raise ValueError("step_minutes must divide 60")
-    n = features.n_points
-    if n % per_hour:
-        raise ValueError(f"{n} samples at {step_minutes}-minute steps do not fill whole hours")
-    bounds = tuple((i, i + per_hour) for i in range(0, n, per_hour))
-    centroids = np.array([features.values[a:b].mean(axis=0) for a, b in bounds])
-    durations = np.full(len(bounds), 1.0)
-    return TimeGrid(bounds, durations, centroids, step_minutes)
+    if n_points % per_hour:
+        raise ValueError(f"{n_points} samples at {step_minutes}-minute steps do not fill whole hours")
+    return TimeGrid(tuple((i, i + per_hour) for i in range(0, n_points, per_hour)), step_minutes)
 
 
-def singleton_grid(features: FeatureMatrix, step_minutes: int) -> TimeGrid:
+def singleton_grid(n_points: int, step_minutes: int) -> TimeGrid:
     """One period per sample; the identity grid used for real-time solves."""
-    n = features.n_points
-    bounds = tuple((i, i + 1) for i in range(n))
-    durations = np.full(n, step_minutes / 60.0)
-    return TimeGrid(bounds, durations, features.values.astype(float).copy(), step_minutes)
+    return TimeGrid(tuple((i, i + 1) for i in range(n_points)), step_minutes)
 
 
 def reduce_series(series: HiResSeries, grid: TimeGrid) -> tuple[ReducedPeriod, ...]:

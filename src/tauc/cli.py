@@ -113,8 +113,8 @@ def cmd_cluster(args) -> int:
     with open(out / "centroids.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["period"] + feature_names)
-        for k, row in enumerate(grid.centroids, start=1):
-            writer.writerow([k] + [f"{v:.6f}" for v in np.atleast_1d(row)])
+        for k, (a, b) in enumerate(grid.cluster_bounds, start=1):
+            writer.writerow([k] + [f"{v:.6f}" for v in feats.values[a:b].mean(axis=0)])
     print(f"wrote {len(grid.cluster_bounds)} periods to {out / 'durations.csv'}")
     return 0
 

@@ -31,8 +31,8 @@ TRACE_HEADER = ("timestamp", "demand_mw", "wind_cf", "solar_cf")
 class LoadedTrace:
     """A high-resolution series together with the UTC instant it starts at.
 
-    The series itself only knows its offset from midnight; the start datetime
-    is what lets a rolling run name calendar days.
+    start is the only record of where the trace sits in time: a rolling run
+    finds midnights and names calendar days from it.
     """
 
     series: HiResSeries
@@ -109,16 +109,13 @@ def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
                 f"{stamps[i - 1] + step:%Y-%m-%dT%H:%M:%SZ}, got "
                 f"{stamps[i]:%Y-%m-%dT%H:%M:%SZ}"
             )
-    start = stamps[0]
-    offset = start.hour + start.minute / 60.0 + start.second / 3600.0
     series = HiResSeries(
         demand=np.array(demand),
         wind_cf=np.array(wind),
         solar_cf=np.array(solar),
         step_minutes=step_minutes,
-        start_offset_hours=offset,
     )
-    return LoadedTrace(series=series, start=start)
+    return LoadedTrace(series=series, start=stamps[0])
 
 
 def write_timeseries(path: str | Path, series: HiResSeries, start: datetime) -> None:
@@ -171,27 +168,42 @@ def default_shed_cost(portfolio: str) -> float:
     return 10000.0
 
 
+def _unit(
+    unit_id: str,
+    flex_class: str,
+    pmin: float,
+    pmax: float,
+    marginal_cost: float,
+    startup_cost: float = 0.0,
+    ramp_up: float | None = None,
+    ramp_down: float | None = None,
+    min_up: float = 0.0,
+    min_down: float = 0.0,
+) -> ThermalUnit:
+    """A generator from the PORTFOLIO_HEADER columns, in its initial state:
+    base units start the horizon online at minimum, everything else cold."""
+    if flex_class == "base":
+        state = {"u0": 1, "hours_on0": 24.0, "p0": pmin}
+    else:
+        state = {"u0": 0, "hours_off0": 24.0}
+    return ThermalUnit(
+        unit_id=unit_id,
+        flex_class=flex_class,
+        pmin=pmin,
+        pmax=pmax,
+        marginal_cost=marginal_cost,
+        startup_cost=startup_cost,
+        ramp_up=ramp_up,
+        ramp_down=ramp_down,
+        min_up=min_up,
+        min_down=min_down,
+        **state,
+    )
+
+
 def _example6() -> tuple[ThermalUnit, ...]:
-    base = [
-        ThermalUnit(
-            unit_id=f"b{i}",
-            flex_class="base",
-            pmin=200.0,
-            pmax=200.0,
-            marginal_cost=10.0,
-            u0=1,
-            hours_on0=24.0,
-            p0=200.0,
-        )
-        for i in range(1, 5)
-    ]
-    medium = ThermalUnit(
-        unit_id="m1", flex_class="medium", pmin=50.0, pmax=100.0, marginal_cost=30.0
-    )
-    peak = ThermalUnit(
-        unit_id="p1", flex_class="peak", pmin=0.0, pmax=50.0, marginal_cost=50.0
-    )
-    return (*base, medium, peak)
+    base = tuple(_unit(f"b{i}", "base", 200.0, 200.0, 10.0) for i in range(1, 5))
+    return (*base, _unit("m1", "medium", 50.0, 100.0, 30.0), _unit("p1", "peak", 0.0, 50.0, 50.0))
 
 
 # unit_id: (flex_class, pmin, pmax, ramp, min_up/min_down, startup_cost, marginal_cost)
@@ -212,33 +224,11 @@ _STUDY13_ROWS = {
 }
 
 
-def _initial_state(flex_class: str, pmin: float) -> dict:
-    """Base units start the horizon online at minimum; everything else is cold."""
-    if flex_class == "base":
-        return {"u0": 1, "hours_on0": 24.0, "p0": pmin}
-    return {"u0": 0, "hours_off0": 24.0}
-
-
 def _study13() -> tuple[ThermalUnit, ...]:
-    units = []
-    for unit_id, row in _STUDY13_ROWS.items():
-        flex_class, pmin, pmax, ramp, min_time, su_cost, cost = row
-        units.append(
-            ThermalUnit(
-                unit_id=unit_id,
-                flex_class=flex_class,
-                pmin=pmin,
-                pmax=pmax,
-                marginal_cost=cost,
-                startup_cost=su_cost,
-                ramp_up=ramp,
-                ramp_down=ramp,
-                min_up=min_time,
-                min_down=min_time,
-                **_initial_state(flex_class, pmin),
-            )
-        )
-    return tuple(units)
+    return tuple(
+        _unit(unit_id, flex_class, pmin, pmax, cost, su_cost, ramp, ramp, min_time, min_time)
+        for unit_id, (flex_class, pmin, pmax, ramp, min_time, su_cost, cost) in _STUDY13_ROWS.items()
+    )
 
 
 def _spread(lo: float, hi: float, n: int) -> np.ndarray:
@@ -256,20 +246,10 @@ def _spanish70() -> tuple[ThermalUnit, ...]:
     index = 1
     for flex_class, count, pmin, pmax, ramp, min_times, su_cost, costs in classes:
         for i in range(count):
+            min_time = float(min_times[i])
             units.append(
-                ThermalUnit(
-                    unit_id=f"g{index}",
-                    flex_class=flex_class,
-                    pmin=pmin,
-                    pmax=pmax,
-                    marginal_cost=float(costs[i]),
-                    startup_cost=su_cost,
-                    ramp_up=ramp,
-                    ramp_down=ramp,
-                    min_up=float(min_times[i]),
-                    min_down=float(min_times[i]),
-                    **_initial_state(flex_class, pmin),
-                )
+                _unit(f"g{index}", flex_class, pmin, pmax, float(costs[i]), su_cost, ramp, ramp,
+                      min_time, min_time)
             )
             index += 1
     return tuple(units)
@@ -323,23 +303,8 @@ def _read_portfolio_csv(path: Path) -> tuple[ThermalUnit, ...]:
                     numbers.append(None)
                     continue
                 numbers.append(_parse_float(cell, column, line_no))
-            pmin, pmax, cost, su_cost, ramp_up, ramp_down, min_up, min_down = numbers
             try:
-                units.append(
-                    ThermalUnit(
-                        unit_id=unit_id,
-                        flex_class=flex_class,
-                        pmin=pmin,
-                        pmax=pmax,
-                        marginal_cost=cost,
-                        startup_cost=su_cost,
-                        ramp_up=ramp_up,
-                        ramp_down=ramp_down,
-                        min_up=min_up,
-                        min_down=min_down,
-                        **_initial_state(flex_class, pmin),
-                    )
-                )
+                units.append(_unit(unit_id, flex_class, *numbers))
             except ValueError as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
     if not units:
@@ -434,6 +399,8 @@ class ScenarioConfig:
             raise ValueError("gap must be nonnegative")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive or None")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be at least 1 or None, got {self.threads}")
         if self.shed_cost is not None and self.shed_cost <= 0:
             raise ValueError("shed_cost must be positive or None")
         if not self.portfolio:
@@ -465,6 +432,21 @@ class ScenarioConfig:
         return default_shed_cost(self.portfolio)
 
 
+# JSON value types accepted for each ScenarioConfig annotation; a number
+# field takes integers too, and a "| None" field also takes null.
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a number")}
+
+
+def _check_json_type(path: Path, key: str, annotation: str, value) -> None:
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return
+    types, expected = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected += " or null" if optional else ""
+        raise ValueError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read a scenario config from JSON, resolving paths against its directory."""
     path = Path(path)
@@ -480,12 +462,18 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     if "data_path" not in data:
         raise ValueError(f"{path}: config is missing data_path")
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.name in data:
+            _check_json_type(path, f.name, f.type, data[f.name])
     base = path.parent
     data["data_path"] = str((base / data["data_path"]).resolve())
     portfolio = data.get("portfolio")
     if portfolio is not None and portfolio not in PORTFOLIO_IDS:
         data["portfolio"] = str((base / portfolio).resolve())
-    return ScenarioConfig(**data)
+    try:
+        return ScenarioConfig(**data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def scenario_to_json(config: ScenarioConfig) -> str:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -240,17 +240,16 @@ class UcModel:
     """Solver-agnostic MILP: variables with bounds, rows, linear objective.
 
     The objective is minimized and carries a constant offset so that reported
-    objective values equal the full operating cost. Fixings are recorded after
-    having been folded into variable bounds. pruned_violations lists rows that
-    were dropped because every variable in them was fixed, together with the
-    amount by which the frozen values violate them (normally zero).
+    objective values equal the full operating cost. Fixed variables are those
+    whose bounds coincide. pruned_violations lists rows that were dropped
+    because every variable in them was fixed, together with the amount by
+    which the frozen values violate them (normally zero).
     """
 
     variables: tuple[Variable, ...]
     constraints: tuple[Row, ...]
     objective: Mapping[str, float]
     objective_offset: float = 0.0
-    fixings: Mapping[str, float] = field(default_factory=dict)
     pruned_violations: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -324,17 +323,16 @@ def build_uc_model(
     system: PowerSystem,
     periods: Sequence[ReducedPeriod],
     fixings: Mapping[str, float] | None = None,
-    prune_fixed_rows: bool = False,
 ) -> UcModel:
     """Build the commitment MILP for one system over one window of periods.
 
     Each unit's ramp limits and minimum-time counts are rescaled to the
     period durations (effective_ramp_limits, effective_min_times). fixings
     maps variable names to frozen values and is applied as equality bounds.
-    With prune_fixed_rows, rows whose variables are all fixed are removed
-    (they are constants); any such row the frozen values violate is reported
-    in pruned_violations rather than making the model infeasible, which is
-    what a simulation of a committed plan needs.
+    Rows whose variables are all fixed are removed (they are constants); any
+    such row the frozen values violate is reported in pruned_violations
+    rather than making the model infeasible, which is what a simulation of a
+    committed plan needs.
     """
     d = period_durations(periods)
     nt = len(d)
@@ -480,7 +478,6 @@ def build_uc_model(
         _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
         offset += system.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw
 
-    fixings = dict(fixings or {})
     if fixings:
         by_name = {v.name: i for i, v in enumerate(variables)}
         for name, value in fixings.items():
@@ -496,30 +493,27 @@ def build_uc_model(
             variables[by_name[name]] = Variable(var.name, value, value, var.binary)
 
     pruned: list[tuple[str, float]] = []
-    if prune_fixed_rows:
-        fixed_vals = {v.name: v.lb for v in variables if v.lb == v.ub}
-        kept: list[Row] = []
-        for row in rows:
-            if row.coeffs and all(n in fixed_vals for n in row.coeffs):
-                value = sum(c * fixed_vals[n] for n, c in row.coeffs.items())
-                if row.sense == "<=":
-                    violation = max(0.0, value - row.rhs)
-                elif row.sense == ">=":
-                    violation = max(0.0, row.rhs - value)
-                else:
-                    violation = abs(value - row.rhs)
-                if violation > 1e-6:
-                    pruned.append((row.label, violation))
+    fixed_vals = {v.name: v.lb for v in variables if v.lb == v.ub}
+    kept: list[Row] = []
+    for row in rows:
+        if row.coeffs and all(n in fixed_vals for n in row.coeffs):
+            value = sum(c * fixed_vals[n] for n, c in row.coeffs.items())
+            if row.sense == "<=":
+                violation = max(0.0, value - row.rhs)
+            elif row.sense == ">=":
+                violation = max(0.0, row.rhs - value)
             else:
-                kept.append(row)
-        rows = kept
+                violation = abs(value - row.rhs)
+            if violation > 1e-6:
+                pruned.append((row.label, violation))
+        else:
+            kept.append(row)
 
     return UcModel(
         variables=tuple(variables),
-        constraints=tuple(rows),
+        constraints=tuple(kept),
         objective=objective,
         objective_offset=offset,
-        fixings=fixings,
         pruned_violations=tuple(pruned),
     )
 

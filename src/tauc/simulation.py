@@ -115,9 +115,9 @@ def day_ahead_grid(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    feats = normalize_features(series, features, wind_capacity, solar_capacity)
     if mode == MODE_CH:
-        return hourly_grid(feats, series.step_minutes)
+        return hourly_grid(series.n_points, series.step_minutes)
+    feats = normalize_features(series, features, wind_capacity, solar_capacity)
     target = round(series.horizon_hours)
     return cluster_adjacent(feats, target, series.step_minutes)
 
@@ -211,7 +211,6 @@ def run_real_time(
     system: PowerSystem,
     series: HiResSeries,
     fixings: dict[str, float],
-    features: str = "net_demand_only",
     config: BackendConfig | None = None,
     label: str = "window",
 ) -> RealTimeResult:
@@ -220,10 +219,9 @@ def run_real_time(
     The model keeps the load-shed slack, so this stays feasible for any
     plan; rows fully pinned by fixings are dropped rather than enforced.
     """
-    feats = normalize_features(series, features, system.wind_capacity, system.solar_capacity)
-    grid = singleton_grid(feats, series.step_minutes)
+    grid = singleton_grid(series.n_points, series.step_minutes)
     periods = reduce_series(series, grid)
-    model = build_uc_model(system, periods, fixings=fixings, prune_fixed_rows=True)
+    model = build_uc_model(system, periods, fixings=fixings)
     result = solve(model, config)
     if result.status != "optimal":
         raise RuntimeError(
@@ -277,7 +275,7 @@ def run_one_mode(
     """Plan one window in one mode, then operate it in real time under the plan."""
     plan = run_day_ahead(system, window, mode, features, config, label)
     fixings = fix_from_plan(plan, system.units, window.n_points)
-    result = run_real_time(system, window, fixings, features, config, label)
+    result = run_real_time(system, window, fixings, config, label)
     return plan, result
 
 
@@ -335,14 +333,16 @@ def _parse_date(value) -> date | None:
     return date.fromisoformat(value)
 
 
-def _first_midnight(series: HiResSeries) -> int:
+def _first_midnight(trace: LoadedTrace) -> int:
     """Index of the first sample that falls on a midnight."""
-    per_hour = 60 // series.step_minutes
-    skip = ((24.0 - series.start_offset_hours) % 24.0) * per_hour
+    step = trace.series.step_minutes
+    start = trace.start
+    offset_hours = start.hour + start.minute / 60.0 + start.second / 3600.0
+    skip = ((24.0 - offset_hours) % 24.0) * (60 // step)
     if abs(skip - round(skip)) > 1e-9:
         raise ValueError(
-            f"trace starts {series.start_offset_hours} h past midnight, which the "
-            f"{series.step_minutes}-minute step cannot align to a day boundary"
+            f"trace starts {offset_hours} h past midnight, which the "
+            f"{step}-minute step cannot align to a day boundary"
         )
     return int(round(skip))
 
@@ -363,7 +363,7 @@ def day_windows(trace: LoadedTrace, lookahead_hours: float) -> Iterator[tuple[da
     per_hour = 60 // series.step_minutes
     per_day = 24 * per_hour
     lookahead = int(round(lookahead_hours * per_hour))
-    for start in range(_first_midnight(series), series.n_points - per_day + 1, per_day):
+    for start in range(_first_midnight(trace), series.n_points - per_day + 1, per_day):
         tail = min(lookahead, series.n_points - start - per_day)
         stop = start + per_day + tail - tail % per_hour
         window = HiResSeries(
@@ -425,7 +425,7 @@ def run_rolling_horizon(
     one complete day, gives a warning record instead of a result.
     """
     if next(day_windows(trace, lookahead_hours), None) is None:
-        first = _sample_date(trace, _first_midnight(trace.series))
+        first = _sample_date(trace, _first_midnight(trace))
         return [_skipped_day(first.isoformat(), "trace shorter than one full day")]
     chains = [
         run_chain(system, trace, mode, lookahead_hours, features, config, start_date, end_date)

@@ -239,7 +239,11 @@ def _solve_process(executable: str, model: UcModel, cfg: BackendConfig) -> MipSo
         if not sol_path.exists():
             return MipSolution("error", None, {}, None, 0.0,
                                "solver wrote no solution file")
-        values, hint, notes = parse_solution_file(sol_path.read_text(), model)
+        try:
+            values, hint, notes = parse_solution_file(sol_path.read_text(), model)
+        except ET.ParseError as exc:
+            return MipSolution("error", None, {}, None, 0.0,
+                               f"cannot parse solution file: {exc}")
     if hint in ("infeasible", "unbounded"):
         return MipSolution(hint, None, {}, None, 0.0,
                            "; ".join(notes) or f"solver reported {hint}")

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from tauc import cli, simulation
-from tauc.aggregation import HiResSeries
-from tauc.ingestion import illustrative_case, write_timeseries
+from tauc.aggregation import HiResSeries, normalize_features
+from tauc.ingestion import compute_installed_capacity, illustrative_case, write_timeseries
 
 
 def test_reproduce_example_prints_goldens(capsys):
@@ -73,6 +73,15 @@ def test_cluster_reproduces_example_partition(tmp_path, capsys):
     with open(out / "centroids.csv") as handle:
         centroid_rows = list(csv.DictReader(handle))
     assert len(centroid_rows) == 3 and "net_demand" in centroid_rows[0]
+    # each row is the member mean of the scaled features over the written bounds
+    solar = compute_installed_capacity(0.4, series.demand, series.solar_cf)
+    feats = normalize_features(series, "net_demand_only", 0.0, solar)
+    for r, c in zip(rows, centroid_rows):
+        a, b = int(r["start_sample"]), int(r["stop_sample"])
+        assert [c["net_demand"]] == [f"{v:.6f}" for v in feats.values[a:b].mean(axis=0)]
+    assert [float(c["net_demand"]) for c in centroid_rows] == pytest.approx(
+        [0.0, 250.0 / 650.0, 1.0], abs=5e-7
+    )
     assert "3 periods" in capsys.readouterr().out
 
 
@@ -90,6 +99,25 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.json", tmp_path / "absent.csv")
     assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("portfolio", 5),
+        ("data_path", 7),
+        ("alpha_wind", "x"),
+        ("lookahead_hours", None),
+        ("threads", 0),
+    ],
+)
+def test_config_value_of_wrong_type_or_range_exits_two(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=1), **{key: value})
+    assert cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(cfg) in err and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_exits_two(tmp_path, capsys):

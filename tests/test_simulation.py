@@ -274,12 +274,18 @@ def test_rolling_aligns_to_midnight_and_truncates_lookahead():
         wind_cf=np.zeros(6 + 48 + 2),
         solar_cf=np.concatenate([lead.solar_cf, np.tile(day.solar_cf, 2), tail.solar_cf]),
         step_minutes=60,
-        start_offset_hours=18.0,
     )
     trace = make_trace(full, datetime(2023, 5, 31, 18, tzinfo=timezone.utc))
     reports = run_rolling_horizon(system, trace, lookahead_hours=8.0)
     assert [r.date for r in reports] == ["2023-06-01", "2023-06-02"]
     assert all(not r.warning for r in reports)
+
+
+def test_day_windows_reject_a_start_off_the_step_grid():
+    day = flat_day_series(step_minutes=10)
+    trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, 0, 7, tzinfo=timezone.utc))
+    with pytest.raises(ValueError, match="cannot align to a day boundary"):
+        next(simulation.day_windows(trace, 0.0))
 
 
 def test_rolling_date_filter_and_short_trace_warning():

@@ -493,3 +493,14 @@ def test_process_backend_parses_xml_solutions(tmp_path):
     res = solve(one_var_model(), BackendConfig(backend=stub))
     assert res.status == "optimal"
     assert res.values["x"] == 0.5
+
+
+def test_process_backend_reports_a_truncated_xml_solution(tmp_path):
+    stub = make_stub(tmp_path, """\
+        with open(sys.argv[2], "w") as fh:
+            fh.write('<CPLEXSolution><variables><variable name="x" value="0.5"/>')
+        """)
+    res = solve(one_var_model(), BackendConfig(backend=stub))
+    assert res.status == "error"
+    assert res.objective is None
+    assert "cannot parse solution file" in res.message
