@@ -8,6 +8,7 @@ count, so the reduced series conserves both energy and horizon length.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,32 +178,68 @@ def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) 
     """Greedy agglomerative clustering restricted to adjacent-in-time merges.
 
     Starts from singletons and repeatedly merges the adjacent pair with the
-    smallest merge cost until target_n clusters remain. Costs are recomputed
-    from centroids each step and rounded to 12 decimals before comparison so
-    that exact ties resolve to the leftmost pair on every platform.
+    smallest merge cost until target_n clusters remain. Costs are rounded to
+    12 decimals before comparison so that exact ties resolve to the leftmost
+    pair on every platform.
+
+    The adjacent pairs sit in a min-heap keyed (cost, left start, right stop),
+    so a merge costs O(log n) and the whole run O(n log n). A merge changes
+    only the two pairs that touch the merged cluster; their new costs are
+    pushed and the old entries are skipped when popped. A cluster is named by
+    its first sample a: stop[a] is where it ends and prev[a] is its left
+    neighbour.
     """
     n = features.n_points
     if not 1 <= target_n <= n:
         raise ValueError(f"target_n must be in [1, {n}], got {target_n}")
-    bounds = [(i, i + 1) for i in range(n)]
-    centroids = features.values.astype(float).copy()
-    sizes = np.ones(n, dtype=float)
+    values = features.values
+    columns = [values[:, j].tolist() for j in range(values.shape[1])]
+    # Between singletons the factor 2 na nb / (na + nb) is exactly 1.
+    diff = values[:-1] - values[1:]
+    initial = np.round(np.einsum("ij,ij->i", diff, diff), 12)
+    heap = list(zip(initial.tolist(), range(n - 1), range(2, n + 1)))
+    heapq.heapify(heap)
+    del diff, initial
+    stop = list(range(1, n + 1))
+    prev = list(range(-1, n - 1))
+
+    def cost(a: int, b: int, e: int) -> float:
+        # Plain floats in numpy's operation order (columns summed from the
+        # first; round(x * 1e12) / 1e12 equals np.round(x, 12)), so costs and
+        # ties are bit-identical to a vectorised recomputation of every pair.
+        na, nb = b - a, e - b
+        sq = 0.0
+        for col in columns:
+            d = col[a] - col[b]
+            sq += d * d
+        return round(2.0 * na * nb / (na + nb) * sq * 1e12) / 1e12
+
     merges: list[float] = []
-    while len(bounds) > target_n:
-        left_s, right_s = sizes[:-1], sizes[1:]
-        diff = centroids[:-1] - centroids[1:]
-        dist = 2.0 * left_s * right_s / (left_s + right_s) * np.einsum("ij,ij->i", diff, diff)
-        dist = np.round(dist, 12)
-        k = int(np.argmin(dist))
-        merges.append(float(dist[k]))
-        merged_size = sizes[k] + sizes[k + 1]
-        merged_centroid = (sizes[k] * centroids[k] + sizes[k + 1] * centroids[k + 1]) / merged_size
-        bounds[k] = (bounds[k][0], bounds[k + 1][1])
-        del bounds[k + 1]
-        centroids = np.delete(centroids, k + 1, axis=0)
-        centroids[k] = merged_centroid
-        sizes = np.delete(sizes, k + 1)
-        sizes[k] = merged_size
+    for _ in range(n - target_n):
+        while True:
+            dist, a, e = heapq.heappop(heap)
+            b = stop[a]
+            # current only while a still starts a cluster and both halves
+            # of the pair still end where they did when it was pushed
+            if b < n and prev[b] == a and stop[b] == e:
+                break
+        merges.append(dist)
+        na, nb = b - a, e - b
+        for col in columns:
+            col[a] = (na * col[a] + nb * col[b]) / (na + nb)
+        stop[a] = e
+        if a > 0:
+            p = prev[a]
+            heapq.heappush(heap, (cost(p, a, e), p, e))
+        if e < n:
+            prev[e] = a
+            f = stop[e]
+            heapq.heappush(heap, (cost(a, e, f), a, f))
+    bounds = []
+    a = 0
+    while a < n:
+        bounds.append((a, stop[a]))
+        a = stop[a]
     return TimeGrid(tuple(bounds), step_minutes, tuple(merges))
 
 

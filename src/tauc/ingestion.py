@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -352,6 +353,26 @@ def illustrative_case() -> tuple[PowerSystem, HiResSeries]:
     return system, series
 
 
+# Value types accepted for each ScenarioConfig annotation: a number field
+# takes integers too, booleans count as neither, and a "| None" field also
+# takes None (null in JSON).
+_CONFIG_TYPES = {
+    "str": (str, "a string"),
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+}
+
+
+def _check_config_type(key: str, annotation: str, value) -> None:
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return
+    types, expected = _CONFIG_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected += " or null" if optional else ""
+        raise ValueError(f"{key} must be {expected}, got {json.dumps(value, default=repr)}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Run settings for a rolling comparison, loadable from JSON.
@@ -379,6 +400,8 @@ class ScenarioConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            _check_config_type(f.name, f.type, getattr(self, f.name))
         if self.step_minutes not in ALLOWED_STEPS:
             raise ValueError(
                 f"step_minutes must be one of {ALLOWED_STEPS}, got {self.step_minutes}"
@@ -432,21 +455,6 @@ class ScenarioConfig:
         return default_shed_cost(self.portfolio)
 
 
-# JSON value types accepted for each ScenarioConfig annotation; a number
-# field takes integers too, and a "| None" field also takes null.
-_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a number")}
-
-
-def _check_json_type(path: Path, key: str, annotation: str, value) -> None:
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
-        return
-    types, expected = _JSON_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        expected += " or null" if optional else ""
-        raise ValueError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
-
-
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read a scenario config from JSON, resolving paths against its directory."""
     path = Path(path)
@@ -462,16 +470,13 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     if "data_path" not in data:
         raise ValueError(f"{path}: config is missing data_path")
-    for f in dataclasses.fields(ScenarioConfig):
-        if f.name in data:
-            _check_json_type(path, f.name, f.type, data[f.name])
-    base = path.parent
-    data["data_path"] = str((base / data["data_path"]).resolve())
-    portfolio = data.get("portfolio")
-    if portfolio is not None and portfolio not in PORTFOLIO_IDS:
-        data["portfolio"] = str((base / portfolio).resolve())
     try:
-        return ScenarioConfig(**data)
+        config = ScenarioConfig(**data)
+        base = path.parent
+        resolved = {"data_path": str((base / config.data_path).resolve())}
+        if config.portfolio not in PORTFOLIO_IDS:
+            resolved["portfolio"] = str((base / config.portfolio).resolve())
+        return dataclasses.replace(config, **resolved)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

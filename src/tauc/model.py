@@ -127,22 +127,20 @@ def period_durations(periods: Sequence[ReducedPeriod]) -> np.ndarray:
 
 
 def effective_ramp_limits(
-    unit: ThermalUnit, durations: Sequence[float], d_prev: float | None = None
+    unit: ThermalUnit, durations: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-period ramp-up, ramp-down, startup and shutdown power limits.
 
     Each limit is the per-hour rate times the mean of the period's duration
     and the previous one's (the span over which an inter-period power change
-    happens), clamped into [pmin, pmax]. d_prev is the duration of the last period of the previously solved
-    window; a cold start reuses the first duration instead.
+    happens), clamped into [pmin, pmax]. The first period has no previous
+    one in the window, so its span is its own duration, also when the window
+    continues a previously solved day.
     """
     d = np.asarray(durations, dtype=float)
     if d.ndim != 1 or len(d) == 0 or np.any(d <= 0):
         raise ValueError("durations must be a nonempty positive vector")
-    if d_prev is not None and d_prev <= 0:
-        raise ValueError("d_prev must be positive")
-    lead = d[0] if d_prev is None else d_prev
-    d_hat = 0.5 * (np.concatenate(([lead], d[:-1])) + d)
+    d_hat = 0.5 * (np.concatenate((d[:1], d[:-1])) + d)
 
     def clamp(rate: float | None) -> np.ndarray:
         if rate is None:

@@ -14,6 +14,10 @@ result the package computes another way, so tests can compare the two:
   of ``tauc.solver.emit_model_file``.
 - ``ward_distance`` is the scalar Ward merge cost that the greedy clustering
   oracle uses as its reference for ``tauc.aggregation.cluster_adjacent``.
+- ``quadratic_cluster`` is the earlier quadratic merge loop of
+  ``cluster_adjacent``, which recomputes every adjacent cost after each
+  merge; the heap-based loop must reproduce its partitions and merge costs
+  exactly, ties included.
 """
 from __future__ import annotations
 
@@ -642,3 +646,28 @@ def ward_distance(size_i: int, centroid_i: np.ndarray, size_j: int, centroid_j: 
         raise ValueError("cluster sizes must be positive")
     diff = np.asarray(centroid_i, dtype=float) - np.asarray(centroid_j, dtype=float)
     return 2.0 * size_i * size_j / (size_i + size_j) * float(np.dot(diff, diff))
+
+
+def quadratic_cluster(values: np.ndarray, target_n: int) -> tuple[tuple, tuple]:
+    """Adjacent Ward clustering by full recomputation: (cluster bounds, merge costs)."""
+    n = len(values)
+    bounds = [(i, i + 1) for i in range(n)]
+    centroids = np.asarray(values, dtype=float).copy()
+    sizes = np.ones(n, dtype=float)
+    merges: list[float] = []
+    while len(bounds) > target_n:
+        left_s, right_s = sizes[:-1], sizes[1:]
+        diff = centroids[:-1] - centroids[1:]
+        dist = 2.0 * left_s * right_s / (left_s + right_s) * np.einsum("ij,ij->i", diff, diff)
+        dist = np.round(dist, 12)
+        k = int(np.argmin(dist))
+        merges.append(float(dist[k]))
+        merged_size = sizes[k] + sizes[k + 1]
+        merged_centroid = (sizes[k] * centroids[k] + sizes[k + 1] * centroids[k + 1]) / merged_size
+        bounds[k] = (bounds[k][0], bounds[k + 1][1])
+        del bounds[k + 1]
+        centroids = np.delete(centroids, k + 1, axis=0)
+        centroids[k] = merged_centroid
+        sizes = np.delete(sizes, k + 1)
+        sizes[k] = merged_size
+    return tuple(bounds), tuple(merges)

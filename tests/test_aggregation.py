@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import ward_distance
+from oracle import quadratic_cluster, ward_distance
 from tauc.aggregation import (
     FeatureMatrix,
     HiResSeries,
@@ -191,6 +191,37 @@ def test_cluster_matches_greedy_oracle(data, target):
     oracle_bounds, oracle_log = _greedy_oracle(feats.values, target)
     assert grid.cluster_bounds == oracle_bounds
     assert list(grid.merge_distances) == pytest.approx(oracle_log, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    columns=st.sampled_from([1, 3]),
+    levels=st.sampled_from([2, 3, 5, 1000]),
+    data=st.data(),
+)
+def test_cluster_equals_quadratic_reference_exactly(columns, levels, data):
+    # few levels make equal costs common, so the leftmost-pair tie rule is
+    # exercised; the heap must match the full recomputation bit for bit
+    n = data.draw(st.integers(1, 300), label="n")
+    codes = data.draw(
+        st.lists(st.integers(0, levels - 1), min_size=n * columns, max_size=n * columns),
+        label="codes",
+    )
+    target = data.draw(st.integers(1, n), label="target")
+    values = np.array(codes, dtype=float).reshape(n, columns) / (levels - 1)
+    grid = cluster_adjacent(FeatureMatrix(values), target, step_minutes=5)
+    assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, target)
+
+
+def test_cluster_equals_quadratic_reference_on_3000_samples():
+    rng = np.random.default_rng(7)
+    values = np.column_stack([
+        np.round(rng.random(3000), 2),
+        np.sin(np.arange(3000) / 50.0) ** 2,
+        rng.integers(0, 4, 3000) / 3.0,
+    ])
+    grid = cluster_adjacent(FeatureMatrix(values), 96, step_minutes=5)
+    assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, 96)
 
 
 @settings(max_examples=40, deadline=None)

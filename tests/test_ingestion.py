@@ -266,6 +266,9 @@ def test_scenario_config_defaults_and_solver_mapping():
         ({"start_date": "yesterday"}, "start_date"),
         ({"start_date": "2023-05-02", "end_date": "2023-05-01"}, "after end_date"),
         ({"shed_cost": 0.0}, "shed_cost"),
+        # wrong types get the same ValueError naming the key as in a JSON config
+        ({"lookahead_hours": None}, "lookahead_hours"),
+        ({"threads": True}, "threads"),
     ],
 )
 def test_scenario_config_rejects_invalid_values(overrides, match):

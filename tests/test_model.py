@@ -59,12 +59,12 @@ def test_ramp_limits_unit_span_equals_hourly_rate_clamp():
     assert ru == pytest.approx([200.0, 200.0])  # max(pmin, 120 * 1)
 
 
-def test_ramp_limits_chained_previous_duration():
-    ru_cold, *_ = effective_ramp_limits(G1, [1.0, 1.0])
-    ru_chained, *_ = effective_ramp_limits(G1, [1.0, 1.0], d_prev=5.0)
-    assert ru_cold[0] == pytest.approx(200.0)
-    assert ru_chained[0] == pytest.approx(360.0)  # span (5+1)/2 = 3 h
-    assert ru_chained[1] == ru_cold[1]
+def test_ramp_limits_first_span_is_own_duration():
+    # the first period has no predecessor in the window: its span is its own
+    # 3 h duration (120 * 3 = 360), the second spans (3 + 1) / 2 = 2 h
+    ru, rd, *_ = effective_ramp_limits(G1, [3.0, 1.0])
+    assert ru == pytest.approx([360.0, 240.0])
+    assert rd == pytest.approx([360.0, 240.0])
 
 
 def test_ramp_limits_unlimited_rate_saturates_at_pmax():
@@ -79,8 +79,6 @@ def test_ramp_limits_reject_bad_durations():
         effective_ramp_limits(G1, [])
     with pytest.raises(ValueError):
         effective_ramp_limits(G1, [1.0, -1.0])
-    with pytest.raises(ValueError):
-        effective_ramp_limits(G1, [1.0], d_prev=0.0)
 
 
 # ---------------------------------------------------------------------------
