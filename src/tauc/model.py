@@ -10,11 +10,13 @@ every instance feasible for any commitment.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .aggregation import ReducedPeriod
 
@@ -213,6 +215,8 @@ def effective_min_times(
 
 @dataclass(frozen=True)
 class Variable:
+    """Read-only view of one column (see UcModel.variables)."""
+
     name: str
     lb: float
     ub: float
@@ -221,7 +225,7 @@ class Variable:
 
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint: coeffs . x (sense) rhs."""
+    """Read-only view of one linear constraint: coeffs . x (sense) rhs."""
 
     label: str
     coeffs: Mapping[str, float]
@@ -233,54 +237,162 @@ class Row:
             raise ValueError(f"{self.label}: unknown sense {self.sense!r}")
 
 
-@dataclass(frozen=True)
-class UcModel:
-    """Solver-agnostic MILP: variables with bounds, rows, linear objective.
+def row_sense(lo: float, hi: float) -> tuple[str, float]:
+    """(sense, rhs) of a row with bounds lo <= a.x <= hi, one side infinite or both equal."""
+    if lo == hi:
+        return "=", lo
+    if lo == -math.inf:
+        return "<=", hi
+    if hi == math.inf:
+        return ">=", lo
+    raise ValueError(f"a row bounded on both sides ({lo}, {hi}) has no single sense")
 
-    The objective is minimized and carries a constant offset so that reported
-    objective values equal the full operating cost. Fixed variables are those
-    whose bounds coincide. pruned_violations lists rows that were dropped
-    because every variable in them was fixed, together with the amount by
+
+@dataclass(frozen=True, eq=False)
+class Names:
+    """Names of a model's columns or rows, made into strings only on request.
+
+    Item i is called stems[stem[i]], followed by "_<t[i]>" when t[i] > 0.
+    positions() expects the items of one stem to sit together, numbered
+    1, 2, ... or as one unnumbered item, as a model's columns do.
+    """
+
+    stems: tuple[str, ...]
+    stem: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stem)
+
+    def __getitem__(self, i: int) -> str:
+        base = self.stems[self.stem[i]]
+        return f"{base}_{self.t[i]}" if self.t[i] else base
+
+    def tolist(self) -> list[str]:
+        stems = self.stems
+        return [f"{stems[s]}_{t}" if t else stems[s] for s, t in zip(self.stem.tolist(), self.t.tolist())]
+
+    def take(self, keep: np.ndarray) -> "Names":
+        return Names(self.stems, self.stem[keep], self.t[keep])
+
+    @functools.cached_property
+    def _runs(self) -> dict[str, tuple[int, int, bool]]:
+        """stem -> (first position, item count, numbered)."""
+        ids, first, count = np.unique(self.stem, return_index=True, return_counts=True)
+        numbered = self.t[first] > 0
+        return {
+            self.stems[s]: (f, n, num)
+            for s, f, n, num in zip(ids.tolist(), first.tolist(), count.tolist(), numbered.tolist())
+        }
+
+    def positions(self, names: Iterable[str]) -> np.ndarray:
+        """Position of each named item, or -1 for a name no item has."""
+        runs = self._runs
+        out = []
+        for name in names:
+            head, _, tail = name.rpartition("_")
+            run = runs.get(head)
+            if run and run[2] and tail.isascii() and tail.isdigit() and tail[0] != "0" and int(tail) <= run[1]:
+                out.append(run[0] + int(tail) - 1)
+                continue
+            run = runs.get(name)
+            out.append(run[0] if run and not run[2] else -1)
+        return np.array(out, dtype=int)
+
+
+@dataclass(frozen=True, eq=False)
+class UcModel:
+    """Solver-agnostic MILP held as arrays.
+
+    Minimize c @ x + objective_offset subject to row_lb <= A x <= row_ub and
+    lb <= x <= ub, with x[j] binary where integrality[j] is 1; reported
+    objective values then equal the full operating cost. A is kept as the
+    triplets (rows, cols, vals), sorted by row and, within a row, in the
+    order the builder wrote the terms, so the LP file and the sparse matrix
+    HiGHS receives are reproducible. objective_order lists the columns of
+    the objective in the order the LP file writes them.
+
+    Names are made only at the edges: the LP file, the external backend,
+    error messages and the read-only views variables, constraints and
+    objective, which are built on first use. Fixed columns are those whose
+    bounds coincide. pruned_violations lists rows that were dropped because
+    none of their terms is on a free column, together with the amount by
     which the frozen values violate them (normally zero).
     """
 
-    variables: tuple[Variable, ...]
-    constraints: tuple[Row, ...]
-    objective: Mapping[str, float]
+    col_names: Names
+    lb: np.ndarray
+    ub: np.ndarray
+    c: np.ndarray
+    integrality: np.ndarray
+    objective_order: np.ndarray
+    row_names: Names
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     objective_offset: float = 0.0
     pruned_violations: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
-        known = set(names)
-        labels = [r.label for r in self.constraints]
-        if len(set(labels)) != len(labels):
-            raise ValueError("constraint labels must be unique")
-        for row in self.constraints:
-            for name, coef in row.coeffs.items():
-                if name not in known:
-                    raise ValueError(f"row {row.label} references unknown variable {name}")
-                if not math.isfinite(coef):
-                    raise ValueError(f"row {row.label} has non-finite coefficient on {name}")
-        for name, coef in self.objective.items():
-            if name not in known:
-                raise ValueError(f"objective references unknown variable {name}")
-            if not math.isfinite(coef):
-                raise ValueError(f"objective has non-finite coefficient on {name}")
+        n, m = len(self.col_names), len(self.row_names)
+        if not len(self.lb) == len(self.ub) == len(self.c) == len(self.integrality) == n:
+            raise ValueError("bounds, costs and integrality need one entry per column")
+        if not len(self.row_lb) == len(self.row_ub) == m:
+            raise ValueError("row bounds need one entry per row")
+        if not len(self.rows) == len(self.cols) == len(self.vals):
+            raise ValueError("triplet arrays differ in length")
+        if len(self.rows):
+            if self.rows[0] < 0 or self.rows[-1] >= m or np.any(np.diff(self.rows) < 0):
+                raise ValueError("triplet rows must be sorted and name existing rows")
+            if self.cols.min() < 0 or self.cols.max() >= n:
+                raise ValueError("triplets reference an unknown column")
+        if not (np.all(np.isfinite(self.vals)) and np.all(np.isfinite(self.c))):
+            raise ValueError("coefficients must be finite")
 
     @property
-    def variable_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
+    def n_cols(self) -> int:
+        return len(self.c)
 
     @property
-    def binary_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables if v.binary)
+    def n_rows(self) -> int:
+        return len(self.row_lb)
 
     @property
     def n_binaries(self) -> int:
-        return sum(1 for v in self.variables if v.binary)
+        return int(np.count_nonzero(self.integrality))
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """A in CSR form, assembled from the triplets."""
+        return sparse.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols))
+
+    @functools.cached_property
+    def variables(self) -> tuple[Variable, ...]:
+        """Read-only view: one Variable per column, in column order."""
+        binary = (self.integrality == 1).tolist()
+        return tuple(map(Variable, self.col_names.tolist(), self.lb.tolist(), self.ub.tolist(), binary))
+
+    @functools.cached_property
+    def constraints(self) -> tuple[Row, ...]:
+        """Read-only view: one Row per row, terms in their written order."""
+        names = self.col_names.tolist()
+        cols, vals = self.cols.tolist(), self.vals.tolist()
+        stops = np.searchsorted(self.rows, np.arange(1, self.n_rows + 1)).tolist()
+        out = []
+        start = 0
+        for label, lo, hi, stop in zip(self.row_names.tolist(), self.row_lb.tolist(), self.row_ub.tolist(), stops):
+            coeffs = {names[j]: v for j, v in zip(cols[start:stop], vals[start:stop])}
+            out.append(Row(label, coeffs, *row_sense(lo, hi)))
+            start = stop
+        return tuple(out)
+
+    @property
+    def objective(self) -> dict[str, float]:
+        """Read-only view: the objective's coefficients by column name, in written order."""
+        order = self.objective_order.tolist()
+        return dict(zip((self.col_names[j] for j in order), self.c[order].tolist()))
 
 
 def u_name(unit_id: str, t: int) -> str:
@@ -291,30 +403,52 @@ def pg_name(unit_id: str, t: int) -> str:
     return f"pg_{unit_id}_{t}"
 
 
-def su_name(unit_id: str, t: int) -> str:
-    return f"su_{unit_id}_{t}"
+def _blocks(n_units: int, nt: int) -> tuple[slice, ...]:
+    """Column slices of u, pg and su (each unit-major, then period) and of pw, ps and pd."""
+    gt = n_units * nt
+    starts = (0, gt, 2 * gt, 3 * gt, 3 * gt + nt, 3 * gt + 2 * nt)
+    sizes = (gt, gt, gt, nt, nt, nt)
+    return tuple(slice(a, a + size) for a, size in zip(starts, sizes))
 
 
-def pw_name(t: int) -> str:
-    return f"pw_{t}"
+class _RowWriter:
+    """Row families in the order they are written: triplets, bounds and names."""
 
+    def __init__(self) -> None:
+        self.stems: list[str] = []
+        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.n = 0
 
-def ps_name(t: int) -> str:
-    return f"ps_{t}"
+    def add(self, stems, which, t, lo, hi, *terms) -> None:
+        """Append len(which) rows; row i is named stems[which[i]] (plus _t[i])
+        and bounded by lo and hi (scalars or one value per row).
 
+        Each term is (local row, column, value) with one entry per row it
+        touches. A row's terms keep the order of the term arguments, and zero
+        values are left out, as a written row never carries a zero.
+        """
+        m = len(which)
+        if m == 0:
+            return
+        r = np.concatenate([term[0] for term in terms])
+        c = np.concatenate([term[1] for term in terms])
+        v = np.concatenate([np.broadcast_to(np.asarray(term[2], dtype=float), len(term[0])) for term in terms])
+        keep = v != 0.0
+        order = np.argsort(r[keep], kind="stable")
+        self.parts.append((
+            r[keep][order] + self.n,
+            c[keep][order],
+            v[keep][order],
+            np.asarray(which) + len(self.stems),
+            np.asarray(t),
+            np.broadcast_to(np.asarray(lo, dtype=float), m),
+            np.broadcast_to(np.asarray(hi, dtype=float), m),
+        ))
+        self.stems.extend(stems)
+        self.n += m
 
-def pd_name(t: int) -> str:
-    return f"pd_{t}"
-
-
-def _add(coeffs: dict[str, float], name: str, value: float) -> None:
-    if value == 0.0:
-        return
-    acc = coeffs.get(name, 0.0) + value
-    if acc == 0.0:
-        coeffs.pop(name, None)
-    else:
-        coeffs[name] = acc
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.concatenate(part) for part in zip(*self.parts))
 
 
 def build_uc_model(
@@ -325,195 +459,221 @@ def build_uc_model(
     """Build the commitment MILP for one system over one window of periods.
 
     Each unit's ramp limits and minimum-time counts are rescaled to the
-    period durations (effective_ramp_limits, effective_min_times). fixings
-    maps variable names to frozen values and is applied as equality bounds.
-    Rows whose variables are all fixed are removed (they are constants); any
+    period durations (effective_ramp_limits, effective_min_times). Each row
+    family is written with index arrays over (unit, period). fixings maps
+    variable names to frozen values and is applied as equality bounds.
+    Rows with no term on a free column are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
     committed plan needs.
     """
     d = period_durations(periods)
     nt = len(d)
+    units = system.units
+    ng = len(units)
+    blocks = _blocks(ng, nt)
+    s_u, s_pg, s_su, s_pw, s_ps, s_pd = blocks
+    n = blocks[-1].stop
+    col = np.arange(n)
+    u, pg, su = (col[s].reshape(ng, nt) for s in (s_u, s_pg, s_su))
+    pw, ps, pd = col[s_pw], col[s_ps], col[s_pd]
+    tt = np.arange(1, nt + 1)
+    loc = tt - 1  # local row of period t in a one-row-per-period family
+    demand = np.array([p.demand_mw for p in periods])
 
-    variables: list[Variable] = []
-    for unit in system.units:
-        variables.extend(Variable(u_name(unit.unit_id, t), 0.0, 1.0, binary=True) for t in range(1, nt + 1))
-    for unit in system.units:
-        variables.extend(Variable(pg_name(unit.unit_id, t), 0.0, unit.pmax) for t in range(1, nt + 1))
-    for unit in system.units:
-        variables.extend(Variable(su_name(unit.unit_id, t), 0.0, math.inf) for t in range(1, nt + 1))
-    variables.extend(
-        Variable(pw_name(t), 0.0, periods[t - 1].wind_cf * system.wind_capacity) for t in range(1, nt + 1)
+    col_names = Names(
+        tuple(f"{kind}_{unit.unit_id}" for kind in ("u", "pg", "su") for unit in units) + ("pw", "ps", "pd"),
+        np.repeat(np.arange(3 * ng + 3), nt),
+        np.tile(tt, 3 * ng + 3),
     )
-    variables.extend(
-        Variable(ps_name(t), 0.0, periods[t - 1].solar_cf * system.solar_capacity) for t in range(1, nt + 1)
-    )
-    variables.extend(Variable(pd_name(t), 0.0, periods[t - 1].demand_mw) for t in range(1, nt + 1))
+    lb = np.zeros(n)
+    ub = np.empty(n)
+    ub[s_u] = 1.0
+    ub[s_pg] = np.repeat([unit.pmax for unit in units], nt)
+    ub[s_su] = math.inf
+    ub[s_pw] = np.array([p.wind_cf for p in periods]) * system.wind_capacity
+    ub[s_ps] = np.array([p.solar_cf for p in periods]) * system.solar_capacity
+    ub[s_pd] = demand
+    integrality = np.zeros(n, dtype=np.uint8)
+    integrality[s_u] = 1
 
-    rows: list[Row] = []
-    for t in range(1, nt + 1):
-        coeffs: dict[str, float] = {}
-        for unit in system.units:
-            _add(coeffs, pg_name(unit.unit_id, t), 1.0)
-        _add(coeffs, pw_name(t), 1.0)
-        _add(coeffs, ps_name(t), 1.0)
-        _add(coeffs, pd_name(t), -1.0)
-        rows.append(Row(f"bal_{t}", coeffs, "=", 0.0))
+    c = np.zeros(n)
+    c[s_pg] = (np.array([unit.marginal_cost for unit in units], dtype=float)[:, None] * d).ravel()
+    c[s_su] = 1.0
+    c[s_pd] = -system.load_shed_cost * d
+    objective_order = np.concatenate((np.stack((pg, su), axis=2).ravel(), pd))
+    objective_order = objective_order[c[objective_order] != 0.0]
+    # a running sum, so the offset adds its terms in period order
+    offset = float(np.cumsum(system.load_shed_cost * d * demand)[-1])
 
-    for unit in system.units:
+    rows = _RowWriter()
+    rows.add(["bal"], np.zeros(nt, dtype=int), tt, 0.0, 0.0,
+             *((loc, pg[g], 1.0) for g in range(ng)), (loc, pw, 1.0), (loc, ps, 1.0), (loc, pd, -1.0))
+
+    for g, unit in enumerate(units):
         uid = unit.unit_id
+        ug, pgg = u[g], pg[g]
         ru_hat, rd_hat, su_hat, sd_hat = effective_ramp_limits(unit, d)
         ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(unit, d)
-        # commitment-linked dispatch bounds
-        for t in range(1, nt + 1):
-            coeffs = {pg_name(uid, t): 1.0}
-            _add(coeffs, u_name(uid, t), -unit.pmin)
-            rows.append(Row(f"onmin_{uid}_{t}", coeffs, ">=", 0.0))
-            coeffs = {pg_name(uid, t): 1.0}
-            _add(coeffs, u_name(uid, t), -unit.pmax)
-            rows.append(Row(f"onmax_{uid}_{t}", coeffs, "<=", 0.0))
+        # commitment-linked dispatch bounds, onmin and onmax alternating by period
+        pair = np.arange(2 * nt)
+        rows.add([f"onmin_{uid}", f"onmax_{uid}"], np.tile([0, 1], nt), np.repeat(tt, 2),
+                 np.tile([0.0, -math.inf], nt), np.tile([math.inf, 0.0], nt),
+                 (pair, np.repeat(pgg, 2), 1.0),
+                 (pair, np.repeat(ug, 2), np.tile([-unit.pmin, -unit.pmax], nt)))
         # start-up cost recovery
-        for t in range(1, nt + 1):
-            coeffs = {su_name(uid, t): 1.0}
-            rhs = 0.0
-            _add(coeffs, u_name(uid, t), -unit.startup_cost)
-            if t > 1:
-                _add(coeffs, u_name(uid, t - 1), unit.startup_cost)
-            else:
-                rhs = -unit.startup_cost * unit.u0
-            rows.append(Row(f"sucost_{uid}_{t}", coeffs, ">=", rhs))
+        lo = np.zeros(nt)
+        lo[0] = -unit.startup_cost * unit.u0
+        rows.add([f"sucost_{uid}"], np.zeros(nt, dtype=int), tt, lo, math.inf,
+                 (loc, su[g], 1.0), (loc, ug, -unit.startup_cost), (loc[1:], ug[:-1], unit.startup_cost))
         # ramping, skipped entirely for rate-unlimited units (rows are vacuous
-        # once every limit clamps to pmax)
+        # once every limit clamps to pmax); rampup and rampdn alternate by period
         emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
         emit_dn = unit.ramp_down is not None or unit.shutdown_ramp is not None
-        for t, ru, rd, suh, sdh in zip(range(1, nt + 1), ru_hat, rd_hat, su_hat, sd_hat):
-            if emit_up:
-                coeffs = {pg_name(uid, t): 1.0}
-                rhs = unit.pmax
-                _add(coeffs, u_name(uid, t), unit.pmax - suh)
-                if t > 1:
-                    _add(coeffs, pg_name(uid, t - 1), -1.0)
-                    _add(coeffs, u_name(uid, t - 1), suh - ru)
-                else:
-                    rhs += unit.p0 + (ru - suh) * unit.u0
-                rows.append(Row(f"rampup_{uid}_{t}", coeffs, "<=", rhs))
-            if emit_dn:
-                coeffs = {pg_name(uid, t): -1.0}
-                rhs = unit.pmax
-                _add(coeffs, u_name(uid, t), sdh - rd)
-                if t > 1:
-                    _add(coeffs, pg_name(uid, t - 1), 1.0)
-                    _add(coeffs, u_name(uid, t - 1), unit.pmax - sdh)
-                else:
-                    rhs += -unit.p0 - (unit.pmax - sdh) * unit.u0
-                rows.append(Row(f"rampdn_{uid}_{t}", coeffs, "<=", rhs))
+        families = []
+        if emit_up:
+            first = unit.pmax + (unit.p0 + (ru_hat[0] - su_hat[0]) * unit.u0)
+            families.append(("rampup", first, (pgg, 1.0), (ug, unit.pmax - su_hat),
+                             (pgg[:-1], -1.0), (ug[:-1], su_hat[1:] - ru_hat[1:])))
         if emit_dn:
-            for t, sdh in zip(range(1, nt), sd_hat):
-                coeffs = {pg_name(uid, t): 1.0}
-                _add(coeffs, u_name(uid, t + 1), sdh - unit.pmax)
-                _add(coeffs, u_name(uid, t), -sdh)
-                rows.append(Row(f"sdramp_{uid}_{t}", coeffs, "<=", 0.0))
-        # minimum up time
-        if unit.min_up > 0:
-            pin, end = ut_init, ut_end
+            first = unit.pmax + (-unit.p0 - (unit.pmax - sd_hat[0]) * unit.u0)
+            families.append(("rampdn", first, (pgg, -1.0), (ug, sd_hat - rd_hat),
+                             (pgg[:-1], 1.0), (ug[:-1], unit.pmax - sd_hat[1:])))
+        if families:
+            k = len(families)
+            hi = np.full((nt, k), float(unit.pmax))
+            terms = []
+            for i, (_, first, now_p, now_u, prev_p, prev_u) in enumerate(families):
+                hi[0, i] = first
+                r = loc * k + i
+                terms += [(r, *now_p), (r, *now_u), (r[1:], *prev_p), (r[1:], *prev_u)]
+            rows.add([f"{family[0]}_{uid}" for family in families], np.tile(np.arange(k), nt),
+                     np.repeat(tt, k), -math.inf, hi.ravel(), *terms)
+        if emit_dn:
+            r = loc[:-1]
+            rows.add([f"sdramp_{uid}"], np.zeros(nt - 1, dtype=int), tt[:-1], -math.inf, 0.0,
+                     (r, pgg[:-1], 1.0), (r, ug[1:], sd_hat[:-1] - unit.pmax), (r, ug[:-1], -sd_hat[:-1]))
+        # minimum up and down times
+        for word, sign, hours, pin, end, counts in (
+            ("up", 1.0, unit.min_up, ut_init, ut_end, ut_counts),
+            ("dn", -1.0, unit.min_down, dt_init, dt_end, dt_counts),
+        ):
+            if hours <= 0:
+                continue
             if pin >= 1:
-                coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
-                rows.append(Row(f"upinit_{uid}", coeffs, "=", float(pin)))
-            for t in range(pin + 1, nt - end + 2):
-                omega = int(ut_counts[t - 1])
-                coeffs = {}
-                for tau in range(t, t + omega):
-                    _add(coeffs, u_name(uid, tau), 1.0)
-                rhs = 0.0
-                _add(coeffs, u_name(uid, t), -float(omega))
-                if t > 1:
-                    _add(coeffs, u_name(uid, t - 1), float(omega))
-                else:
-                    rhs = -float(omega) * unit.u0
-                rows.append(Row(f"up_{uid}_{t}", coeffs, ">=", rhs))
-            for t in range(max(2, nt - end + 2), nt + 1):
-                k = float(nt - t + 1)
-                coeffs = {}
-                for tau in range(t, nt + 1):
-                    _add(coeffs, u_name(uid, tau), 1.0)
-                _add(coeffs, u_name(uid, t), -k)
-                _add(coeffs, u_name(uid, t - 1), k)
-                rows.append(Row(f"upend_{uid}_{t}", coeffs, ">=", 0.0))
-        # minimum down time
-        if unit.min_down > 0:
-            pin, end = dt_init, dt_end
-            if pin >= 1:
-                coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
-                rows.append(Row(f"dninit_{uid}", coeffs, "=", 0.0))
-            for t in range(pin + 1, nt - end + 2):
-                omega = int(dt_counts[t - 1])
-                coeffs = {}
-                for tau in range(t, t + omega):
-                    _add(coeffs, u_name(uid, tau), -1.0)
-                rhs = -float(omega)
-                _add(coeffs, u_name(uid, t), float(omega))
-                if t > 1:
-                    _add(coeffs, u_name(uid, t - 1), -float(omega))
-                else:
-                    rhs += float(omega) * unit.u0
-                rows.append(Row(f"dn_{uid}_{t}", coeffs, ">=", rhs))
-            for t in range(max(2, nt - end + 2), nt + 1):
-                k = float(nt - t + 1)
-                coeffs = {}
-                for tau in range(t, nt + 1):
-                    _add(coeffs, u_name(uid, tau), -1.0)
-                _add(coeffs, u_name(uid, t), k)
-                _add(coeffs, u_name(uid, t - 1), -k)
-                rows.append(Row(f"dnend_{uid}_{t}", coeffs, ">=", -k))
+                rhs = float(pin) if word == "up" else 0.0
+                rows.add([f"{word}init_{uid}"], [0], [0], rhs, rhs, (np.zeros(pin, dtype=int), ug[:pin], 1.0))
+            _add_window_rows(rows, word, uid, ug, sign, unit.u0, pin, end, counts)
 
-    objective: dict[str, float] = {}
-    offset = 0.0
-    for unit in system.units:
-        for t in range(1, nt + 1):
-            _add(objective, pg_name(unit.unit_id, t), unit.marginal_cost * d[t - 1])
-            _add(objective, su_name(unit.unit_id, t), 1.0)
-    for t in range(1, nt + 1):
-        _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
-        offset += system.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw
+    r, cols, vals, which, t, row_lb, row_ub = rows.arrays()
+    row_names = Names(tuple(rows.stems), which, t)
 
     if fixings:
-        by_name = {v.name: i for i, v in enumerate(variables)}
-        for name, value in fixings.items():
-            if name not in by_name:
-                raise KeyError(f"cannot fix unknown variable {name!r}")
-            var = variables[by_name[name]]
-            if var.binary:
-                if abs(value - round(value)) > 1e-9 or round(value) not in (0, 1):
-                    raise ValueError(f"{name}: binary fixing must be 0 or 1, got {value}")
-                value = float(round(value))
-            if not var.lb - 1e-9 <= value <= var.ub + 1e-9:
-                raise ValueError(f"{name}: fixing {value} outside bounds [{var.lb}, {var.ub}]")
-            variables[by_name[name]] = Variable(var.name, value, value, var.binary)
+        _apply_fixings(fixings, col_names, integrality, lb, ub)
 
-    pruned: list[tuple[str, float]] = []
-    fixed_vals = {v.name: v.lb for v in variables if v.lb == v.ub}
-    kept: list[Row] = []
-    for row in rows:
-        if row.coeffs and all(n in fixed_vals for n in row.coeffs):
-            value = sum(c * fixed_vals[n] for n, c in row.coeffs.items())
-            if row.sense == "<=":
-                violation = max(0.0, value - row.rhs)
-            elif row.sense == ">=":
-                violation = max(0.0, row.rhs - value)
-            else:
-                violation = abs(value - row.rhs)
-            if violation > 1e-6:
-                pruned.append((row.label, violation))
-        else:
-            kept.append(row)
+    # a row with no term on a free column is a constant: drop it, and report
+    # by how much the frozen values violate it
+    fixed = lb == ub
+    drop = np.bincount(r[~fixed[cols]], minlength=rows.n) == 0
+    pruned: tuple[tuple[str, float], ...] = ()
+    if drop.any():
+        # bincount adds each row's terms in their written order
+        value = np.bincount(r, weights=vals * lb[cols], minlength=rows.n)[drop]
+        lo, hi = row_lb[drop], row_ub[drop]
+        violation = np.where(
+            lo == hi,
+            np.abs(value - lo),
+            np.where(hi == math.inf, np.maximum(0.0, lo - value), np.maximum(0.0, value - hi)),
+        )
+        pruned = tuple(
+            (row_names[i], float(x)) for i, x in zip(np.flatnonzero(drop), violation) if x > 1e-6
+        )
+        keep = ~drop
+        on_kept = keep[r]
+        r = (np.cumsum(keep) - 1)[r[on_kept]]
+        cols, vals = cols[on_kept], vals[on_kept]
+        row_names, row_lb, row_ub = row_names.take(keep), row_lb[keep], row_ub[keep]
 
     return UcModel(
-        variables=tuple(variables),
-        constraints=tuple(kept),
-        objective=objective,
+        col_names=col_names,
+        lb=lb,
+        ub=ub,
+        c=c,
+        integrality=integrality,
+        objective_order=objective_order,
+        row_names=row_names,
+        row_lb=row_lb,
+        row_ub=row_ub,
+        rows=r,
+        cols=cols,
+        vals=vals,
         objective_offset=offset,
-        pruned_violations=tuple(pruned),
+        pruned_violations=pruned,
     )
+
+
+def _apply_fixings(fixings: Mapping[str, float], col_names: Names, integrality: np.ndarray,
+                   lb: np.ndarray, ub: np.ndarray) -> None:
+    """Narrow the bounds of each named column to its fixed value.
+
+    Binary values must be 0 or 1 (to 1e-9) and are rounded; every value must
+    lie within the column's bounds (to 1e-9). The first fixing, in mapping
+    order, that breaks a rule raises.
+    """
+    names = list(fixings)
+    j = col_names.positions(names)
+    given = np.array([fixings[name] for name in names], dtype=float)
+    known = j >= 0
+    jj = np.where(known, j, 0)
+    binary = known & (integrality[jj] == 1)
+    rounded = np.round(given)
+    not_binary = binary & ((np.abs(given - rounded) > 1e-9) | ((rounded != 0.0) & (rounded != 1.0)))
+    value = np.where(binary, rounded, given)
+    inside = (lb[jj] - 1e-9 <= value) & (value <= ub[jj] + 1e-9)
+    bad = ~known | not_binary | ~inside
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = names[i]
+        if not known[i]:
+            raise KeyError(f"cannot fix unknown variable {name!r}")
+        if not_binary[i]:
+            raise ValueError(f"{name}: binary fixing must be 0 or 1, got {fixings[name]}")
+        shown = float(value[i]) if binary[i] else fixings[name]
+        raise ValueError(f"{name}: fixing {shown} outside bounds [{lb[j[i]]}, {ub[j[i]]}]")
+    lb[j] = value
+    ub[j] = value
+
+
+def _add_window_rows(rows: _RowWriter, word: str, uid: str, ug: np.ndarray, sign: float,
+                     u0: int, pin: int, end: int, counts: np.ndarray) -> None:
+    """Rolling-window rows of a minimum up (sign 1) or down (sign -1) time.
+
+    The row of period t spans the w periods t..t+w-1 after t-1: with s the
+    sign, s*(u[t..t+w-1] - w*u[t] + w*u[t-1]) >= rhs, so u[t] carries
+    s*(1 - w) (nothing when w = 1) and u[t-1] carries s*w. Rows from pin+1
+    on take w from counts; the end rows, whose window reaches the horizon,
+    take w = nt - t + 1. Before the horizon, u[0] is the initial state u0.
+    """
+    nt = len(ug)
+    start = np.arange(pin + 1, nt - end + 2)
+    tail = np.arange(max(2, nt - end + 2), nt + 1)
+    t = np.concatenate((start, tail))
+    if len(t) == 0:
+        return
+    w = np.concatenate((counts[start - 1], nt - tail + 1)).astype(float)
+    if word == "up":
+        rhs = np.where(t == 1, -w * u0, 0.0)
+    else:
+        rhs = np.where(t == 1, -w + w * u0, -w)
+    width = w.astype(int)
+    rr = np.repeat(np.arange(len(t)), width)
+    pos = np.arange(len(rr)) - np.repeat(np.cumsum(width) - width, width)
+    first = sign + (-sign * w)
+    window = (rr, ug[t[rr] + pos - 1], np.where(pos == 0, first[rr], sign))
+    later = t > 1
+    before = (np.flatnonzero(later), ug[t[later] - 2], sign * w[later])
+    rows.add([f"{word}_{uid}", f"{word}end_{uid}"],
+             np.repeat([0, 1], [len(start), len(tail)]), t, rhs, math.inf, window, before)
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +702,25 @@ class Schedule:
 
 
 def extract_schedule(
-    system: PowerSystem, periods: Sequence[ReducedPeriod], values: Mapping[str, float]
+    system: PowerSystem, periods: Sequence[ReducedPeriod], x: np.ndarray
 ) -> Schedule:
-    """Turn a solution's variable values into a Schedule."""
+    """Turn a solution vector of the model built on (system, periods) into a Schedule."""
     nt = len(periods)
-    g = len(system.units)
-    commitment = np.zeros((g, nt), dtype=int)
-    dispatch = np.zeros((g, nt))
-    startup = np.zeros((g, nt))
-    for i, unit in enumerate(system.units):
-        for t in range(1, nt + 1):
-            uval = values[u_name(unit.unit_id, t)]
-            if abs(uval - round(uval)) > 1e-6:
-                raise ValueError(f"{u_name(unit.unit_id, t)} is not integral: {uval}")
-            commitment[i, t - 1] = int(round(uval))
-            dispatch[i, t - 1] = values[pg_name(unit.unit_id, t)]
-            startup[i, t - 1] = values[su_name(unit.unit_id, t)]
-    p_wind = np.array([values[pw_name(t)] for t in range(1, nt + 1)])
-    p_solar = np.array([values[ps_name(t)] for t in range(1, nt + 1)])
-    p_served = np.array([values[pd_name(t)] for t in range(1, nt + 1)])
+    ng = len(system.units)
+    s_u, s_pg, s_su, s_pw, s_ps, s_pd = _blocks(ng, nt)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (s_pd.stop,):
+        raise ValueError(f"solution has {x.size} values, the model {s_pd.stop} columns")
+    u = x[s_u].reshape(ng, nt)
+    rounded = np.round(u)
+    off = np.abs(u - rounded) > 1e-6
+    if off.any():
+        g, t = np.argwhere(off)[0]
+        raise ValueError(f"{u_name(system.units[g].unit_id, t + 1)} is not integral: {u[g, t]}")
+    commitment = rounded.astype(int)
+    dispatch = x[s_pg].reshape(ng, nt).copy()
+    startup = x[s_su].reshape(ng, nt).copy()
+    p_wind, p_solar, p_served = x[s_pw], x[s_ps], x[s_pd]
     demand = np.array([p.demand_mw for p in periods])
     wind_avail = np.array([p.wind_cf for p in periods]) * system.wind_capacity
     solar_avail = np.array([p.solar_cf for p in periods]) * system.solar_capacity

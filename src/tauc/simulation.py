@@ -137,7 +137,7 @@ def run_day_ahead(
     result = solve(model, config)
     if result.status != "optimal":
         raise RuntimeError(f"day-ahead {mode} solve for {label} ended {result.status}: {result.message}")
-    schedule = extract_schedule(system, periods, result.values)
+    schedule = extract_schedule(system, periods, result.x)
     return DayAheadPlan(
         mode=mode,
         grid=grid,
@@ -228,7 +228,7 @@ def run_real_time(
             f"real-time solve for {label} ended {result.status} despite load-shed slack: "
             f"{result.message}"
         )
-    schedule = extract_schedule(system, periods, result.values)
+    schedule = extract_schedule(system, periods, result.x)
     day_periods = min(len(periods), 24 * 60 // series.step_minutes)
     cost = operating_cost(system, periods, schedule, slice(0, day_periods))
     return RealTimeResult(

@@ -20,14 +20,13 @@ import subprocess
 import tempfile
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .model import UcModel
+from .model import UcModel, row_sense
 
 BINARY_SNAP_TOL = 1e-6
 CHECK_TOL = 1e-6
@@ -50,14 +49,24 @@ class BackendConfig:
     threads: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MipSolution:
+    """What a solve returns.
+
+    x holds one value per model column, in column order, when the backend
+    returned a point. node_count and dual_bound come from the in-process
+    backend, which may finish in presolve with 0 nodes; dual_bound includes
+    the objective offset, like objective.
+    """
+
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded" | "error"
     objective: float | None
-    values: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray | None = None
     gap: float | None = None
     wall_time: float = 0.0
     message: str = ""
+    node_count: int | None = None
+    dual_bound: float | None = None
 
 
 def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
@@ -73,69 +82,60 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     if raw.status not in ("optimal", "feasible"):
         return replace(raw, wall_time=wall)
 
-    values = dict(raw.values)
-    for var in model.variables:
-        if var.name not in values:
-            return replace(raw, status="error", wall_time=wall,
-                           message=f"backend returned no value for {var.name}")
-        if var.binary:
-            val = values[var.name]
-            snapped = float(round(val))
-            if abs(val - snapped) > BINARY_SNAP_TOL:
-                return replace(raw, status="error", wall_time=wall,
-                               message=f"non-integral binary {var.name}={val:.9g}")
-            values[var.name] = snapped
-    problems = check_solution(model, values)
+    x = np.array(raw.x, dtype=float)
+    binary = np.flatnonzero(model.integrality == 1)
+    snapped = np.round(x[binary])
+    off = np.abs(x[binary] - snapped) > BINARY_SNAP_TOL
+    if off.any():
+        j = binary[np.argmax(off)]
+        return replace(raw, status="error", wall_time=wall,
+                       message=f"non-integral binary {model.col_names[j]}={x[j]:.9g}")
+    x[binary] = snapped
+    problems = check_solution(model, x)
     if problems:
         return replace(raw, status="error", wall_time=wall,
                        message="solution failed verification: " + problems[0])
-    objective = model.objective_offset
-    for name, coef in model.objective.items():
-        objective += coef * values[name]
-    return MipSolution(raw.status, float(objective), values, raw.gap, wall, raw.message)
+    objective = float(model.c @ x) + model.objective_offset
+    return replace(raw, objective=objective, x=x, wall_time=wall)
 
 
-def check_solution(model: UcModel, values: dict[str, float],
-                   tol: float = CHECK_TOL) -> list[str]:
-    """Independent feasibility audit; returns human-readable violations.
+def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> list[str]:
+    """Independent feasibility audit of x (one value per column); returns
+    human-readable violations.
 
-    Residuals are judged relative to the row's magnitude (rhs and the
-    individual terms), so tol is a relative tolerance on anything large and
-    an absolute one near zero.
+    Residuals are judged relative to the row's magnitude: a row's scale is
+    max(1, |rhs|, max_j |a_ij x_j|), so tol is a relative tolerance on
+    anything large and an absolute one near zero. Bounds are judged relative
+    to max(1, |x_j|).
     """
-    out = []
-    for var in model.variables:
-        x = values.get(var.name)
-        if x is None:
-            out.append(f"missing value for {var.name}")
-            continue
-        allow = tol * max(1.0, abs(x))
-        if x < var.lb - allow:
-            out.append(f"{var.name}={x:.9g} below lower bound {var.lb:.9g}")
-        if x > var.ub + allow:
-            out.append(f"{var.name}={x:.9g} above upper bound {var.ub:.9g}")
-        if var.binary and abs(x - round(x)) > tol:
-            out.append(f"{var.name}={x:.9g} is not integral")
-    for row in model.constraints:
-        lhs = 0.0
-        scale = max(1.0, abs(row.rhs))
-        ok = True
-        for name, coef in row.coeffs.items():
-            x = values.get(name)
-            if x is None:
-                ok = False
-                break
-            lhs += coef * x
-            scale = max(scale, abs(coef * x))
-        if not ok:
-            continue  # already reported as a missing value
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.n_cols,):
+        return [f"solution has {x.size} values for {model.n_cols} columns"]
+    names = model.col_names
+    finite = np.isfinite(x)
+    out = [f"missing or non-finite value for {names[j]}" for j in np.flatnonzero(~finite)]
+    x = np.where(finite, x, 0.0)  # nothing that touches a missing value is judged
+    allow = tol * np.maximum(1.0, np.abs(x))
+    out += [f"{names[j]}={x[j]:.9g} below lower bound {model.lb[j]:.9g}"
+            for j in np.flatnonzero(finite & (x < model.lb - allow))]
+    out += [f"{names[j]}={x[j]:.9g} above upper bound {model.ub[j]:.9g}"
+            for j in np.flatnonzero(finite & (x > model.ub + allow))]
+    fractional = finite & (model.integrality == 1) & (np.abs(x - np.round(x)) > tol)
+    out += [f"{names[j]}={x[j]:.9g} is not integral" for j in np.flatnonzero(fractional)]
+    if model.n_rows:
+        lhs = model.matrix @ x
+        lo, hi = model.row_lb, model.row_ub
+        scale = np.maximum.reduce([np.ones(model.n_rows),
+                                   np.abs(np.where(np.isfinite(lo), lo, 0.0)),
+                                   np.abs(np.where(np.isfinite(hi), hi, 0.0))])
+        np.maximum.at(scale, model.rows, np.abs(model.vals * x[model.cols]))
         allow = tol * scale
-        if row.sense == "<=" and lhs > row.rhs + allow:
-            out.append(f"{row.label}: {lhs:.9g} > {row.rhs:.9g}")
-        elif row.sense == ">=" and lhs < row.rhs - allow:
-            out.append(f"{row.label}: {lhs:.9g} < {row.rhs:.9g}")
-        elif row.sense == "=" and abs(lhs - row.rhs) > allow:
-            out.append(f"{row.label}: {lhs:.9g} != {row.rhs:.9g}")
+        high = lhs > hi + allow
+        judged = np.bincount(model.rows[~finite[model.cols]], minlength=model.n_rows) == 0
+        for i in np.flatnonzero(judged & (high | (lhs < lo - allow))):
+            sense, rhs = row_sense(lo[i], hi[i])
+            op = "!=" if sense == "=" else (">" if high[i] else "<")
+            out.append(f"{model.row_names[i]}: {lhs[i]:.9g} {op} {rhs:.9g}")
     return out
 
 
@@ -144,45 +144,17 @@ def check_solution(model: UcModel, values: dict[str, float],
 
 
 def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
-    names = [v.name for v in model.variables]
-    pos = {name: i for i, name in enumerate(names)}
-    nvar = len(names)
-    c = np.zeros(nvar)
-    for name, coef in model.objective.items():
-        c[pos[name]] = coef
-    integrality = np.array([1 if v.binary else 0 for v in model.variables])
-    lo = np.array([v.lb for v in model.variables])
-    hi = np.array([v.ub for v in model.variables])
-
     constraints = None
-    nrow = len(model.constraints)
-    if nrow:
-        data: list[float] = []
-        rows_ix: list[int] = []
-        cols_ix: list[int] = []
-        cl = np.empty(nrow)
-        cu = np.empty(nrow)
-        for r, row in enumerate(model.constraints):
-            for name, coef in row.coeffs.items():
-                rows_ix.append(r)
-                cols_ix.append(pos[name])
-                data.append(coef)
-            if row.sense == "<=":
-                cl[r], cu[r] = -np.inf, row.rhs
-            elif row.sense == ">=":
-                cl[r], cu[r] = row.rhs, np.inf
-            else:
-                cl[r] = cu[r] = row.rhs
-        amat = sparse.csr_matrix((data, (rows_ix, cols_ix)), shape=(nrow, nvar))
-        constraints = LinearConstraint(amat, cl, cu)
+    if model.n_rows:
+        constraints = LinearConstraint(model.matrix, model.row_lb, model.row_ub)
 
     # Always pass the gap: left unset, HiGHS applies its own default of 1e-4
     # and can stop on a suboptimal incumbent while still reporting "optimal".
     options: dict[str, object] = {"presolve": True, "mip_rel_gap": float(cfg.gap)}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
-    res = milp(c=c, constraints=constraints, integrality=integrality,
-               bounds=Bounds(lo, hi), options=options)
+    res = milp(c=model.c, constraints=constraints, integrality=model.integrality,
+               bounds=Bounds(model.lb, model.ub), options=options)
 
     if res.status == 0:
         status = "optimal"
@@ -194,15 +166,17 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
         status = "feasible"  # stopped on a limit with an incumbent
     else:
         status = "error"
-    values = {}
-    if res.x is not None:
-        values = {name: float(res.x[i]) for i, name in enumerate(names)}
     objective = None
     if res.fun is not None:
         objective = float(res.fun) + model.objective_offset
+    solved = status in ("optimal", "feasible")
     gap = getattr(res, "mip_gap", None)
-    gap = float(gap) if gap is not None and status in ("optimal", "feasible") else None
-    return MipSolution(status, objective, values, gap, 0.0, str(res.message))
+    gap = float(gap) if gap is not None and solved else None
+    nodes = getattr(res, "mip_node_count", None)
+    bound = getattr(res, "mip_dual_bound", None)
+    bound = float(bound) + model.objective_offset if bound is not None and solved else None
+    return MipSolution(status, objective, res.x, gap, 0.0, str(res.message),
+                       None if nodes is None else int(nodes), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +201,32 @@ def _solve_process(executable: str, model: UcModel, cfg: BackendConfig) -> MipSo
                                   capture_output=True, text=True, env=env,
                                   timeout=timeout)
         except FileNotFoundError:
-            return MipSolution("error", None, {}, None, 0.0,
+            return MipSolution("error", None, None, None, 0.0,
                                f"solver executable not found: {executable}")
         except subprocess.TimeoutExpired:
-            return MipSolution("error", None, {}, None, 0.0,
+            return MipSolution("error", None, None, None, 0.0,
                                f"solver timed out after {timeout:.0f}s")
         if proc.returncode != 0:
             tail = (proc.stderr or proc.stdout or "").strip()[-400:]
-            return MipSolution("error", None, {}, None, 0.0,
+            return MipSolution("error", None, None, None, 0.0,
                                f"solver exited with code {proc.returncode}: {tail}")
         if not sol_path.exists():
-            return MipSolution("error", None, {}, None, 0.0,
+            return MipSolution("error", None, None, None, 0.0,
                                "solver wrote no solution file")
         try:
             values, hint, notes = parse_solution_file(sol_path.read_text(), model)
         except ET.ParseError as exc:
-            return MipSolution("error", None, {}, None, 0.0,
+            return MipSolution("error", None, None, None, 0.0,
                                f"cannot parse solution file: {exc}")
     if hint in ("infeasible", "unbounded"):
-        return MipSolution(hint, None, {}, None, 0.0,
+        return MipSolution(hint, None, None, None, 0.0,
                            "; ".join(notes) or f"solver reported {hint}")
     if not values:
-        return MipSolution("error", None, {}, None, 0.0,
+        return MipSolution("error", None, None, None, 0.0,
                            "solution file contained no variable values")
-    for var in model.variables:
-        values.setdefault(var.name, 0.0)  # sparse files omit zero variables
-    return MipSolution("optimal", None, values, None, 0.0, "; ".join(notes))
+    x = np.zeros(model.n_cols)  # sparse files omit zero variables
+    x[model.col_names.positions(values)] = list(values.values())
+    return MipSolution("optimal", None, x, None, 0.0, "; ".join(notes))
 
 
 def parse_solution_file(text: str, model: UcModel | None = None):
@@ -303,8 +277,8 @@ def parse_solution_file(text: str, model: UcModel | None = None):
                 continue
             values[pair[0]] = pair[1]
     if model is not None:
-        known = model.variable_map
-        for name in [n for n in values if n not in known]:
+        unknown = model.col_names.positions(values) < 0
+        for name in [n for n, missing in zip(values, unknown) if missing]:
             notes.append(f"ignoring unknown variable {name!r} in solution file")
             del values[name]
     return values, hint, notes

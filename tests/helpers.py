@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tauc.aggregation import HiResSeries, ReducedPeriod
 from tauc.model import PowerSystem, ThermalUnit
@@ -292,3 +293,62 @@ def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, tuple[
         load_shed_cost=2000.0,
     )
     return system, periods_from(durations, demand, solar_cf=solar_cf)
+
+
+@st.composite
+def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = True):
+    """(system, periods, fixings) for the model builder: ramp-limited and
+    unlimited units, minimum times that cover whole periods or fall between
+    period ends, both initial states, and fixings in the style of a plan
+    (commitment, or commitment and dispatch, of some units) that may break
+    the unit's own rows."""
+    nt = draw(st.integers(1, max_periods))
+    durations = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]), min_size=nt, max_size=nt))
+    units = []
+    for g in range(draw(st.integers(1, max_units))):
+        pmax = draw(st.sampled_from([40.0, 120.0, 250.0]))
+        pmin = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) * pmax
+        u0 = draw(st.integers(0, 1))
+        rate = st.one_of(st.none(), st.sampled_from([15.0, 70.0, 400.0]))
+        units.append(ThermalUnit(
+            unit_id=f"g{g}",
+            flex_class=draw(st.sampled_from(["base", "medium", "peak"])),
+            pmin=pmin,
+            pmax=pmax,
+            marginal_cost=draw(st.sampled_from([0.0, 12.5, 41.0])),
+            startup_cost=draw(st.sampled_from([0.0, 90.0, 700.0])),
+            ramp_up=draw(rate),
+            ramp_down=draw(rate),
+            startup_ramp=draw(rate),
+            shutdown_ramp=draw(rate),
+            min_up=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 4.0])),
+            min_down=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 4.0])),
+            u0=u0,
+            hours_on0=draw(st.sampled_from([0.25, 1.0, 24.0])) if u0 else 24.0,
+            hours_off0=24.0 if u0 else draw(st.sampled_from([0.5, 1.0, 24.0])),
+            p0=draw(st.sampled_from([pmin, pmax])) if u0 else 0.0,
+        ))
+    system = PowerSystem(
+        units=tuple(units),
+        wind_capacity=draw(st.sampled_from([0.0, 80.0])),
+        solar_capacity=draw(st.sampled_from([0.0, 150.0])),
+        load_shed_cost=draw(st.sampled_from([100.0, 3000.0])),
+    )
+    cf = st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=nt, max_size=nt)
+    periods = periods_from(
+        durations,
+        draw(st.lists(st.sampled_from([0.0, 60.0, 180.0, 333.3]), min_size=nt, max_size=nt)),
+        draw(cf),
+        draw(cf),
+    )
+    fixings = {}
+    for unit_ in units if fix else ():
+        how = draw(st.sampled_from(["free", "commitment", "dispatch"]))
+        if how == "free":
+            continue
+        for t in range(1, nt + 1):
+            on = draw(st.integers(0, 1))
+            fixings[f"u_{unit_.unit_id}_{t}"] = float(on)
+            if how == "dispatch":
+                fixings[f"pg_{unit_.unit_id}_{t}"] = draw(st.sampled_from([unit_.pmin, unit_.pmax])) * on
+    return system, periods, fixings

@@ -1,4 +1,4 @@
-"""Test-only references: an exhaustive MILP oracle, an LP-file reader and Ward's formula.
+"""Test-only references: an exhaustive MILP oracle, the dict model builder, an LP-file reader and Ward's formula.
 
 Nothing here runs in the package. Each piece is an independent route to a
 result the package computes another way, so tests can compare the two:
@@ -12,6 +12,13 @@ result the package computes another way, so tests can compare the two:
   each LP subproblem with ``solve_lp``.
 - ``read_model_file`` parses LP text back into a model, for round-trip tests
   of ``tauc.solver.emit_model_file``.
+- ``reference_build_uc_model`` and ``reference_check_solution`` are the
+  earlier builder and audit of ``tauc.model``/``tauc.solver``, kept verbatim:
+  one dict of coefficients per row and one ``Variable`` per column, walked by
+  name. The array builder must write the same rows, terms, bounds and
+  objective bit for bit, and the ``A @ x`` audit must reach the same verdict.
+- ``model_from_rows`` makes an array ``UcModel`` from hand-written
+  ``Variable``/``Row`` lists, for small test models and the LP reader.
 - ``ward_distance`` is the scalar Ward merge cost that the greedy clustering
   oracle uses as its reference for ``tauc.aggregation.cluster_adjacent``.
 - ``quadratic_cluster`` is the earlier quadratic merge loop of
@@ -25,10 +32,21 @@ import math
 import re
 import time
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from tauc.model import Row, UcModel, Variable
+from tauc.aggregation import ReducedPeriod
+from tauc.model import (
+    Names,
+    PowerSystem,
+    Row,
+    UcModel,
+    Variable,
+    effective_min_times,
+    effective_ramp_limits,
+    period_durations,
+)
 from tauc.solver import MipSolution
 
 ORACLE_MAX_BINARIES = 20
@@ -386,7 +404,379 @@ def read_model_file(text: str) -> UcModel:
         default = (0.0, 1.0) if is_bin else (0.0, math.inf)
         lo, hi = explicit.get(name, default)
         variables.append(Variable(name, lo, hi, binary=is_bin))
-    return UcModel(tuple(variables), tuple(rows), objective, offset)
+    return model_from_rows(variables, rows, objective, offset)
+
+
+# ---------------------------------------------------------------------------
+# hand-written models
+
+
+def model_from_rows(variables: Sequence[Variable], constraints: Sequence[Row],
+                    objective: Mapping[str, float], objective_offset: float = 0.0) -> UcModel:
+    """An array UcModel from Variable and Row lists; each name is its own stem."""
+    names = [v.name for v in variables]
+    if len(set(names)) != len(names):
+        raise ValueError("variable names must be unique")
+    labels = [r.label for r in constraints]
+    if len(set(labels)) != len(labels):
+        raise ValueError("constraint labels must be unique")
+    pos = {name: j for j, name in enumerate(names)}
+    for name in [*objective, *(n for row in constraints for n in row.coeffs)]:
+        if name not in pos:
+            raise ValueError(f"model references unknown variable {name}")
+    c = np.zeros(len(names))
+    c[[pos[n] for n in objective]] = list(objective.values())
+    row_lb = [-math.inf if row.sense == "<=" else row.rhs for row in constraints]
+    row_ub = [math.inf if row.sense == ">=" else row.rhs for row in constraints]
+    rows = np.array([r for r, row in enumerate(constraints) for _ in row.coeffs], dtype=int)
+    cols = np.array([pos[n] for row in constraints for n in row.coeffs], dtype=int)
+    vals = np.array([v for row in constraints for v in row.coeffs.values()], dtype=float)
+    return UcModel(
+        col_names=Names(tuple(names), np.arange(len(names)), np.zeros(len(names), dtype=int)),
+        lb=np.array([v.lb for v in variables], dtype=float),
+        ub=np.array([v.ub for v in variables], dtype=float),
+        c=c,
+        integrality=np.array([v.binary for v in variables], dtype=np.uint8),
+        objective_order=np.array([pos[n] for n in objective], dtype=int),
+        row_names=Names(tuple(labels), np.arange(len(labels)), np.zeros(len(labels), dtype=int)),
+        row_lb=np.array(row_lb, dtype=float),
+        row_ub=np.array(row_ub, dtype=float),
+        rows=rows,
+        cols=cols,
+        vals=vals,
+        objective_offset=objective_offset,
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference dict builder and audit
+
+
+@dataclass(frozen=True)
+class ReferenceModel:
+    """Solver-agnostic MILP: variables with bounds, rows, linear objective.
+
+    The objective is minimized and carries a constant offset so that reported
+    objective values equal the full operating cost. Fixed variables are those
+    whose bounds coincide. pruned_violations lists rows that were dropped
+    because every variable in them was fixed, together with the amount by
+    which the frozen values violate them (normally zero).
+    """
+
+    variables: tuple[Variable, ...]
+    constraints: tuple[Row, ...]
+    objective: Mapping[str, float]
+    objective_offset: float = 0.0
+    pruned_violations: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        names = [v.name for v in self.variables]
+        if len(set(names)) != len(names):
+            raise ValueError("variable names must be unique")
+        known = set(names)
+        labels = [r.label for r in self.constraints]
+        if len(set(labels)) != len(labels):
+            raise ValueError("constraint labels must be unique")
+        for row in self.constraints:
+            for name, coef in row.coeffs.items():
+                if name not in known:
+                    raise ValueError(f"row {row.label} references unknown variable {name}")
+                if not math.isfinite(coef):
+                    raise ValueError(f"row {row.label} has non-finite coefficient on {name}")
+        for name, coef in self.objective.items():
+            if name not in known:
+                raise ValueError(f"objective references unknown variable {name}")
+            if not math.isfinite(coef):
+                raise ValueError(f"objective has non-finite coefficient on {name}")
+
+    @property
+    def variable_map(self) -> dict[str, Variable]:
+        return {v.name: v for v in self.variables}
+
+    @property
+    def binary_names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.variables if v.binary)
+
+    @property
+    def n_binaries(self) -> int:
+        return sum(1 for v in self.variables if v.binary)
+
+
+def u_name(unit_id: str, t: int) -> str:
+    return f"u_{unit_id}_{t}"
+
+
+def pg_name(unit_id: str, t: int) -> str:
+    return f"pg_{unit_id}_{t}"
+
+
+def su_name(unit_id: str, t: int) -> str:
+    return f"su_{unit_id}_{t}"
+
+
+def pw_name(t: int) -> str:
+    return f"pw_{t}"
+
+
+def ps_name(t: int) -> str:
+    return f"ps_{t}"
+
+
+def pd_name(t: int) -> str:
+    return f"pd_{t}"
+
+
+def _add(coeffs: dict[str, float], name: str, value: float) -> None:
+    if value == 0.0:
+        return
+    acc = coeffs.get(name, 0.0) + value
+    if acc == 0.0:
+        coeffs.pop(name, None)
+    else:
+        coeffs[name] = acc
+
+
+def reference_build_uc_model(
+    system: PowerSystem,
+    periods: Sequence[ReducedPeriod],
+    fixings: Mapping[str, float] | None = None,
+) -> ReferenceModel:
+    """Build the commitment MILP for one system over one window of periods.
+
+    Each unit's ramp limits and minimum-time counts are rescaled to the
+    period durations (effective_ramp_limits, effective_min_times). fixings
+    maps variable names to frozen values and is applied as equality bounds.
+    Rows whose variables are all fixed are removed (they are constants); any
+    such row the frozen values violate is reported in pruned_violations
+    rather than making the model infeasible, which is what a simulation of a
+    committed plan needs.
+    """
+    d = period_durations(periods)
+    nt = len(d)
+
+    variables: list[Variable] = []
+    for unit in system.units:
+        variables.extend(Variable(u_name(unit.unit_id, t), 0.0, 1.0, binary=True) for t in range(1, nt + 1))
+    for unit in system.units:
+        variables.extend(Variable(pg_name(unit.unit_id, t), 0.0, unit.pmax) for t in range(1, nt + 1))
+    for unit in system.units:
+        variables.extend(Variable(su_name(unit.unit_id, t), 0.0, math.inf) for t in range(1, nt + 1))
+    variables.extend(
+        Variable(pw_name(t), 0.0, periods[t - 1].wind_cf * system.wind_capacity) for t in range(1, nt + 1)
+    )
+    variables.extend(
+        Variable(ps_name(t), 0.0, periods[t - 1].solar_cf * system.solar_capacity) for t in range(1, nt + 1)
+    )
+    variables.extend(Variable(pd_name(t), 0.0, periods[t - 1].demand_mw) for t in range(1, nt + 1))
+
+    rows: list[Row] = []
+    for t in range(1, nt + 1):
+        coeffs: dict[str, float] = {}
+        for unit in system.units:
+            _add(coeffs, pg_name(unit.unit_id, t), 1.0)
+        _add(coeffs, pw_name(t), 1.0)
+        _add(coeffs, ps_name(t), 1.0)
+        _add(coeffs, pd_name(t), -1.0)
+        rows.append(Row(f"bal_{t}", coeffs, "=", 0.0))
+
+    for unit in system.units:
+        uid = unit.unit_id
+        ru_hat, rd_hat, su_hat, sd_hat = effective_ramp_limits(unit, d)
+        ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(unit, d)
+        # commitment-linked dispatch bounds
+        for t in range(1, nt + 1):
+            coeffs = {pg_name(uid, t): 1.0}
+            _add(coeffs, u_name(uid, t), -unit.pmin)
+            rows.append(Row(f"onmin_{uid}_{t}", coeffs, ">=", 0.0))
+            coeffs = {pg_name(uid, t): 1.0}
+            _add(coeffs, u_name(uid, t), -unit.pmax)
+            rows.append(Row(f"onmax_{uid}_{t}", coeffs, "<=", 0.0))
+        # start-up cost recovery
+        for t in range(1, nt + 1):
+            coeffs = {su_name(uid, t): 1.0}
+            rhs = 0.0
+            _add(coeffs, u_name(uid, t), -unit.startup_cost)
+            if t > 1:
+                _add(coeffs, u_name(uid, t - 1), unit.startup_cost)
+            else:
+                rhs = -unit.startup_cost * unit.u0
+            rows.append(Row(f"sucost_{uid}_{t}", coeffs, ">=", rhs))
+        # ramping, skipped entirely for rate-unlimited units (rows are vacuous
+        # once every limit clamps to pmax)
+        emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
+        emit_dn = unit.ramp_down is not None or unit.shutdown_ramp is not None
+        for t, ru, rd, suh, sdh in zip(range(1, nt + 1), ru_hat, rd_hat, su_hat, sd_hat):
+            if emit_up:
+                coeffs = {pg_name(uid, t): 1.0}
+                rhs = unit.pmax
+                _add(coeffs, u_name(uid, t), unit.pmax - suh)
+                if t > 1:
+                    _add(coeffs, pg_name(uid, t - 1), -1.0)
+                    _add(coeffs, u_name(uid, t - 1), suh - ru)
+                else:
+                    rhs += unit.p0 + (ru - suh) * unit.u0
+                rows.append(Row(f"rampup_{uid}_{t}", coeffs, "<=", rhs))
+            if emit_dn:
+                coeffs = {pg_name(uid, t): -1.0}
+                rhs = unit.pmax
+                _add(coeffs, u_name(uid, t), sdh - rd)
+                if t > 1:
+                    _add(coeffs, pg_name(uid, t - 1), 1.0)
+                    _add(coeffs, u_name(uid, t - 1), unit.pmax - sdh)
+                else:
+                    rhs += -unit.p0 - (unit.pmax - sdh) * unit.u0
+                rows.append(Row(f"rampdn_{uid}_{t}", coeffs, "<=", rhs))
+        if emit_dn:
+            for t, sdh in zip(range(1, nt), sd_hat):
+                coeffs = {pg_name(uid, t): 1.0}
+                _add(coeffs, u_name(uid, t + 1), sdh - unit.pmax)
+                _add(coeffs, u_name(uid, t), -sdh)
+                rows.append(Row(f"sdramp_{uid}_{t}", coeffs, "<=", 0.0))
+        # minimum up time
+        if unit.min_up > 0:
+            pin, end = ut_init, ut_end
+            if pin >= 1:
+                coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
+                rows.append(Row(f"upinit_{uid}", coeffs, "=", float(pin)))
+            for t in range(pin + 1, nt - end + 2):
+                omega = int(ut_counts[t - 1])
+                coeffs = {}
+                for tau in range(t, t + omega):
+                    _add(coeffs, u_name(uid, tau), 1.0)
+                rhs = 0.0
+                _add(coeffs, u_name(uid, t), -float(omega))
+                if t > 1:
+                    _add(coeffs, u_name(uid, t - 1), float(omega))
+                else:
+                    rhs = -float(omega) * unit.u0
+                rows.append(Row(f"up_{uid}_{t}", coeffs, ">=", rhs))
+            for t in range(max(2, nt - end + 2), nt + 1):
+                k = float(nt - t + 1)
+                coeffs = {}
+                for tau in range(t, nt + 1):
+                    _add(coeffs, u_name(uid, tau), 1.0)
+                _add(coeffs, u_name(uid, t), -k)
+                _add(coeffs, u_name(uid, t - 1), k)
+                rows.append(Row(f"upend_{uid}_{t}", coeffs, ">=", 0.0))
+        # minimum down time
+        if unit.min_down > 0:
+            pin, end = dt_init, dt_end
+            if pin >= 1:
+                coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
+                rows.append(Row(f"dninit_{uid}", coeffs, "=", 0.0))
+            for t in range(pin + 1, nt - end + 2):
+                omega = int(dt_counts[t - 1])
+                coeffs = {}
+                for tau in range(t, t + omega):
+                    _add(coeffs, u_name(uid, tau), -1.0)
+                rhs = -float(omega)
+                _add(coeffs, u_name(uid, t), float(omega))
+                if t > 1:
+                    _add(coeffs, u_name(uid, t - 1), -float(omega))
+                else:
+                    rhs += float(omega) * unit.u0
+                rows.append(Row(f"dn_{uid}_{t}", coeffs, ">=", rhs))
+            for t in range(max(2, nt - end + 2), nt + 1):
+                k = float(nt - t + 1)
+                coeffs = {}
+                for tau in range(t, nt + 1):
+                    _add(coeffs, u_name(uid, tau), -1.0)
+                _add(coeffs, u_name(uid, t), k)
+                _add(coeffs, u_name(uid, t - 1), -k)
+                rows.append(Row(f"dnend_{uid}_{t}", coeffs, ">=", -k))
+
+    objective: dict[str, float] = {}
+    offset = 0.0
+    for unit in system.units:
+        for t in range(1, nt + 1):
+            _add(objective, pg_name(unit.unit_id, t), unit.marginal_cost * d[t - 1])
+            _add(objective, su_name(unit.unit_id, t), 1.0)
+    for t in range(1, nt + 1):
+        _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
+        offset += system.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw
+
+    if fixings:
+        by_name = {v.name: i for i, v in enumerate(variables)}
+        for name, value in fixings.items():
+            if name not in by_name:
+                raise KeyError(f"cannot fix unknown variable {name!r}")
+            var = variables[by_name[name]]
+            if var.binary:
+                if abs(value - round(value)) > 1e-9 or round(value) not in (0, 1):
+                    raise ValueError(f"{name}: binary fixing must be 0 or 1, got {value}")
+                value = float(round(value))
+            if not var.lb - 1e-9 <= value <= var.ub + 1e-9:
+                raise ValueError(f"{name}: fixing {value} outside bounds [{var.lb}, {var.ub}]")
+            variables[by_name[name]] = Variable(var.name, value, value, var.binary)
+
+    pruned: list[tuple[str, float]] = []
+    fixed_vals = {v.name: v.lb for v in variables if v.lb == v.ub}
+    kept: list[Row] = []
+    for row in rows:
+        if row.coeffs and all(n in fixed_vals for n in row.coeffs):
+            value = sum(c * fixed_vals[n] for n, c in row.coeffs.items())
+            if row.sense == "<=":
+                violation = max(0.0, value - row.rhs)
+            elif row.sense == ">=":
+                violation = max(0.0, row.rhs - value)
+            else:
+                violation = abs(value - row.rhs)
+            if violation > 1e-6:
+                pruned.append((row.label, violation))
+        else:
+            kept.append(row)
+
+    return ReferenceModel(
+        variables=tuple(variables),
+        constraints=tuple(kept),
+        objective=objective,
+        objective_offset=offset,
+        pruned_violations=tuple(pruned),
+    )
+
+
+def reference_check_solution(model: ReferenceModel, values: dict[str, float],
+                             tol: float = 1e-6) -> list[str]:
+    """Independent feasibility audit; returns human-readable violations.
+
+    Residuals are judged relative to the row's magnitude (rhs and the
+    individual terms), so tol is a relative tolerance on anything large and
+    an absolute one near zero.
+    """
+    out = []
+    for var in model.variables:
+        x = values.get(var.name)
+        if x is None:
+            out.append(f"missing value for {var.name}")
+            continue
+        allow = tol * max(1.0, abs(x))
+        if x < var.lb - allow:
+            out.append(f"{var.name}={x:.9g} below lower bound {var.lb:.9g}")
+        if x > var.ub + allow:
+            out.append(f"{var.name}={x:.9g} above upper bound {var.ub:.9g}")
+        if var.binary and abs(x - round(x)) > tol:
+            out.append(f"{var.name}={x:.9g} is not integral")
+    for row in model.constraints:
+        lhs = 0.0
+        scale = max(1.0, abs(row.rhs))
+        ok = True
+        for name, coef in row.coeffs.items():
+            x = values.get(name)
+            if x is None:
+                ok = False
+                break
+            lhs += coef * x
+            scale = max(scale, abs(coef * x))
+        if not ok:
+            continue  # already reported as a missing value
+        allow = tol * scale
+        if row.sense == "<=" and lhs > row.rhs + allow:
+            out.append(f"{row.label}: {lhs:.9g} > {row.rhs:.9g}")
+        elif row.sense == ">=" and lhs < row.rhs - allow:
+            out.append(f"{row.label}: {lhs:.9g} < {row.rhs:.9g}")
+        elif row.sense == "=" and abs(lhs - row.rhs) > allow:
+            out.append(f"{row.label}: {lhs:.9g} != {row.rhs:.9g}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +855,7 @@ def brute_force_solve(model: UcModel,
     candidates = np.flatnonzero(mask)
     elapsed = lambda: time.perf_counter() - start  # noqa: E731
     if candidates.size == 0:
-        return MipSolution("infeasible", None, {}, None, elapsed(),
+        return MipSolution("infeasible", None, None, None, elapsed(),
                            "every binary assignment violates a binary-only row")
 
     # connected components over continuous variables
@@ -604,21 +994,21 @@ def brute_force_solve(model: UcModel,
                 feasible = False
                 break
             if status == "unbounded":
-                return MipSolution("unbounded", None, {}, None, elapsed(),
+                return MipSolution("unbounded", None, None, None, elapsed(),
                                    "continuous subproblem unbounded under a feasible commitment")
             total += obj
             xs.append(x)
         if not feasible:
             continue
         if loose_unbounded:
-            return MipSolution("unbounded", None, {}, None, elapsed(),
+            return MipSolution("unbounded", None, None, None, elapsed(),
                                "an unconstrained variable improves the objective without limit")
         if total < best_total:
             best_total = total
             best_bits = bits.copy()
             best_xs = [x.copy() for x in xs]
     if best_bits is None:
-        return MipSolution("infeasible", None, {}, None, elapsed(),
+        return MipSolution("infeasible", None, None, None, elapsed(),
                            "no binary assignment admits a feasible dispatch")
 
     values: dict[str, float] = {}
@@ -631,7 +1021,8 @@ def brute_force_solve(model: UcModel,
             values[variables[cont[p]].name] = float(x[j])
     for p, val in loose_values.items():
         values[variables[cont[p]].name] = float(val)
-    return MipSolution("optimal", float(best_total), values, 0.0, elapsed(),
+    x = np.array([values[var.name] for var in variables])
+    return MipSolution("optimal", float(best_total), x, 0.0, elapsed(),
                        f"exhaustive search over {k} binaries, "
                        f"{candidates.size} candidate assignments")
 

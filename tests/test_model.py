@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     conventional_hourly_model,
     periods_from,
     rows_as_maps,
     two_unit_fixture,
+    uc_instances,
     unit,
 )
+from oracle import reference_build_uc_model
 from tauc.model import (
     PowerSystem,
     ThermalUnit,
@@ -181,7 +184,7 @@ def test_build_objective_prices_energy_and_shedding():
 
 
 def test_build_variable_bounds_follow_availability():
-    vmap = build_uc_model(*_flat_instance()).variable_map
+    vmap = {v.name: v for v in build_uc_model(*_flat_instance()).variables}
     assert (vmap["pd_2"].lb, vmap["pd_2"].ub) == (0.0, 650.0)
     assert vmap["ps_1"].ub == pytest.approx(300.0)
     assert vmap["ps_2"].ub == pytest.approx(200.0)
@@ -240,7 +243,7 @@ def test_fixing_outside_bounds_rejected():
 
 def test_fixing_narrows_bounds_to_equality():
     model = build_uc_model(*_flat_instance(), fixings={"u_b1_1": 1.0, "pg_b1_1": 200.0})
-    vmap = model.variable_map
+    vmap = {v.name: v for v in model.variables}
     assert (vmap["u_b1_1"].lb, vmap["u_b1_1"].ub) == (1.0, 1.0)
     assert (vmap["pg_b1_1"].lb, vmap["pg_b1_1"].ub) == (200.0, 200.0)
 
@@ -261,6 +264,46 @@ def test_prune_drops_constant_rows_and_reports_violations():
     # rows mixing fixed and free variables must stay
     assert any(l.startswith("sucost_a1") for l in labels)
     assert "bal_1" in labels
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(uc_instances())
+def test_array_builder_equals_reference_builder_bit_for_bit(instance):
+    """Same labels, term order, coefficients, row and column bounds,
+    integrality, objective, offset and pruned rows as the dict builder; a
+    reference row left with no terms is the one allowed difference: the
+    array builder drops it like a fully fixed row."""
+    system, periods, fixings = instance
+    got = build_uc_model(system, periods, fixings)
+    want = reference_build_uc_model(system, periods, fixings)
+
+    empty = [row for row in want.constraints if not row.coeffs]
+    rows = [row for row in want.constraints if row.coeffs]
+    assert [row.label for row in got.constraints] == [row.label for row in rows]
+    for a, b in zip(got.constraints, rows):
+        assert (a.sense, _bits(a.rhs)) == (b.sense, _bits(b.rhs)), b.label
+        assert [(k, _bits(v)) for k, v in a.coeffs.items()] == [(k, _bits(v)) for k, v in b.coeffs.items()]
+    assert [(v.name, _bits(v.lb), _bits(v.ub), v.binary) for v in got.variables] == [
+        (v.name, _bits(v.lb), _bits(v.ub), v.binary) for v in want.variables
+    ]
+    assert [(k, _bits(v)) for k, v in got.objective.items()] == [
+        (k, _bits(v)) for k, v in want.objective.items()
+    ]
+    assert _bits(got.objective_offset) == _bits(want.objective_offset)
+
+    def zero_violation(row):
+        return {"<=": max(0.0, -row.rhs), ">=": max(0.0, row.rhs), "=": abs(row.rhs)}[row.sense]
+
+    pruned = dict(want.pruned_violations)
+    pruned.update((row.label, zero_violation(row)) for row in empty if zero_violation(row) > 1e-6)
+    assert {k: _bits(v) for k, v in got.pruned_violations} == {k: _bits(v) for k, v in pruned.items()}
+    assert [k for k, _ in got.pruned_violations if k in dict(want.pruned_violations)] == [
+        k for k, _ in want.pruned_violations
+    ]
 
 
 def test_unit_initial_state_validation():
@@ -315,11 +358,12 @@ def _toy_solution():
         "ps_1": 20.0, "ps_2": 80.0,
         "pd_1": 120.0, "pd_2": 180.0,
     }
-    return system, periods, values
+    names = build_uc_model(system, periods).col_names.tolist()
+    return system, periods, np.array([values[name] for name in names]), names
 
 
 def test_extract_schedule_derives_shed_and_spill():
-    system, periods, values = _toy_solution()
+    system, periods, values, _ = _toy_solution()
     sched = extract_schedule(system, periods, values)
     assert sched.commitment.tolist() == [[1, 1]]
     assert sched.shed == pytest.approx([0.0, 20.0])
@@ -328,21 +372,21 @@ def test_extract_schedule_derives_shed_and_spill():
 
 
 def test_extract_schedule_rejects_fractional_commitment():
-    system, periods, values = _toy_solution()
-    values["u_a_2"] = 0.4
+    system, periods, values, names = _toy_solution()
+    values[names.index("u_a_2")] = 0.4
     with pytest.raises(ValueError, match="integral"):
         extract_schedule(system, periods, values)
 
 
 def test_extract_schedule_rejects_oversupply():
-    system, periods, values = _toy_solution()
-    values["pd_2"] = 230.0  # above the 200 MW forecast: negative shed
+    system, periods, values, names = _toy_solution()
+    values[names.index("pd_2")] = 230.0  # above the 200 MW forecast: negative shed
     with pytest.raises(ValueError, match="shed"):
         extract_schedule(system, periods, values)
 
 
 def test_operating_cost_full_and_sliced():
-    system, periods, values = _toy_solution()
+    system, periods, values, _ = _toy_solution()
     sched = extract_schedule(system, periods, values)
     # energy: 100*1*10 + 100*0.5*10 ; shed: 20 MW * 0.5 h * 500
     assert operating_cost(system, periods, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)

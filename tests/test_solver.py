@@ -1,12 +1,24 @@
 """Solve layer: LP round trip, exhaustive oracle, backends, audits."""
 import math
+import re
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_small_instance, two_unit_fixture
-from oracle import brute_force_solve, read_model_file, solve_lp
+from helpers import periods_from, random_small_instance, two_unit_fixture, uc_instances, unit
+from oracle import (
+    brute_force_solve,
+    model_from_rows,
+    read_model_file,
+    reference_build_uc_model,
+    reference_check_solution,
+    solve_lp,
+)
 from tauc.model import PowerSystem, Row, UcModel, Variable, build_uc_model, u_name
 from tauc.solver import (
     BackendConfig,
@@ -27,7 +39,7 @@ GOLDEN_ONE_VAR_LP = (
 
 
 def one_var_model() -> UcModel:
-    return UcModel((Variable("x", 0.0, 1.0),), (), {"x": 1.0})
+    return model_from_rows((Variable("x", 0.0, 1.0),), (), {"x": 1.0})
 
 
 def model_maps(model: UcModel):
@@ -172,13 +184,14 @@ def test_lp_round_trip_with_fixed_binaries():
     model = build_uc_model(*two_unit_fixture(), fixings={u_name("a1", 1): 1.0})
     parsed = read_model_file(emit_model_file(model))
     assert_models_equivalent(model, parsed)
-    assert parsed.variable_map[u_name("a1", 1)].lb == 1.0
-    assert parsed.variable_map[u_name("a1", 1)].ub == 1.0
+    vmap = {v.name: v for v in parsed.variables}
+    assert vmap[u_name("a1", 1)].lb == 1.0
+    assert vmap[u_name("a1", 1)].ub == 1.0
 
 
 def test_emit_rejects_non_finite_offset():
-    model = UcModel((Variable("x", 0.0, 1.0),), (), {"x": 1.0},
-                    objective_offset=math.inf)
+    model = model_from_rows((Variable("x", 0.0, 1.0),), (), {"x": 1.0},
+                            objective_offset=math.inf)
     with pytest.raises(ValueError):
         emit_model_file(model)
 
@@ -212,7 +225,7 @@ def test_parser_handles_wrapped_constraints_and_rhs_terms():
     assert rows["c1"].rhs == 10.0
     assert rows["c2"].coeffs == {"x": 3.0, "y": -1.0}
     assert rows["c2"].rhs == 1.0
-    assert model.variable_map["y"].ub == 8.0
+    assert {v.name: v for v in model.variables}["y"].ub == 8.0
 
 
 def test_parse_solution_text_formats():
@@ -261,19 +274,78 @@ def test_check_solution_flags_bound_row_and_integrality_violations():
     model = build_uc_model(*two_unit_fixture())
     good = solve(model)
     assert good.status == "optimal"
-    assert check_solution(model, good.values) == []
+    assert check_solution(model, good.x) == []
+    column = model.col_names.tolist().index
 
-    bad = dict(good.values)
-    bad["pg_a1_1"] += 5.0
+    bad = good.x.copy()
+    bad[column("pg_a1_1")] += 5.0
     assert any("bal_1" in p for p in check_solution(model, bad))
 
-    bad = dict(good.values)
-    bad[u_name("b1", 2)] = 0.4
+    bad = good.x.copy()
+    bad[column(u_name("b1", 2))] = 0.4
     assert any("not integral" in p for p in check_solution(model, bad))
 
-    bad = dict(good.values)
-    del bad["pg_a1_1"]
+    bad = good.x.copy()
+    bad[column("pg_a1_1")] = math.nan
     assert any("missing" in p for p in check_solution(model, bad))
+
+
+def _flagged(problems: list[str]) -> set[str]:
+    """The column or row each audit message names."""
+    return {re.split(r"[=:]", p, maxsplit=1)[0] for p in problems}
+
+
+def _near_tolerance_edge(model, values: dict[str, float], tol: float = 1e-6) -> bool:
+    """Whether a bound, integrality or row residual of the reference audit lies
+    within a factor of two of its allowance, where summation order may tip it."""
+    def near(excess: float, allow: float) -> bool:
+        return 0.5 * allow < excess < 2.0 * allow
+
+    for var in model.variables:
+        x = values[var.name]
+        allow = tol * max(1.0, abs(x))
+        if near(var.lb - x, allow) or near(x - var.ub, allow):
+            return True
+        if var.binary and near(abs(x - round(x)), tol):
+            return True
+    for row in model.constraints:
+        lhs = sum(c * values[n] for n, c in row.coeffs.items())
+        scale = max([1.0, abs(row.rhs)] + [abs(c * values[n]) for n, c in row.coeffs.items()])
+        excess = {"<=": lhs - row.rhs, ">=": row.rhs - lhs, "=": abs(lhs - row.rhs)}[row.sense]
+        if near(excess, tol * scale):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(uc_instances(fix=False), st.data())
+def test_array_audit_agrees_with_reference_audit(instance, data):
+    """check_solution (A @ x) flags the same columns and rows as the per-row
+    dict audit on solved points moved off feasibility by various amounts."""
+    system, periods, _ = instance
+    model = build_uc_model(system, periods)
+    reference = reference_build_uc_model(system, periods)
+    solved = solve(model)
+    assume(solved.status == "optimal")
+    x = solved.x.copy()
+    for j in data.draw(st.lists(st.integers(0, model.n_cols - 1), max_size=4)):
+        x[j] += data.draw(st.sampled_from([-50.0, -0.3, -1e-3, -2e-5, 1e-9, 2e-5, 1e-3, 0.3, 50.0]))
+    values = dict(zip(model.col_names.tolist(), x.tolist()))
+    assume(not _near_tolerance_edge(reference, values))
+    got = check_solution(model, x)
+    want = reference_check_solution(reference, values)
+    assert bool(got) == bool(want)
+    assert _flagged(got) == _flagged(want)
+
+
+def test_solution_keeps_node_count_and_dual_bound():
+    model = build_uc_model(*two_unit_fixture())
+    res = solve(model)
+    assert res.status == "optimal"
+    assert isinstance(res.node_count, int) and res.node_count >= 0
+    # the bound is in the objective's space, offset included
+    assert res.dual_bound <= res.objective + 1e-6 * abs(res.objective)
+    assert res.dual_bound == pytest.approx(res.objective, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +359,7 @@ def test_oracle_matches_default_backend_on_the_two_unit_fixture():
     assert fast.status == "optimal"
     assert reference.status == "optimal"
     assert fast.objective == pytest.approx(reference.objective, rel=1e-8)
-    assert check_solution(model, reference.values) == []
+    assert check_solution(model, reference.x) == []
 
 
 def test_oracle_matches_default_backend_on_random_instances():
@@ -308,8 +380,8 @@ def test_oracle_matches_default_backend_on_random_instances():
 def test_oracle_honours_fixings():
     system, periods = two_unit_fixture()
     base = solve(build_uc_model(system, periods))
-    fixings = {name: base.values[name]
-               for name in build_uc_model(system, periods).binary_names}
+    fixings = {var.name: value for var, value in zip(build_uc_model(system, periods).variables, base.x)
+               if var.binary}
     fixed_model = build_uc_model(system, periods, fixings=fixings)
     reference = brute_force_solve(fixed_model)
     assert reference.status == "optimal"
@@ -329,7 +401,7 @@ def test_oracle_refuses_oversized_models():
 
 
 def test_oracle_reports_unbounded_models():
-    model = UcModel(
+    model = model_from_rows(
         (Variable("x", 0.0, math.inf), Variable("u", 0.0, 1.0, binary=True)),
         (Row("cap", {"x": 1.0, "u": -10.0}, ">=", 0.0),),
         {"x": -1.0},
@@ -339,7 +411,7 @@ def test_oracle_reports_unbounded_models():
 
 
 def test_oracle_reports_infeasible_models():
-    model = UcModel(
+    model = model_from_rows(
         (Variable("x", 0.0, 1.0), Variable("u", 0.0, 1.0, binary=True)),
         (Row("lo", {"x": 1.0}, ">=", 0.5),
          Row("hi", {"x": 1.0, "u": -0.1}, "<=", 0.2),),
@@ -357,8 +429,9 @@ def test_solve_returns_audited_objective_and_gap():
     model = build_uc_model(*two_unit_fixture())
     res = solve(model)
     assert res.status == "optimal"
+    values = dict(zip(model.col_names.tolist(), res.x))
     recomputed = model.objective_offset + sum(
-        coef * res.values[name] for name, coef in model.objective.items())
+        coef * values[name] for name, coef in model.objective.items())
     assert res.objective == pytest.approx(recomputed, rel=1e-12)
     assert res.gap is not None and res.gap <= 1e-9
     assert res.wall_time >= 0.0
@@ -376,7 +449,7 @@ def test_solve_accepts_gap_and_oracle_backend():
 
 
 def test_solve_reports_infeasible_models():
-    model = UcModel(
+    model = model_from_rows(
         (Variable("x", 0.0, 1.0),),
         (Row("lo", {"x": 1.0}, ">=", 2.0),),
         {"x": 1.0},
@@ -411,7 +484,7 @@ def test_process_backend_runs_the_executable_contract(tmp_path):
         """)
     res = solve(one_var_model(), BackendConfig(backend=stub, gap=0.01))
     assert res.status == "optimal"
-    assert res.values["x"] == 0.25
+    assert res.x.tolist() == [0.25]
     assert res.objective == pytest.approx(0.25)
     assert (tmp_path / "seen_gap.txt").read_text() == "0.01"
 
@@ -424,19 +497,54 @@ def test_environment_variable_overrides_configured_backend(tmp_path, monkeypatch
     monkeypatch.setenv("TAUC_SOLVER", stub)
     res = solve(one_var_model())  # config says auto; env must win
     assert res.status == "optimal"
-    assert res.values["x"] == 0.25
+    assert res.x.tolist() == [0.25]
 
 
 def test_process_backend_fills_omitted_variables_with_zero(tmp_path):
-    model = UcModel((Variable("x", 0.0, 2.0), Variable("y", 0.0, 2.0)),
-                    (), {"x": 1.0, "y": 1.0})
+    model = model_from_rows((Variable("x", 0.0, 2.0), Variable("y", 0.0, 2.0)),
+                            (), {"x": 1.0, "y": 1.0})
     stub = make_stub(tmp_path, """\
         with open(sys.argv[2], "w") as fh:
             fh.write("x 1.5\\n")
         """)
     res = solve(model, BackendConfig(backend=stub))
     assert res.status == "optimal"
-    assert res.values == {"x": 1.5, "y": 0.0}
+    assert res.x.tolist() == [1.5, 0.0]
+
+
+def test_model_with_vacuous_minimum_time_rows_runs_on_the_external_backend(tmp_path):
+    """min_up = min_down = one period left up_g_1 and dn_g_1 without terms,
+    and the LP writer refused the model; the rows are dropped now."""
+    system = PowerSystem(
+        units=(unit("g", "peak", 10.0, 100.0, 30.0, startup_cost=50.0, min_up=1.0, min_down=1.0),),
+        wind_capacity=0.0,
+        solar_capacity=0.0,
+        load_shed_cost=1000.0,
+    )
+    periods = periods_from([1.0] * 3, [50.0, 80.0, 20.0])
+    empty = {r.label for r in reference_build_uc_model(system, periods).constraints if not r.coeffs}
+    assert empty == {"up_g_1", "dn_g_1"}
+    model = build_uc_model(system, periods)
+    assert not empty & {r.label for r in model.constraints}
+    assert model.pruned_violations == ()
+    assert_models_equivalent(model, read_model_file(emit_model_file(model)))
+    here = Path(__file__).resolve().parent
+    stub = tmp_path / "oraclesolver"
+    stub.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""\
+        import sys
+        sys.path[:0] = [{str(here)!r}, {str(here.parent / "src")!r}]
+        from oracle import brute_force_solve, read_model_file
+        model = read_model_file(open(sys.argv[1]).read())
+        res = brute_force_solve(model)
+        with open(sys.argv[2], "w") as fh:
+            for var, value in zip(model.variables, res.x):
+                fh.write(f"{{var.name}} {{float(value)!r}}\\n")
+        """))
+    stub.chmod(0o755)
+    external = solve(model, BackendConfig(backend=str(stub)))
+    inprocess = solve(model)
+    assert external.status == inprocess.status == "optimal", external.message
+    assert external.objective == pytest.approx(inprocess.objective, rel=1e-9)
 
 
 def test_process_backend_surfaces_crashes(tmp_path):
@@ -492,7 +600,7 @@ def test_process_backend_parses_xml_solutions(tmp_path):
         """)
     res = solve(one_var_model(), BackendConfig(backend=stub))
     assert res.status == "optimal"
-    assert res.values["x"] == 0.5
+    assert res.x.tolist() == [0.5]
 
 
 def test_process_backend_reports_a_truncated_xml_solution(tmp_path):
