@@ -10,16 +10,19 @@ difference between the two real-time outcomes is the value of the adaptive
 grid. A rolling run is one chain of days per mode: each day's real-time
 result hands the fleet, with its initial conditions set from the day's end,
 to the next day of the same mode, and the comparison joins the two chains by
-date.
+date. The modes share nothing within a day, so each day runs them side by
+side: TA on a worker thread, CH on the calling thread.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from io import StringIO
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import csv
 
@@ -52,6 +55,8 @@ MODE_TA = "TA"
 MODES = (MODE_CH, MODE_TA)
 
 TECHNOLOGIES = ("wind", "solar", "base", "medium", "peak")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -299,6 +304,19 @@ def _report(
     )
 
 
+def _side_by_side(worker: Executor, ch_step: Callable[[], T], ta_step: Callable[[], T]) -> tuple[T, T]:
+    """Run ta_step on the worker thread while ch_step runs on this one; return (ch, ta).
+
+    The two modes share nothing within a day, and HiGHS releases the GIL
+    while it solves, so the two solves overlap. An exception from ta_step
+    propagates here; one from ch_step propagates once the caller's worker
+    has finished.
+    """
+    ta = worker.submit(ta_step)
+    ch = ch_step()
+    return ch, ta.result()
+
+
 def compare_day(
     system: PowerSystem,
     window: HiResSeries,
@@ -306,9 +324,11 @@ def compare_day(
     features: str = "net_demand_only",
     config: BackendConfig | None = None,
 ) -> tuple[ComparisonReport, RealTimeResult, RealTimeResult]:
-    """Run both modes on one window and assemble the day's report."""
-    ch = run_one_mode(system, window, MODE_CH, features, config, day_label)
-    ta = run_one_mode(system, window, MODE_TA, features, config, day_label)
+    """Run both modes on one window, side by side, and assemble the day's report."""
+    steps = [functools.partial(run_one_mode, system, window, mode, features, config, day_label)
+             for mode in MODES]
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tauc-ta") as worker:
+        ch, ta = _side_by_side(worker, *steps)
     return _report(day_label, system, ch, ta), ch[1], ta[1]
 
 
@@ -420,9 +440,11 @@ def run_rolling_horizon(
     """Compare both modes over every complete midnight-to-midnight day.
 
     Each mode runs its own chain (see run_chain) and the reports join the
-    two chains by date, one day at a time. Days outside the requested date
-    range are left out; a day that fails in either mode, or a trace without
-    one complete day, gives a warning record instead of a result.
+    two chains by date, one day at a time: each day, the TA chain advances
+    on a worker thread while the CH chain advances on this one, so only one
+    day per mode is in memory. Days outside the requested date range are
+    left out; a day that fails in either mode, or a trace without one
+    complete day, gives a warning record instead of a result.
     """
     if next(day_windows(trace, lookahead_hours), None) is None:
         first = _sample_date(trace, _first_midnight(trace))
@@ -431,16 +453,19 @@ def run_rolling_horizon(
         run_chain(system, trace, mode, lookahead_hours, features, config, start_date, end_date)
         for mode in MODES
     ]
+    steps = [functools.partial(next, chain, None) for chain in chains]
     reports: list[ComparisonReport] = []
-    for (label, ch), (_, ta) in zip(*chains):
-        failed = [f"{mode}: {out}" for mode, out in zip(MODES, (ch, ta)) if isinstance(out, str)]
-        if failed:
-            reports.append(_skipped_day(label, "; ".join(failed)))
-            continue
-        try:
-            reports.append(_report(label, system, ch, ta))
-        except ValueError as exc:  # no energy served, so no shares
-            reports.append(_skipped_day(label, str(exc)))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tauc-ta") as worker:
+        while None not in (days := _side_by_side(worker, *steps)):  # the chains end together
+            (label, ch), (_, ta) = days
+            failed = [f"{mode}: {out}" for mode, out in zip(MODES, (ch, ta)) if isinstance(out, str)]
+            if failed:
+                reports.append(_skipped_day(label, "; ".join(failed)))
+                continue
+            try:
+                reports.append(_report(label, system, ch, ta))
+            except ValueError as exc:  # no energy served, so no shares
+                reports.append(_skipped_day(label, str(exc)))
     return reports
 
 

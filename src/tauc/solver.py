@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import UcModel, row_sense
@@ -144,17 +145,39 @@ def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> lis
 
 
 def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
+    """HiGHS on the free columns only.
+
+    A fixed column (lb == ub) is folded out: its cost moves into the
+    objective offset and its terms into the row bounds, so HiGHS gets a
+    smaller matrix. x comes back at full length, the fixed entries exactly
+    at their bounds, for solve() to audit against the whole model.
+    """
+    free = model.lb != model.ub
+    x = np.where(free, 0.0, model.lb)
+    offset = model.objective_offset + float(model.c @ x)
+    if not free.any():  # nothing to decide; milp rejects an empty problem
+        return MipSolution("optimal", offset, x, 0.0, 0.0, "every column is fixed", 0, offset)
+
     constraints = None
     if model.n_rows:
-        constraints = LinearConstraint(model.matrix, model.row_lb, model.row_ub)
+        on_free = free[model.cols]
+        pinned = ~on_free
+        shift = np.bincount(model.rows[pinned], weights=model.vals[pinned] * x[model.cols[pinned]],
+                            minlength=model.n_rows)
+        renumber = np.cumsum(free) - 1
+        matrix = sparse.csr_matrix(
+            (model.vals[on_free], (model.rows[on_free], renumber[model.cols[on_free]])),
+            shape=(model.n_rows, int(renumber[-1]) + 1),
+        )
+        constraints = LinearConstraint(matrix, model.row_lb - shift, model.row_ub - shift)
 
     # Always pass the gap: left unset, HiGHS applies its own default of 1e-4
     # and can stop on a suboptimal incumbent while still reporting "optimal".
     options: dict[str, object] = {"presolve": True, "mip_rel_gap": float(cfg.gap)}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
-    res = milp(c=model.c, constraints=constraints, integrality=model.integrality,
-               bounds=Bounds(model.lb, model.ub), options=options)
+    res = milp(c=model.c[free], constraints=constraints, integrality=model.integrality[free],
+               bounds=Bounds(model.lb[free], model.ub[free]), options=options)
 
     if res.status == 0:
         status = "optimal"
@@ -168,14 +191,22 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
         status = "error"
     objective = None
     if res.fun is not None:
-        objective = float(res.fun) + model.objective_offset
+        objective = float(res.fun) + offset
     solved = status in ("optimal", "feasible")
+    if res.x is None:
+        x = None
+    else:
+        x[free] = res.x
+    if status == "optimal" and not model.integrality[free].any():
+        # every binary was fixed, so HiGHS solved an LP and reports no MIP
+        # figures; an LP optimum is its own bound, found without branching
+        return MipSolution(status, objective, x, 0.0, 0.0, str(res.message), 0, objective)
     gap = getattr(res, "mip_gap", None)
     gap = float(gap) if gap is not None and solved else None
     nodes = getattr(res, "mip_node_count", None)
     bound = getattr(res, "mip_dual_bound", None)
-    bound = float(bound) + model.objective_offset if bound is not None and solved else None
-    return MipSolution(status, objective, res.x, gap, 0.0, str(res.message),
+    bound = float(bound) + offset if bound is not None and solved else None
+    return MipSolution(status, objective, x, gap, 0.0, str(res.message),
                        None if nodes is None else int(nodes), bound)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,6 +30,7 @@ from tauc.simulation import (
     generation_shares,
     reports_to_csv,
     run_day_ahead,
+    run_chain,
     run_real_time,
     run_rolling_horizon,
 )
@@ -420,3 +422,53 @@ def test_a_failed_day_holds_only_the_failing_fleet(roll_week, failing):
                 dataclasses.replace(u, hours_on0=24.0, hours_off0=24.0) for u in seen[mode, day]
             )
             assert seen[mode, WEEK[k + 1]] == held
+
+
+def test_rolling_run_equals_a_sequential_join_of_the_two_chains():
+    system = PowerSystem(chaining_portfolio(), 0.0, 600.0, 10000.0)
+    trace = seven_day_trace(step_minutes=60)
+    reports = run_rolling_horizon(system, trace, lookahead_hours=8.0)
+    chains = [list(run_chain(system, trace, mode, lookahead_hours=8.0)) for mode in (MODE_CH, MODE_TA)]
+    expected = []
+    for (label, (_, rt_ch)), (label_ta, (_, rt_ta)) in zip(*chains):
+        assert label_ta == label
+        expected.append((label, rt_ch.cost, rt_ta.cost, cost_delta(rt_ch.cost, rt_ta.cost),
+                         generation_shares(rt_ch, system), generation_shares(rt_ta, system), ""))
+    got = [(r.date, r.c_ch, r.c_ta, r.delta_pct, r.shares_ch, r.shares_ta, r.warning) for r in reports]
+    assert [r[0] for r in got] == WEEK
+    assert got == expected  # every field but the solve times
+
+
+def fail_in_ta_mode(monkeypatch):
+    """Make run_one_mode raise KeyError in TA mode; returns the threads it ran on."""
+    real = simulation.run_one_mode
+    threads = {}
+
+    def run_one_mode(system, window, mode, *args):
+        threads[mode] = threading.get_ident()
+        if mode == MODE_TA:
+            raise KeyError("unexpected")
+        return real(system, window, mode, *args)
+
+    monkeypatch.setattr(simulation, "run_one_mode", run_one_mode)
+    return threads
+
+
+def test_an_unexpected_error_in_the_ta_mode_propagates_from_compare_day(monkeypatch):
+    threads = fail_in_ta_mode(monkeypatch)
+    system, series = illustrative_case()
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="unexpected"):
+        compare_day(system, series, "example")
+    assert threading.active_count() == before
+    assert threads[MODE_CH] == threading.get_ident() != threads[MODE_TA]
+
+
+def test_an_unexpected_error_in_the_ta_mode_propagates_from_a_rolling_run(monkeypatch):
+    threads = fail_in_ta_mode(monkeypatch)
+    system = PowerSystem(chaining_portfolio(), 0.0, 600.0, 10000.0)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="unexpected"):
+        run_rolling_horizon(system, seven_day_trace(step_minutes=60), lookahead_hours=8.0)
+    assert threading.active_count() == before
+    assert threads[MODE_CH] == threading.get_ident() != threads[MODE_TA]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from helpers import periods_from, random_small_instance, two_unit_fixture, uc_instances, unit
 from oracle import (
@@ -336,6 +337,58 @@ def test_array_audit_agrees_with_reference_audit(instance, data):
     want = reference_check_solution(reference, values)
     assert bool(got) == bool(want)
     assert _flagged(got) == _flagged(want)
+
+
+UNFOLDED_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(uc_instances())
+def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
+    """HiGHS on the free columns, with the fixed ones folded into the row
+    bounds and the offset, solves the same problem as HiGHS on the whole model."""
+    model = build_uc_model(*instance)
+    fixed = model.lb == model.ub
+    assume(fixed.any())
+    folded = solve(model)
+    whole = milp(c=model.c, constraints=LinearConstraint(model.matrix, model.row_lb, model.row_ub),
+                 integrality=model.integrality, bounds=Bounds(model.lb, model.ub),
+                 options={"presolve": True, "mip_rel_gap": 0.0})
+    assert folded.status == UNFOLDED_STATUS[whole.status]
+    if folded.status != "optimal":
+        return
+    offset = model.objective_offset
+    assert folded.objective == pytest.approx(whole.fun + offset, rel=1e-9, abs=1e-9)
+    assert folded.dual_bound == pytest.approx(whole.mip_dual_bound + offset, rel=1e-9, abs=1e-9)
+    assert np.array_equal(folded.x[fixed], model.lb[fixed])
+
+
+def test_a_model_with_every_column_fixed_skips_highs_but_not_the_audit(monkeypatch):
+    def no_milp(*args, **kwargs):
+        raise AssertionError("milp called on a model with no free column")
+
+    monkeypatch.setattr("tauc.solver.milp", no_milp)
+    variables = (Variable("p", 40.0, 40.0), Variable("u", 1.0, 1.0, binary=True))
+    cap = Row("cap", {"p": 1.0, "u": -50.0}, "<=", 0.0)
+    res = solve(model_from_rows(variables, (cap,), {"p": 3.0, "u": 25.0}, objective_offset=7.0))
+    assert res.status == "optimal"
+    assert res.objective == res.dual_bound == 3.0 * 40.0 + 25.0 + 7.0
+    assert res.node_count == 0 and res.gap == 0.0
+    assert res.x.tolist() == [40.0, 1.0]
+    # the fixed point still goes through the audit
+    floor = Row("floor", {"p": 1.0}, ">=", 45.0)
+    res = solve(model_from_rows(variables, (cap, floor), {"p": 3.0}))
+    assert res.status == "error"
+    assert "floor" in res.message
+
+
+def test_a_model_whose_binaries_are_all_fixed_keeps_its_mip_figures():
+    variables = (Variable("p", 0.0, 50.0), Variable("u", 1.0, 1.0, binary=True))
+    rows = (Row("cap", {"p": 1.0, "u": -50.0}, "<=", 0.0), Row("floor", {"p": 1.0}, ">=", 30.0))
+    res = solve(model_from_rows(variables, rows, {"p": 3.0, "u": 25.0}))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(3.0 * 30.0 + 25.0, rel=1e-12)
+    assert res.dual_bound == res.objective and res.gap == 0.0 and res.node_count == 0
 
 
 def test_solution_keeps_node_count_and_dual_bound():
