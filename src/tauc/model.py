@@ -460,8 +460,11 @@ def build_uc_model(
 
     Each unit's ramp limits and minimum-time counts are rescaled to the
     period durations (effective_ramp_limits, effective_min_times). Each row
-    family is written with index arrays over (unit, period). fixings maps
-    variable names to frozen values and is applied as equality bounds.
+    family is written with index arrays over (unit, period). su counts
+    start-ups (su_t >= u_t - u_{t-1}, priced at the unit's startup_cost); a
+    unit whose start-ups are free has its su columns pinned to 0 and no
+    start-up rows. fixings maps variable names to frozen values and is
+    applied as equality bounds.
     Rows with no term on a free column are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -490,7 +493,9 @@ def build_uc_model(
     ub = np.empty(n)
     ub[s_u] = 1.0
     ub[s_pg] = np.repeat([unit.pmax for unit in units], nt)
-    ub[s_su] = math.inf
+    # a start-up indicator per unit and period, pinned to 0 when start-ups are free
+    su_cost = np.array([unit.startup_cost for unit in units], dtype=float)
+    ub[s_su] = np.repeat(np.where(su_cost > 0, math.inf, 0.0), nt)
     ub[s_pw] = np.array([p.wind_cf for p in periods]) * system.wind_capacity
     ub[s_ps] = np.array([p.solar_cf for p in periods]) * system.solar_capacity
     ub[s_pd] = demand
@@ -499,7 +504,7 @@ def build_uc_model(
 
     c = np.zeros(n)
     c[s_pg] = (np.array([unit.marginal_cost for unit in units], dtype=float)[:, None] * d).ravel()
-    c[s_su] = 1.0
+    c[s_su] = np.repeat(su_cost, nt)
     c[s_pd] = -system.load_shed_cost * d
     objective_order = np.concatenate((np.stack((pg, su), axis=2).ravel(), pd))
     objective_order = objective_order[c[objective_order] != 0.0]
@@ -521,11 +526,12 @@ def build_uc_model(
                  np.tile([0.0, -math.inf], nt), np.tile([math.inf, 0.0], nt),
                  (pair, np.repeat(pgg, 2), 1.0),
                  (pair, np.repeat(ug, 2), np.tile([-unit.pmin, -unit.pmax], nt)))
-        # start-up cost recovery
-        lo = np.zeros(nt)
-        lo[0] = -unit.startup_cost * unit.u0
-        rows.add([f"sucost_{uid}"], np.zeros(nt, dtype=int), tt, lo, math.inf,
-                 (loc, su[g], 1.0), (loc, ug, -unit.startup_cost), (loc[1:], ug[:-1], unit.startup_cost))
+        # start-up indicators, su_t >= u_t - u_{t-1}; none for free start-ups
+        if unit.startup_cost > 0:
+            lo = np.zeros(nt)
+            lo[0] = -unit.u0
+            rows.add([f"sucost_{uid}"], np.zeros(nt, dtype=int), tt, lo, math.inf,
+                     (loc, su[g], 1.0), (loc, ug, -1.0), (loc[1:], ug[:-1], 1.0))
         # ramping, skipped entirely for rate-unlimited units (rows are vacuous
         # once every limit clamps to pmax); rampup and rampdn alternate by period
         emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
@@ -686,8 +692,10 @@ class Schedule:
     """Solved operating plan on one grid, in physical quantities.
 
     Unit-indexed arrays follow the system's unit order; column t is period
-    t+1. shed and spill entries are derived from the balance variables and
-    clamped of numerical dust (they are asserted nonnegative to 1e-6 first).
+    t+1. startup_cost is in euros: the start-up count times the unit's
+    start-up cost. shed and spill entries are derived from the balance
+    variables and clamped of numerical dust (they are asserted nonnegative
+    to 1e-6 first).
     """
 
     commitment: np.ndarray
@@ -719,7 +727,8 @@ def extract_schedule(
         raise ValueError(f"{u_name(system.units[g].unit_id, t + 1)} is not integral: {u[g, t]}")
     commitment = rounded.astype(int)
     dispatch = x[s_pg].reshape(ng, nt).copy()
-    startup = x[s_su].reshape(ng, nt).copy()
+    su_cost = np.array([unit.startup_cost for unit in system.units], dtype=float)
+    startup = x[s_su].reshape(ng, nt) * su_cost[:, None]
     p_wind, p_solar, p_served = x[s_pw], x[s_ps], x[s_pd]
     demand = np.array([p.demand_mw for p in periods])
     wind_avail = np.array([p.wind_cf for p in periods]) * system.wind_capacity

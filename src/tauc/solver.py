@@ -9,8 +9,9 @@ backend so operators can redirect solves without touching code.
 
 Every answer, regardless of backend, is audited before it is returned:
 binaries are snapped to integers, bounds and rows are re-checked against the
-model with an independent residual test, and the objective is recomputed from
-the returned point. A backend can therefore be wrong but not quietly wrong.
+model with an independent residual test, the accepted point is clipped onto
+its column bounds, and the objective is recomputed from it. A backend can
+therefore be wrong but not quietly wrong.
 """
 from __future__ import annotations
 
@@ -40,8 +41,12 @@ class BackendConfig:
     backend: "auto" (in-process HiGHS) or a path to an external solver
     executable. The TAUC_SOLVER environment variable, when set, wins over
     this field.
-    gap is the relative MIP gap target. threads is forwarded to external
-    backends via TAUC_THREADS; the in-process backend ignores it.
+    gap is the relative MIP gap target. The in-process HiGHS applies it to
+    its own objective, which lacks the objective offset (the price of
+    shedding all demand) and is mostly far larger in magnitude than the
+    cost, so it may stop with a gap on the cost above gap; MipSolution.gap
+    reports the gap on the cost. threads is forwarded to external backends
+    via TAUC_THREADS; the in-process backend ignores it.
     """
 
     backend: str = "auto"
@@ -55,9 +60,10 @@ class MipSolution:
     """What a solve returns.
 
     x holds one value per model column, in column order, when the backend
-    returned a point. node_count and dual_bound come from the in-process
-    backend, which may finish in presolve with 0 nodes; dual_bound includes
-    the objective offset, like objective.
+    returned a point. gap, node_count and dual_bound come from the
+    in-process backend, which may finish in presolve with 0 nodes;
+    dual_bound includes the objective offset, like objective, and gap is
+    max(0, objective - dual_bound) / max(1, |objective|).
     """
 
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded" | "error"
@@ -96,6 +102,9 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     if problems:
         return replace(raw, status="error", wall_time=wall,
                        message="solution failed verification: " + problems[0])
+    # what passed the audit within its tolerance lands exactly on the bounds,
+    # so a fixing taken from it is never out of bounds
+    x = np.clip(x, model.lb, model.ub)
     objective = float(model.c @ x) + model.objective_offset
     return replace(raw, objective=objective, x=x, wall_time=wall)
 
@@ -201,11 +210,12 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
         # every binary was fixed, so HiGHS solved an LP and reports no MIP
         # figures; an LP optimum is its own bound, found without branching
         return MipSolution(status, objective, x, 0.0, 0.0, str(res.message), 0, objective)
-    gap = getattr(res, "mip_gap", None)
-    gap = float(gap) if gap is not None and solved else None
     nodes = getattr(res, "mip_node_count", None)
     bound = getattr(res, "mip_dual_bound", None)
     bound = float(bound) + offset if bound is not None and solved else None
+    # HiGHS's own mip_gap is relative to its offset-free objective, which can
+    # be far larger than the cost; measure the gap on the cost instead
+    gap = None if bound is None else max(0.0, objective - bound) / max(1.0, abs(objective))
     return MipSolution(status, objective, x, gap, 0.0, str(res.message),
                        None if nodes is None else int(nodes), bound)
 

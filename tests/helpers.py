@@ -87,21 +87,17 @@ def conventional_hourly_model(system: PowerSystem, periods):
         for t in range(1, nt + 1):
             put(f"onmin_{g}_{t}", {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": -u.pmin}, ">=", 0.0)
             put(f"onmax_{g}_{t}", {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": -u.pmax}, "<=", 0.0)
-        for t in range(1, nt + 1):
-            if t == 1:
-                put(
-                    f"sucost_{g}_{t}",
-                    {f"su_{g}_{t}": 1.0, f"u_{g}_{t}": -u.startup_cost},
-                    ">=",
-                    -u.startup_cost * u.u0,
-                )
-            else:
-                put(
-                    f"sucost_{g}_{t}",
-                    {f"su_{g}_{t}": 1.0, f"u_{g}_{t}": -u.startup_cost, f"u_{g}_{t-1}": u.startup_cost},
-                    ">=",
-                    0.0,
-                )
+        if u.startup_cost != 0.0:  # free start-ups need no indicator rows
+            for t in range(1, nt + 1):
+                if t == 1:
+                    put(f"sucost_{g}_{t}", {f"su_{g}_{t}": 1.0, f"u_{g}_{t}": -1.0}, ">=", float(-u.u0))
+                else:
+                    put(
+                        f"sucost_{g}_{t}",
+                        {f"su_{g}_{t}": 1.0, f"u_{g}_{t}": -1.0, f"u_{g}_{t-1}": 1.0},
+                        ">=",
+                        0.0,
+                    )
         emit_up = u.ramp_up is not None or u.startup_ramp is not None
         emit_dn = u.ramp_down is not None or u.shutdown_ramp is not None
         for t in range(1, nt + 1):
@@ -206,7 +202,8 @@ def conventional_hourly_model(system: PowerSystem, periods):
         for t in range(1, nt + 1):
             if u.marginal_cost != 0.0:
                 objective[f"pg_{u.unit_id}_{t}"] = u.marginal_cost
-            objective[f"su_{u.unit_id}_{t}"] = 1.0
+            if u.startup_cost != 0.0:
+                objective[f"su_{u.unit_id}_{t}"] = u.startup_cost
     for t, p in enumerate(periods, start=1):
         objective[f"pd_{t}"] = -system.load_shed_cost
         offset += system.load_shed_cost * p.demand_mw

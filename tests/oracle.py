@@ -560,7 +560,8 @@ def reference_build_uc_model(
     for unit in system.units:
         variables.extend(Variable(pg_name(unit.unit_id, t), 0.0, unit.pmax) for t in range(1, nt + 1))
     for unit in system.units:
-        variables.extend(Variable(su_name(unit.unit_id, t), 0.0, math.inf) for t in range(1, nt + 1))
+        su_ub = math.inf if unit.startup_cost > 0 else 0.0
+        variables.extend(Variable(su_name(unit.unit_id, t), 0.0, su_ub) for t in range(1, nt + 1))
     variables.extend(
         Variable(pw_name(t), 0.0, periods[t - 1].wind_cf * system.wind_capacity) for t in range(1, nt + 1)
     )
@@ -591,16 +592,17 @@ def reference_build_uc_model(
             coeffs = {pg_name(uid, t): 1.0}
             _add(coeffs, u_name(uid, t), -unit.pmax)
             rows.append(Row(f"onmax_{uid}_{t}", coeffs, "<=", 0.0))
-        # start-up cost recovery
-        for t in range(1, nt + 1):
-            coeffs = {su_name(uid, t): 1.0}
-            rhs = 0.0
-            _add(coeffs, u_name(uid, t), -unit.startup_cost)
-            if t > 1:
-                _add(coeffs, u_name(uid, t - 1), unit.startup_cost)
-            else:
-                rhs = -unit.startup_cost * unit.u0
-            rows.append(Row(f"sucost_{uid}_{t}", coeffs, ">=", rhs))
+        # start-up indicators, none for a unit whose start-ups are free
+        if unit.startup_cost > 0:
+            for t in range(1, nt + 1):
+                coeffs = {su_name(uid, t): 1.0}
+                rhs = 0.0
+                _add(coeffs, u_name(uid, t), -1.0)
+                if t > 1:
+                    _add(coeffs, u_name(uid, t - 1), 1.0)
+                else:
+                    rhs = float(-unit.u0)
+                rows.append(Row(f"sucost_{uid}_{t}", coeffs, ">=", rhs))
         # ramping, skipped entirely for rate-unlimited units (rows are vacuous
         # once every limit clamps to pmax)
         emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
@@ -690,7 +692,7 @@ def reference_build_uc_model(
     for unit in system.units:
         for t in range(1, nt + 1):
             _add(objective, pg_name(unit.unit_id, t), unit.marginal_cost * d[t - 1])
-            _add(objective, su_name(unit.unit_id, t), 1.0)
+            _add(objective, su_name(unit.unit_id, t), unit.startup_cost)
     for t in range(1, nt + 1):
         _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
         offset += system.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw

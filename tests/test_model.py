@@ -1,9 +1,11 @@
 """Model-builder behaviour: effective parameters, constraint families, extraction."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from helpers import (
     conventional_hourly_model,
@@ -23,6 +25,7 @@ from tauc.model import (
     extract_schedule,
     operating_cost,
 )
+from tauc.solver import solve
 
 G1 = ThermalUnit(
     unit_id="g1",
@@ -168,19 +171,36 @@ def test_build_counts_for_unconstrained_units():
         families.setdefault(row.label.split("_")[0], []).append(row.label)
     assert len(families["bal"]) == 3
     assert len(families["onmin"]) == len(families["onmax"]) == 18
-    assert len(families["sucost"]) == 18
-    # rate-unlimited units with zero minimum times produce no coupling rows
-    assert set(families) == {"bal", "onmin", "onmax", "sucost"}
+    # rate-unlimited units with zero minimum times and free start-ups
+    # produce no coupling rows
+    assert set(families) == {"bal", "onmin", "onmax"}
 
 
 def test_build_objective_prices_energy_and_shedding():
     model = build_uc_model(*_flat_instance())
     assert model.objective["pg_b1_1"] == pytest.approx(10.0 * 2.0)
     assert model.objective["pg_m1_2"] == pytest.approx(30.0 * 0.5)
-    assert model.objective["su_p1_3"] == 1.0
+    # free start-ups are not priced; a priced one costs the unit's start-up cost
+    assert "su_p1_3" not in model.objective
+    assert build_uc_model(*two_unit_fixture()).objective["su_a1_3"] == 500.0
     assert model.objective["pd_1"] == pytest.approx(-100.0 * 2.0)
     # offset prices the full forecast so a zero-shed solution pays energy only
     assert model.objective_offset == pytest.approx(100.0 * (2.0 * 500 + 0.5 * 650 + 0.5 * 850))
+
+
+def test_free_start_ups_get_no_rows_and_pinned_indicators():
+    system, periods = two_unit_fixture()  # a1 pays 500 per start-up, b1 nothing
+    model = build_uc_model(system, periods)
+    labels = [r.label for r in model.constraints]
+    assert not any(l.startswith("sucost_b1") for l in labels)
+    assert sum(l.startswith("sucost_a1") for l in labels) == len(periods)
+    vmap = {v.name: v for v in model.variables}
+    for t in range(1, len(periods) + 1):
+        assert vmap[f"su_b1_{t}"].lb == vmap[f"su_b1_{t}"].ub == 0.0
+        assert (vmap[f"su_a1_{t}"].lb, vmap[f"su_a1_{t}"].ub) == (0.0, math.inf)
+    row = next(r for r in model.constraints if r.label == "sucost_a1_2")
+    assert dict(row.coeffs) == {"su_a1_2": 1.0, "u_a1_2": -1.0, "u_a1_1": 1.0}
+    assert (row.sense, row.rhs) == (">=", 0.0)
 
 
 def test_build_variable_bounds_follow_availability():
@@ -392,3 +412,15 @@ def test_operating_cost_full_and_sliced():
     assert operating_cost(system, periods, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)
     assert operating_cost(system, periods, sched, slice(0, 1)) == pytest.approx(1000.0)
     assert operating_cost(system, periods, sched, slice(1, 2)) == pytest.approx(5500.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uc_instances(fix=False))
+def test_solved_objective_equals_operating_cost_of_the_schedule(instance):
+    """The objective prices a start-up at the unit's start-up cost, exactly
+    as the schedule's startup_cost does, so the two costs agree."""
+    system, periods, _ = instance
+    solved = solve(build_uc_model(system, periods))
+    assume(solved.status == "optimal")  # a unit held at pmin may oversupply
+    schedule = extract_schedule(system, periods, solved.x)
+    assert operating_cost(system, periods, schedule) == pytest.approx(solved.objective, rel=1e-9, abs=1e-9)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import milp
 
 from helpers import duck_day_series, flat_day_series, random_day_series
 from oracle import brute_force_solve
@@ -17,7 +18,7 @@ from test_acceptance import chaining_portfolio, seven_day_trace
 from tauc import simulation
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid, normalize_features
 from tauc.ingestion import LoadedTrace, illustrative_case
-from tauc.model import PowerSystem, build_uc_model
+from tauc.model import PowerSystem, ThermalUnit, build_uc_model
 from tauc.simulation import (
     CSV_COLUMNS,
     MODE_CH,
@@ -472,3 +473,27 @@ def test_an_unexpected_error_in_the_ta_mode_propagates_from_a_rolling_run(monkey
         run_rolling_horizon(system, seven_day_trace(step_minutes=60), lookahead_hours=8.0)
     assert threading.active_count() == before
     assert threads[MODE_CH] == threading.get_ident() != threads[MODE_TA]
+
+
+def test_dispatch_returned_a_hair_below_its_bound_is_snapped_and_the_day_solved(monkeypatch):
+    """HiGHS may return a continuous column a few 1e-9 below its lower bound,
+    inside the audit tolerance; the accepted point lands on the bound, so the
+    plan's base dispatch fixes the real-time model without a complaint."""
+    def noisy_milp(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        if res.x is not None:
+            res.x[(res.x == 0.0) & (kwargs["integrality"] == 0)] = -5e-9
+        return res
+
+    monkeypatch.setattr("tauc.solver.milp", noisy_milp)
+    system = PowerSystem(
+        units=(ThermalUnit("b", "base", 0.0, 100.0, 90.0), ThermalUnit("p", "peak", 0.0, 600.0, 10.0)),
+        wind_capacity=0.0,
+        solar_capacity=0.0,
+        load_shed_cost=1000.0,
+    )
+    series = flat_day_series(step_minutes=60, hours=24.0, demand=500.0)
+    plan = run_day_ahead(system, series, MODE_CH)
+    assert np.all(plan.dispatch[0] == 0.0)  # the base unit is too dear to run
+    reports = run_rolling_horizon(system, make_trace(series, datetime(2023, 6, 5, tzinfo=timezone.utc)), 0.0)
+    assert [(r.date, r.warning) for r in reports] == [("2023-06-05", "")]

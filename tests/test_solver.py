@@ -401,6 +401,24 @@ def test_solution_keeps_node_count_and_dual_bound():
     assert res.dual_bound == pytest.approx(res.objective, rel=1e-6)
 
 
+def test_gap_is_measured_on_the_cost_not_on_highs_objective(monkeypatch):
+    """HiGHS's mip_gap is relative to its objective without the offset, which
+    is far larger in magnitude than the cost; the reported gap is on the cost."""
+    def loose_milp(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        res.mip_dual_bound = res.fun - 30.0  # a bound 30 below the incumbent
+        res.mip_gap = 30.0 / abs(res.fun)  # HiGHS's view of the same gap
+        return res
+
+    monkeypatch.setattr("tauc.solver.milp", loose_milp)
+    model = build_uc_model(*two_unit_fixture())
+    res = solve(model)
+    assert res.status == "optimal"
+    assert abs(res.objective) < 0.1 * model.objective_offset  # the offset dominates HiGHS's objective
+    assert res.dual_bound == pytest.approx(res.objective - 30.0, rel=1e-12)
+    assert res.gap == pytest.approx(30.0 / res.objective, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive oracle vs in-process backend
 
