@@ -12,6 +12,7 @@ installed as the ``tauc`` executable.
 from .aggregation import (
     FeatureMatrix,
     HiResSeries,
+    ReducedSeries,
     TimeGrid,
     cluster_adjacent,
     hourly_grid,
@@ -30,6 +31,7 @@ from .ingestion import (
     write_timeseries,
 )
 from .model import (
+    Fixings,
     PowerSystem,
     Schedule,
     ThermalUnit,
@@ -59,11 +61,13 @@ __all__ = [
     "ComparisonReport",
     "DayAheadPlan",
     "FeatureMatrix",
+    "Fixings",
     "HiResSeries",
     "LoadedTrace",
     "MipSolution",
     "PowerSystem",
     "RealTimeResult",
+    "ReducedSeries",
     "ScenarioConfig",
     "Schedule",
     "ThermalUnit",

@@ -128,14 +128,17 @@ class TimeGrid:
         return np.array(self.member_counts, dtype=float) * self.step_minutes / 60.0
 
 
-@dataclass(frozen=True)
-class ReducedPeriod:
-    """One period of a reduced series: duration plus member-mean data."""
+@dataclass(frozen=True, eq=False)
+class ReducedSeries:
+    """A window on a grid: per-period durations (hours) and member means."""
 
-    duration_h: float
-    demand_mw: float
-    wind_cf: float
-    solar_cf: float
+    duration_h: np.ndarray
+    demand_mw: np.ndarray
+    wind_cf: np.ndarray
+    solar_cf: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.duration_h)
 
 
 def normalize_features(
@@ -258,20 +261,23 @@ def singleton_grid(n_points: int, step_minutes: int) -> TimeGrid:
     return TimeGrid(tuple((i, i + 1) for i in range(n_points)), step_minutes)
 
 
-def reduce_series(series: HiResSeries, grid: TimeGrid) -> tuple[ReducedPeriod, ...]:
-    """Collapse a window onto a grid by per-period arithmetic means."""
+def reduce_series(series: HiResSeries, grid: TimeGrid) -> ReducedSeries:
+    """Collapse a window onto a grid by per-period arithmetic means.
+
+    Periods of k members are averaged as rows of one (periods, k) gather per
+    quantity: arr[a:b].mean() bit for bit, which a 3-D gather is not.
+    """
     if grid.cluster_bounds[-1][1] != series.n_points:
         raise ValueError("grid does not cover the series")
     if grid.step_minutes != series.step_minutes:
         raise ValueError("grid and series disagree on the sampling step")
-    out = []
-    for (a, b), dur in zip(grid.cluster_bounds, grid.durations):
-        out.append(
-            ReducedPeriod(
-                duration_h=float(dur),
-                demand_mw=float(series.demand[a:b].mean()),
-                wind_cf=float(series.wind_cf[a:b].mean()),
-                solar_cf=float(series.solar_cf[a:b].mean()),
-            )
-        )
-    return tuple(out)
+    starts, stops = np.array(grid.cluster_bounds).T
+    counts = stops - starts
+    data = (series.demand, series.wind_cf, series.solar_cf)
+    means = [np.empty(len(starts)) for _ in data]
+    for k in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == k)
+        members = starts[sel, None] + np.arange(k)
+        for arr, out in zip(data, means):
+            out[sel] = arr[members].mean(axis=1)
+    return ReducedSeries(grid.durations, *means)

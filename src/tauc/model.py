@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .aggregation import ReducedPeriod
+from .aggregation import ReducedSeries
 
 FLEX_CLASSES = ("base", "medium", "peak")
 
@@ -118,13 +118,11 @@ class PowerSystem:
         return dataclasses.replace(self, units=tuple(units))
 
 
-def period_durations(periods: Sequence[ReducedPeriod]) -> np.ndarray:
+def period_durations(periods: ReducedSeries) -> np.ndarray:
     """Durations in hours of a window's periods, which must be nonempty and positive."""
-    if not periods:
-        raise ValueError("a window needs at least one period")
-    d = np.array([p.duration_h for p in periods])
-    if np.any(d <= 0):
-        raise ValueError("period durations must be positive")
+    d = periods.duration_h
+    if len(d) == 0 or np.any(d <= 0):
+        raise ValueError("a window needs at least one period, and period durations must be positive")
     return d
 
 
@@ -395,12 +393,16 @@ class UcModel:
         return dict(zip((self.col_names[j] for j in order), self.c[order].tolist()))
 
 
-def u_name(unit_id: str, t: int) -> str:
-    return f"u_{unit_id}_{t}"
+@dataclass(frozen=True, eq=False)
+class Fixings:
+    """Frozen values of a model's u and pg columns.
 
+    commitment and dispatch are (units, periods) arrays in the system's unit
+    order, column t being period t+1; NaN leaves a column free.
+    """
 
-def pg_name(unit_id: str, t: int) -> str:
-    return f"pg_{unit_id}_{t}"
+    commitment: np.ndarray
+    dispatch: np.ndarray
 
 
 def _blocks(n_units: int, nt: int) -> tuple[slice, ...]:
@@ -453,8 +455,8 @@ class _RowWriter:
 
 def build_uc_model(
     system: PowerSystem,
-    periods: Sequence[ReducedPeriod],
-    fixings: Mapping[str, float] | None = None,
+    periods: ReducedSeries,
+    fixings: Fixings | None = None,
 ) -> UcModel:
     """Build the commitment MILP for one system over one window of periods.
 
@@ -463,8 +465,7 @@ def build_uc_model(
     family is written with index arrays over (unit, period). su counts
     start-ups (su_t >= u_t - u_{t-1}, priced at the unit's startup_cost); a
     unit whose start-ups are free has its su columns pinned to 0 and no
-    start-up rows. fixings maps variable names to frozen values and is
-    applied as equality bounds.
+    start-up rows. fixings freezes u and pg columns through equality bounds.
     Rows with no term on a free column are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -482,7 +483,7 @@ def build_uc_model(
     pw, ps, pd = col[s_pw], col[s_ps], col[s_pd]
     tt = np.arange(1, nt + 1)
     loc = tt - 1  # local row of period t in a one-row-per-period family
-    demand = np.array([p.demand_mw for p in periods])
+    demand = periods.demand_mw
 
     col_names = Names(
         tuple(f"{kind}_{unit.unit_id}" for kind in ("u", "pg", "su") for unit in units) + ("pw", "ps", "pd"),
@@ -496,8 +497,8 @@ def build_uc_model(
     # a start-up indicator per unit and period, pinned to 0 when start-ups are free
     su_cost = np.array([unit.startup_cost for unit in units], dtype=float)
     ub[s_su] = np.repeat(np.where(su_cost > 0, math.inf, 0.0), nt)
-    ub[s_pw] = np.array([p.wind_cf for p in periods]) * system.wind_capacity
-    ub[s_ps] = np.array([p.solar_cf for p in periods]) * system.solar_capacity
+    ub[s_pw] = periods.wind_cf * system.wind_capacity
+    ub[s_ps] = periods.solar_cf * system.solar_capacity
     ub[s_pd] = demand
     integrality = np.zeros(n, dtype=np.uint8)
     integrality[s_u] = 1
@@ -574,8 +575,8 @@ def build_uc_model(
     r, cols, vals, which, t, row_lb, row_ub = rows.arrays()
     row_names = Names(tuple(rows.stems), which, t)
 
-    if fixings:
-        _apply_fixings(fixings, col_names, integrality, lb, ub)
+    if fixings is not None:
+        _apply_fixings(fixings, (ng, nt), col_names, integrality, lb, ub)
 
     # a row with no term on a free column is a constant: drop it, and report
     # by how much the frozen values violate it
@@ -591,9 +592,9 @@ def build_uc_model(
             np.abs(value - lo),
             np.where(hi == math.inf, np.maximum(0.0, lo - value), np.maximum(0.0, value - hi)),
         )
-        pruned = tuple(
-            (row_names[i], float(x)) for i, x in zip(np.flatnonzero(drop), violation) if x > 1e-6
-        )
+        violated = violation > 1e-6
+        pruned = tuple(zip(map(row_names.__getitem__, np.flatnonzero(drop)[violated].tolist()),
+                           violation[violated].tolist()))
         keep = ~drop
         on_kept = keep[r]
         r = (np.cumsum(keep) - 1)[r[on_kept]]
@@ -618,34 +619,33 @@ def build_uc_model(
     )
 
 
-def _apply_fixings(fixings: Mapping[str, float], col_names: Names, integrality: np.ndarray,
-                   lb: np.ndarray, ub: np.ndarray) -> None:
-    """Narrow the bounds of each named column to its fixed value.
+def _apply_fixings(fixings: Fixings, shape: tuple[int, int], col_names: Names,
+                   integrality: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
+    """Narrow the bounds of each fixed u and pg column to its value.
 
     Binary values must be 0 or 1 (to 1e-9) and are rounded; every value must
-    lie within the column's bounds (to 1e-9). The first fixing, in mapping
+    lie within the column's bounds (to 1e-9). The first fixing, in column
     order, that breaks a rule raises.
     """
-    names = list(fixings)
-    j = col_names.positions(names)
-    given = np.array([fixings[name] for name in names], dtype=float)
-    known = j >= 0
-    jj = np.where(known, j, 0)
-    binary = known & (integrality[jj] == 1)
+    for name, given in (("commitment", fixings.commitment), ("dispatch", fixings.dispatch)):
+        if np.shape(given) != shape:
+            raise ValueError(f"{name} fixings have shape {np.shape(given)}, the model {shape}")
+    # the u and pg blocks are the model's first columns, unit-major like the arrays
+    given = np.concatenate((fixings.commitment, fixings.dispatch), axis=None)
+    j = np.flatnonzero(~np.isnan(given))
+    given = given[j]
+    binary = integrality[j] == 1
     rounded = np.round(given)
     not_binary = binary & ((np.abs(given - rounded) > 1e-9) | ((rounded != 0.0) & (rounded != 1.0)))
     value = np.where(binary, rounded, given)
-    inside = (lb[jj] - 1e-9 <= value) & (value <= ub[jj] + 1e-9)
-    bad = ~known | not_binary | ~inside
+    inside = (lb[j] - 1e-9 <= value) & (value <= ub[j] + 1e-9)
+    bad = not_binary | ~inside
     if bad.any():
         i = int(np.argmax(bad))
-        name = names[i]
-        if not known[i]:
-            raise KeyError(f"cannot fix unknown variable {name!r}")
+        name = col_names[j[i]]
         if not_binary[i]:
-            raise ValueError(f"{name}: binary fixing must be 0 or 1, got {fixings[name]}")
-        shown = float(value[i]) if binary[i] else fixings[name]
-        raise ValueError(f"{name}: fixing {shown} outside bounds [{lb[j[i]]}, {ub[j[i]]}]")
+            raise ValueError(f"{name}: binary fixing must be 0 or 1, got {given[i]}")
+        raise ValueError(f"{name}: fixing {value[i]} outside bounds [{lb[j[i]]}, {ub[j[i]]}]")
     lb[j] = value
     ub[j] = value
 
@@ -709,10 +709,8 @@ class Schedule:
     solar_spill: np.ndarray
 
 
-def extract_schedule(
-    system: PowerSystem, periods: Sequence[ReducedPeriod], x: np.ndarray
-) -> Schedule:
-    """Turn a solution vector of the model built on (system, periods) into a Schedule."""
+def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray) -> Schedule:
+    """The Schedule of a solution x of the model built on (system, periods); an off unit dispatches 0."""
     nt = len(periods)
     ng = len(system.units)
     s_u, s_pg, s_su, s_pw, s_ps, s_pd = _blocks(ng, nt)
@@ -724,18 +722,15 @@ def extract_schedule(
     off = np.abs(u - rounded) > 1e-6
     if off.any():
         g, t = np.argwhere(off)[0]
-        raise ValueError(f"{u_name(system.units[g].unit_id, t + 1)} is not integral: {u[g, t]}")
+        raise ValueError(f"u_{system.units[g].unit_id}_{t + 1} is not integral: {u[g, t]}")
     commitment = rounded.astype(int)
-    dispatch = x[s_pg].reshape(ng, nt).copy()
+    dispatch = np.where(commitment == 1, x[s_pg].reshape(ng, nt), 0.0)
     su_cost = np.array([unit.startup_cost for unit in system.units], dtype=float)
     startup = x[s_su].reshape(ng, nt) * su_cost[:, None]
     p_wind, p_solar, p_served = x[s_pw], x[s_ps], x[s_pd]
-    demand = np.array([p.demand_mw for p in periods])
-    wind_avail = np.array([p.wind_cf for p in periods]) * system.wind_capacity
-    solar_avail = np.array([p.solar_cf for p in periods]) * system.solar_capacity
-    shed = demand - p_served
-    wind_spill = wind_avail - p_wind
-    solar_spill = solar_avail - p_solar
+    shed = periods.demand_mw - p_served
+    wind_spill = periods.wind_cf * system.wind_capacity - p_wind
+    solar_spill = periods.solar_cf * system.solar_capacity - p_solar
     for name, arr in (("shed", shed), ("wind spill", wind_spill), ("solar spill", solar_spill)):
         if np.any(arr < -1e-6):
             raise ValueError(f"negative {name} of {arr.min():g} MW in solution")
@@ -754,7 +749,7 @@ def extract_schedule(
 
 def operating_cost(
     system: PowerSystem,
-    periods: Sequence[ReducedPeriod],
+    periods: ReducedSeries,
     schedule: Schedule,
     span: slice | None = None,
 ) -> float:

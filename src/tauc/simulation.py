@@ -39,14 +39,13 @@ from .aggregation import (
 )
 from .ingestion import LoadedTrace
 from .model import (
+    Fixings,
     PowerSystem,
     Schedule,
     ThermalUnit,
     build_uc_model,
     extract_schedule,
     operating_cost,
-    pg_name,
-    u_name,
 )
 from .solver import BackendConfig, solve
 
@@ -155,31 +154,22 @@ def run_day_ahead(
 
 def fix_from_plan(
     plan: DayAheadPlan, units: tuple[ThermalUnit, ...], n_hi_periods: int
-) -> dict[str, float]:
+) -> Fixings:
     """Freeze plan decisions onto the high-resolution grid, by flexibility.
 
     Base units carry commitment and dispatch into every member period,
     medium units carry commitment only, peak units nothing. Sample index i
     of the window is high-resolution period i+1.
     """
-    covered = plan.grid.cluster_bounds[-1][1]
-    if n_hi_periods > covered:
-        raise ValueError(
-            f"plan covers {covered} high-resolution periods, window has {n_hi_periods}"
-        )
-    owner = np.empty(covered, dtype=int)
-    for k, (a, b) in enumerate(plan.grid.cluster_bounds):
-        owner[a:b] = k
-    fixings: dict[str, float] = {}
-    for i, unit in enumerate(units):
-        if unit.flex_class == "peak":
-            continue
-        for t in range(1, n_hi_periods + 1):
-            k = owner[t - 1]
-            fixings[u_name(unit.unit_id, t)] = float(plan.commitment[i, k])
-            if unit.flex_class == "base":
-                fixings[pg_name(unit.unit_id, t)] = float(plan.dispatch[i, k])
-    return fixings
+    owner = np.repeat(np.arange(plan.grid.n_periods), plan.grid.member_counts)
+    if n_hi_periods > len(owner):
+        raise ValueError(f"plan covers {len(owner)} high-resolution periods, window has {n_hi_periods}")
+    owner = owner[:n_hi_periods]
+    flex = np.array([unit.flex_class for unit in units])[:, None]
+    return Fixings(
+        commitment=np.where(flex != "peak", plan.commitment[:, owner], np.nan),
+        dispatch=np.where(flex == "base", plan.dispatch[:, owner], np.nan),
+    )
 
 
 def _next_units(
@@ -215,7 +205,7 @@ def _held_units(units: tuple[ThermalUnit, ...]) -> tuple[ThermalUnit, ...]:
 def run_real_time(
     system: PowerSystem,
     series: HiResSeries,
-    fixings: dict[str, float],
+    fixings: Fixings | None,
     config: BackendConfig | None = None,
     label: str = "window",
 ) -> RealTimeResult:
@@ -223,6 +213,7 @@ def run_real_time(
 
     The model keeps the load-shed slack, so this stays feasible for any
     plan; rows fully pinned by fixings are dropped rather than enforced.
+    fixings None leaves every column free.
     """
     grid = singleton_grid(series.n_points, series.step_minutes)
     periods = reduce_series(series, grid)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from tauc.aggregation import HiResSeries, ReducedPeriod
-from tauc.model import PowerSystem, ThermalUnit
+from tauc.aggregation import HiResSeries, ReducedSeries
+from tauc.model import Fixings, PowerSystem, ThermalUnit
 
 
 def unit(uid: str, flex: str, pmin: float, pmax: float, cost: float, **kw) -> ThermalUnit:
@@ -16,17 +16,39 @@ def unit(uid: str, flex: str, pmin: float, pmax: float, cost: float, **kw) -> Th
     )
 
 
-def periods_from(durations, demand, wind_cf=None, solar_cf=None) -> tuple[ReducedPeriod, ...]:
+def periods_from(durations, demand, wind_cf=None, solar_cf=None) -> ReducedSeries:
     n = len(durations)
     wind_cf = wind_cf if wind_cf is not None else [0.0] * n
     solar_cf = solar_cf if solar_cf is not None else [0.0] * n
-    return tuple(
-        ReducedPeriod(duration_h=float(d), demand_mw=float(p), wind_cf=float(w), solar_cf=float(s))
-        for d, p, w, s in zip(durations, demand, wind_cf, solar_cf)
-    )
+    return ReducedSeries(*(np.array(v, dtype=float) for v in (durations, demand, wind_cf, solar_cf)))
 
 
-def two_unit_fixture() -> tuple[PowerSystem, tuple[ReducedPeriod, ...]]:
+def fixings_from(system: PowerSystem, n_periods: int, named: dict[str, float]) -> Fixings:
+    """Fixings from name-keyed values ("u_<unit>_<t>", "pg_<unit>_<t>")."""
+    arrays = {kind: np.full((len(system.units), n_periods), np.nan) for kind in ("u", "pg")}
+    for g, unit_ in enumerate(system.units):
+        for t in range(1, n_periods + 1):
+            for kind, values in arrays.items():
+                values[g, t - 1] = named.get(f"{kind}_{unit_.unit_id}_{t}", np.nan)
+    return Fixings(commitment=arrays["u"], dispatch=arrays["pg"])
+
+
+def fixing_names(system: PowerSystem, fixings: Fixings | None) -> dict[str, float]:
+    """The name-keyed form of fixings that the reference builder takes, unit by
+    unit and period by period (u before pg); NaN entries are left out."""
+    named: dict[str, float] = {}
+    if fixings is None:
+        return named
+    for g, unit_ in enumerate(system.units):
+        for t, (on, p) in enumerate(zip(fixings.commitment[g], fixings.dispatch[g]), start=1):
+            if not math.isnan(on):
+                named[f"u_{unit_.unit_id}_{t}"] = float(on)
+            if not math.isnan(p):
+                named[f"pg_{unit_.unit_id}_{t}"] = float(p)
+    return named
+
+
+def two_unit_fixture() -> tuple[PowerSystem, ReducedSeries]:
     """2 units x 4 hourly periods with ramps and minimum times on one unit."""
     a = unit(
         "a1", "base", 100.0, 250.0, 20.0,
@@ -56,7 +78,7 @@ def conventional_hourly_model(system: PowerSystem, periods):
     (rows map, objective dict, offset) in the production label convention.
     """
     nt = len(periods)
-    assert all(p.duration_h == 1.0 for p in periods), "hourly oracle needs 1 h periods"
+    assert np.all(periods.duration_h == 1.0), "hourly oracle needs 1 h periods"
     tol = 1e-9
     rows: dict[str, tuple[dict, str, float]] = {}
 
@@ -204,9 +226,9 @@ def conventional_hourly_model(system: PowerSystem, periods):
                 objective[f"pg_{u.unit_id}_{t}"] = u.marginal_cost
             if u.startup_cost != 0.0:
                 objective[f"su_{u.unit_id}_{t}"] = u.startup_cost
-    for t, p in enumerate(periods, start=1):
+    for t, demand in enumerate(periods.demand_mw.tolist(), start=1):
         objective[f"pd_{t}"] = -system.load_shed_cost
-        offset += system.load_shed_cost * p.demand_mw
+        offset += system.load_shed_cost * demand
 
     rows_canonical = {
         label: (tuple(sorted(coeffs.items())), sense, rhs)
@@ -249,7 +271,7 @@ def duck_day_series(step_minutes: int = 30) -> HiResSeries:
     return HiResSeries(demand=demand, wind_cf=np.zeros(n), solar_cf=solar, step_minutes=step_minutes)
 
 
-def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, tuple[ReducedPeriod, ...]]:
+def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, ReducedSeries]:
     """A random instance small enough for exhaustive verification:
     2-3 units, 3-5 periods, at most 10 commitment binaries."""
     n_units = int(rng.integers(2, 4))
@@ -338,14 +360,17 @@ def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = Tru
         draw(cf),
         draw(cf),
     )
-    fixings = {}
-    for unit_ in units if fix else ():
+    if not fix:
+        return system, periods, None
+    commitment = np.full((len(units), nt), np.nan)
+    dispatch = np.full((len(units), nt), np.nan)
+    for g, unit_ in enumerate(units):
         how = draw(st.sampled_from(["free", "commitment", "dispatch"]))
         if how == "free":
             continue
-        for t in range(1, nt + 1):
+        for t in range(nt):
             on = draw(st.integers(0, 1))
-            fixings[f"u_{unit_.unit_id}_{t}"] = float(on)
+            commitment[g, t] = on
             if how == "dispatch":
-                fixings[f"pg_{unit_.unit_id}_{t}"] = draw(st.sampled_from([unit_.pmin, unit_.pmax])) * on
-    return system, periods, fixings
+                dispatch[g, t] = draw(st.sampled_from([unit_.pmin, unit_.pmax])) * on
+    return system, periods, Fixings(commitment, dispatch)

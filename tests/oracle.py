@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from tauc.aggregation import ReducedPeriod
+from tauc.aggregation import ReducedSeries
 from tauc.model import (
     Names,
     PowerSystem,
@@ -538,7 +538,7 @@ def _add(coeffs: dict[str, float], name: str, value: float) -> None:
 
 def reference_build_uc_model(
     system: PowerSystem,
-    periods: Sequence[ReducedPeriod],
+    periods: ReducedSeries,
     fixings: Mapping[str, float] | None = None,
 ) -> ReferenceModel:
     """Build the commitment MILP for one system over one window of periods.
@@ -563,12 +563,12 @@ def reference_build_uc_model(
         su_ub = math.inf if unit.startup_cost > 0 else 0.0
         variables.extend(Variable(su_name(unit.unit_id, t), 0.0, su_ub) for t in range(1, nt + 1))
     variables.extend(
-        Variable(pw_name(t), 0.0, periods[t - 1].wind_cf * system.wind_capacity) for t in range(1, nt + 1)
+        Variable(pw_name(t), 0.0, periods.wind_cf[t - 1] * system.wind_capacity) for t in range(1, nt + 1)
     )
     variables.extend(
-        Variable(ps_name(t), 0.0, periods[t - 1].solar_cf * system.solar_capacity) for t in range(1, nt + 1)
+        Variable(ps_name(t), 0.0, periods.solar_cf[t - 1] * system.solar_capacity) for t in range(1, nt + 1)
     )
-    variables.extend(Variable(pd_name(t), 0.0, periods[t - 1].demand_mw) for t in range(1, nt + 1))
+    variables.extend(Variable(pd_name(t), 0.0, periods.demand_mw[t - 1]) for t in range(1, nt + 1))
 
     rows: list[Row] = []
     for t in range(1, nt + 1):
@@ -695,7 +695,7 @@ def reference_build_uc_model(
             _add(objective, su_name(unit.unit_id, t), unit.startup_cost)
     for t in range(1, nt + 1):
         _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
-        offset += system.load_shed_cost * d[t - 1] * periods[t - 1].demand_mw
+        offset += system.load_shed_cost * d[t - 1] * periods.demand_mw[t - 1]
 
     if fixings:
         by_name = {v.name: i for i, v in enumerate(variables)}

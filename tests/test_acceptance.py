@@ -165,7 +165,7 @@ def test_criterion_6_property_suite_on_random_days():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         day = random_day_series(rng, step_minutes=60)
-        free = run_real_time(system, day, {})
+        free = run_real_time(system, day, None)
         for mode in (MODE_CH, MODE_TA):
             plan = run_day_ahead(system, day, mode)
             assert abs(float(plan.grid.durations.sum()) - day.horizon_hours) <= 1e-9

@@ -12,7 +12,7 @@ from oracle import quadratic_cluster, ward_distance
 from tauc.aggregation import (
     FeatureMatrix,
     HiResSeries,
-    ReducedPeriod,
+    ReducedSeries,
     TimeGrid,
     cluster_adjacent,
     hourly_grid,
@@ -292,17 +292,51 @@ def test_reduce_series_means_on_clustered_grid():
     feats = normalize_features(series, "net_demand_only", solar_capacity=300.0)
     grid = cluster_adjacent(feats, 3, step_minutes=30)
     periods = reduce_series(series, grid)
-    assert [p.demand_mw for p in periods] == pytest.approx([500.0, 650.0, 850.0])
-    assert [p.solar_cf * 300.0 for p in periods] == pytest.approx([300.0, 200.0, 0.0])
-    assert [p.duration_h for p in periods] == pytest.approx([2.0, 0.5, 0.5])
-    assert all(isinstance(p, ReducedPeriod) for p in periods)
+    assert isinstance(periods, ReducedSeries) and len(periods) == 3
+    assert periods.demand_mw == pytest.approx([500.0, 650.0, 850.0])
+    assert periods.solar_cf * 300.0 == pytest.approx([300.0, 200.0, 0.0])
+    assert periods.duration_h == pytest.approx([2.0, 0.5, 0.5])
 
 
 def test_reduce_series_hourly_merges_pairs():
     series = small_series()
     periods = reduce_series(series, hourly_grid(series.n_points, 30))
-    assert [p.demand_mw for p in periods] == pytest.approx([500.0, 500.0, 750.0])
-    assert [p.solar_cf * 300.0 for p in periods] == pytest.approx([300.0, 300.0, 100.0])
+    assert periods.demand_mw == pytest.approx([500.0, 500.0, 750.0])
+    assert periods.solar_cf * 300.0 == pytest.approx([300.0, 300.0, 100.0])
+
+
+@st.composite
+def series_on_grids(draw):
+    """A random window with a singleton, an hourly or a random uneven grid."""
+    step = draw(st.sampled_from([5, 10, 30]))
+    n = draw(st.integers(1, 20)) * (60 // step)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = HiResSeries(
+        demand=rng.uniform(0.0, 1.0, n) * 10.0 ** draw(st.integers(-3, 5)),
+        wind_cf=rng.uniform(0.0, 1.0, n),
+        solar_cf=rng.uniform(0.0, 1.0, n),
+        step_minutes=step,
+    )
+    kind = draw(st.sampled_from(["singleton", "hourly", "uneven"]))
+    if kind == "singleton":
+        return series, singleton_grid(n, step)
+    if kind == "hourly":
+        return series, hourly_grid(n, step)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    edges = [0, *cuts, n]
+    return series, TimeGrid(tuple(zip(edges[:-1], edges[1:])), step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_on_grids())
+def test_reduce_series_equals_per_slice_means_bit_for_bit(case):
+    series, grid = case
+    periods = reduce_series(series, grid)
+    assert periods.duration_h.tolist() == grid.durations.tolist()
+    for got, arr in ((periods.demand_mw, series.demand), (periods.wind_cf, series.wind_cf),
+                     (periods.solar_cf, series.solar_cf)):
+        want = [arr[a:b].mean() for a, b in grid.cluster_bounds]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_reduce_series_rejects_mismatched_grid():

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 
 from helpers import (
     conventional_hourly_model,
+    fixing_names,
+    fixings_from,
     periods_from,
     rows_as_maps,
     two_unit_fixture,
@@ -17,6 +19,7 @@ from helpers import (
 )
 from oracle import reference_build_uc_model
 from tauc.model import (
+    Fixings,
     PowerSystem,
     ThermalUnit,
     build_uc_model,
@@ -249,33 +252,50 @@ def test_structural_equality_with_conventional_hourly_builder():
     assert model.objective_offset == pytest.approx(want_offset)
 
 
-def test_fixing_unknown_label_raises_keyerror():
-    with pytest.raises(KeyError, match="unknown variable"):
-        build_uc_model(*_flat_instance(), fixings={"pg_zz_1": 1.0})
+def _flat_fixings(**named: float) -> Fixings:
+    system, periods = _flat_instance()
+    return fixings_from(system, len(periods), named)
+
+
+def test_fixings_of_the_wrong_shape_raise():
+    free = np.full((6, 3), np.nan)
+    with pytest.raises(ValueError, match=r"commitment fixings have shape \(6, 2\), the model \(6, 3\)"):
+        build_uc_model(*_flat_instance(), fixings=Fixings(free[:, :2], free))
+    with pytest.raises(ValueError, match=r"dispatch fixings have shape \(5, 3\)"):
+        build_uc_model(*_flat_instance(), fixings=Fixings(free, free[:5]))
 
 
 def test_fixing_outside_bounds_rejected():
-    with pytest.raises(ValueError, match="outside bounds"):
-        build_uc_model(*_flat_instance(), fixings={"pg_b1_1": 500.0})
-    with pytest.raises(ValueError, match="binary"):
-        build_uc_model(*_flat_instance(), fixings={"u_b1_1": 0.5})
+    with pytest.raises(ValueError, match=r"pg_b1_1: fixing 500.0 outside bounds \[0.0, 200.0\]"):
+        build_uc_model(*_flat_instance(), fixings=_flat_fixings(pg_b1_1=500.0))
+    with pytest.raises(ValueError, match="pg_m1_3: fixing -0.1 outside bounds"):
+        build_uc_model(*_flat_instance(), fixings=_flat_fixings(pg_m1_3=-0.1))
+    with pytest.raises(ValueError, match="u_b1_1: binary fixing must be 0 or 1, got 0.5"):
+        build_uc_model(*_flat_instance(), fixings=_flat_fixings(u_b1_1=0.5))
+    with pytest.raises(ValueError, match="u_p1_2: binary fixing must be 0 or 1, got 2.0"):
+        build_uc_model(*_flat_instance(), fixings=_flat_fixings(u_p1_2=2.0))
+    # the first offending column in column order is the one named
+    with pytest.raises(ValueError, match="u_m1_1: binary"):
+        build_uc_model(*_flat_instance(), fixings=_flat_fixings(pg_b1_1=500.0, u_m1_1=0.5))
 
 
 def test_fixing_narrows_bounds_to_equality():
-    model = build_uc_model(*_flat_instance(), fixings={"u_b1_1": 1.0, "pg_b1_1": 200.0})
+    fixings = _flat_fixings(u_b1_1=1.0 - 1e-10, pg_b1_1=200.0 + 1e-10)
+    model = build_uc_model(*_flat_instance(), fixings=fixings)
     vmap = {v.name: v for v in model.variables}
-    assert (vmap["u_b1_1"].lb, vmap["u_b1_1"].ub) == (1.0, 1.0)
-    assert (vmap["pg_b1_1"].lb, vmap["pg_b1_1"].ub) == (200.0, 200.0)
+    assert (vmap["u_b1_1"].lb, vmap["u_b1_1"].ub) == (1.0, 1.0)  # binaries are rounded
+    assert (vmap["pg_b1_1"].lb, vmap["pg_b1_1"].ub) == (200.0 + 1e-10, 200.0 + 1e-10)
+    # NaN leaves a column free
+    assert (vmap["u_b1_2"].lb, vmap["u_b1_2"].ub) == (0.0, 1.0)
+    assert (vmap["pg_p1_1"].lb, vmap["pg_p1_1"].ub) == (0.0, 50.0)
+    assert sum(v.lb == v.ub for v in model.variables if v.name.startswith(("u_", "pg_"))) == 2
 
 
 def test_prune_drops_constant_rows_and_reports_violations():
     system, periods = two_unit_fixture()
     # freeze a1 entirely to a plan that breaks its own ramp limit (9->160+)
-    fix = {}
-    dispatch = [100.0, 250.0, 100.0, 100.0]
-    for t, p in enumerate(dispatch, start=1):
-        fix[f"u_a1_{t}"] = 1.0
-        fix[f"pg_a1_{t}"] = p
+    free = [np.nan] * 4
+    fix = Fixings(commitment=np.array([[1.0] * 4, free]), dispatch=np.array([[100.0, 250.0, 100.0, 100.0], free]))
     model = build_uc_model(system, periods, fixings=fix)
     labels = {r.label for r in model.constraints}
     assert not any(l.startswith(("rampup_a1", "onmin_a1", "up_a1", "upinit_a1")) for l in labels)
@@ -299,7 +319,7 @@ def test_array_builder_equals_reference_builder_bit_for_bit(instance):
     array builder drops it like a fully fixed row."""
     system, periods, fixings = instance
     got = build_uc_model(system, periods, fixings)
-    want = reference_build_uc_model(system, periods, fixings)
+    want = reference_build_uc_model(system, periods, fixing_names(system, fixings))
 
     empty = [row for row in want.constraints if not row.coeffs]
     rows = [row for row in want.constraints if row.coeffs]
@@ -353,7 +373,7 @@ def test_instance_validation():
                 solar_capacity=0.0,
                 load_shed_cost=100.0,
             ),
-            periods=(),
+            periods=periods_from([], []),
         )
 
 

@@ -15,10 +15,10 @@ from scipy.optimize import milp
 from helpers import duck_day_series, flat_day_series, random_day_series
 from oracle import brute_force_solve
 from test_acceptance import chaining_portfolio, seven_day_trace
-from tauc import simulation
+from tauc import simulation, solver
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid, normalize_features
 from tauc.ingestion import LoadedTrace, illustrative_case
-from tauc.model import PowerSystem, ThermalUnit, build_uc_model
+from tauc.model import Fixings, PowerSystem, ThermalUnit, build_uc_model
 from tauc.simulation import (
     CSV_COLUMNS,
     MODE_CH,
@@ -149,7 +149,7 @@ def test_fixing_dominance_on_a_random_day():
     system, _ = illustrative_case()
     rng = np.random.default_rng(90125)
     series = random_day_series(rng, step_minutes=60)
-    free = run_real_time(system, series, {})
+    free = run_real_time(system, series, None)
     for mode in (MODE_CH, MODE_TA):
         plan = run_day_ahead(system, series, mode)
         fixed = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
@@ -158,15 +158,12 @@ def test_fixing_dominance_on_a_random_day():
 
 def test_refixing_the_free_optimum_changes_nothing():
     system, series = illustrative_case()
-    free = run_real_time(system, series, {})
-    fixings = {}
-    for i, unit in enumerate(system.units):
-        if unit.flex_class == "peak":
-            continue
-        for t in range(1, series.n_points + 1):
-            fixings[f"u_{unit.unit_id}_{t}"] = float(free.schedule.commitment[i, t - 1])
-            if unit.flex_class == "base":
-                fixings[f"pg_{unit.unit_id}_{t}"] = float(free.schedule.dispatch[i, t - 1])
+    free = run_real_time(system, series, None)
+    flex = np.array([unit.flex_class for unit in system.units])[:, None]
+    fixings = Fixings(
+        commitment=np.where(flex != "peak", free.schedule.commitment, np.nan),
+        dispatch=np.where(flex == "base", free.schedule.dispatch, np.nan),
+    )
     refixed = run_real_time(system, series, fixings)
     assert refixed.cost == pytest.approx(free.cost, rel=1e-9, abs=1e-6)
 
@@ -184,7 +181,9 @@ def test_flat_day_makes_both_modes_identical():
     grid_ch = day_ahead_grid(hourly, MODE_CH, solar_capacity=system.solar_capacity)
     grid_ta = day_ahead_grid(hourly, MODE_TA, solar_capacity=system.solar_capacity)
     assert grid_ch.cluster_bounds == grid_ta.cluster_bounds
-    assert reduce_series(hourly, grid_ch) == reduce_series(hourly, grid_ta)
+    reduced_ch, reduced_ta = reduce_series(hourly, grid_ch), reduce_series(hourly, grid_ta)
+    for field in ("duration_h", "demand_mw", "wind_cf", "solar_cf"):
+        np.testing.assert_array_equal(getattr(reduced_ch, field), getattr(reduced_ta, field))
 
 
 def test_energy_accounting_served_plus_shed_is_demand():
@@ -219,6 +218,49 @@ def test_terminal_states_reflect_final_commitments():
     assert all(s.u0 == 1 for s in base_states)
     chained = rt.next_units
     assert chained[4].u0 == 1 and chained[4].hours_on0 == pytest.approx(1.0)
+
+
+def test_an_uncommitted_unit_dispatches_exactly_zero():
+    """Noise HiGHS leaves on an off unit's dispatch stays out of the plan and
+    so out of the bounds of the next real-time model."""
+    system, series = illustrative_case()
+    real_milp = solver.milp
+
+    def noisy_milp(*args, **kwargs):
+        # every continuous column HiGHS returns at 0 comes back at +3e-13
+        res = real_milp(*args, **kwargs)
+        if res.x is not None:
+            res.x[(res.x == 0.0) & (kwargs["integrality"] == 0)] = 3e-13
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "milp", noisy_milp)
+        plan = run_day_ahead(system, series, MODE_CH)
+    off = plan.commitment == 0
+    assert off[[i for i, u in enumerate(system.units) if u.flex_class == "base"]].any()
+    assert np.all(plan.dispatch[off] == 0.0)
+    fixings = fix_from_plan(plan, system.units, series.n_points)
+    model = build_uc_model(system, reduce_series(series, singleton_grid(series.n_points, series.step_minutes)), fixings)
+    base_off = (fixings.commitment == 0) & ~np.isnan(fixings.dispatch)
+    assert base_off.any()
+    ng, nt = fixings.dispatch.shape
+    pg_block = slice(ng * nt, 2 * ng * nt)
+    assert np.all(model.lb[pg_block][base_off.ravel()] == 0.0)
+    assert np.all(model.ub[pg_block][base_off.ravel()] == 0.0)
+
+
+def test_fix_from_plan_copies_each_plan_period_onto_its_members():
+    system, series = illustrative_case()
+    plan = run_day_ahead(system, series, MODE_TA)
+    fixings = fix_from_plan(plan, system.units, 5)
+    assert fixings.commitment.shape == fixings.dispatch.shape == (len(system.units), 5)
+    for i, unit in enumerate(system.units):
+        for k, (a, b) in enumerate(plan.grid.cluster_bounds):
+            for t in range(a, min(b, 5)):
+                on = fixings.commitment[i, t]
+                p = fixings.dispatch[i, t]
+                assert math.isnan(on) if unit.flex_class == "peak" else on == plan.commitment[i, k]
+                assert p == plan.dispatch[i, k] if unit.flex_class == "base" else math.isnan(p)
 
 
 def test_fixings_must_cover_the_window():
@@ -367,7 +409,8 @@ def forced_failure_week(memo, failing):
     operate = memoized(
         memo,
         simulation.run_real_time,
-        lambda s, w, fixings, *rest: ("rt", rest[-1], s.units, frozenset(fixings.items())),
+        lambda s, w, fixings, *rest: ("rt", rest[-1], s.units, fixings.commitment.tobytes(),
+                                      fixings.dispatch.tobytes()),
     )
     seen = {}
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from helpers import periods_from, random_small_instance, two_unit_fixture, uc_instances, unit
+from helpers import fixings_from, periods_from, random_small_instance, two_unit_fixture, uc_instances, unit
 from oracle import (
     brute_force_solve,
     model_from_rows,
@@ -19,8 +19,9 @@ from oracle import (
     reference_build_uc_model,
     reference_check_solution,
     solve_lp,
+    u_name,
 )
-from tauc.model import PowerSystem, Row, UcModel, Variable, build_uc_model, u_name
+from tauc.model import Fixings, PowerSystem, Row, UcModel, Variable, build_uc_model
 from tauc.solver import (
     BackendConfig,
     check_solution,
@@ -182,7 +183,8 @@ def test_lp_round_trip_preserves_every_coefficient():
 
 
 def test_lp_round_trip_with_fixed_binaries():
-    model = build_uc_model(*two_unit_fixture(), fixings={u_name("a1", 1): 1.0})
+    system, periods = two_unit_fixture()
+    model = build_uc_model(system, periods, fixings=fixings_from(system, len(periods), {u_name("a1", 1): 1.0}))
     parsed = read_model_file(emit_model_file(model))
     assert_models_equivalent(model, parsed)
     vmap = {v.name: v for v in parsed.variables}
@@ -451,8 +453,9 @@ def test_oracle_matches_default_backend_on_random_instances():
 def test_oracle_honours_fixings():
     system, periods = two_unit_fixture()
     base = solve(build_uc_model(system, periods))
-    fixings = {var.name: value for var, value in zip(build_uc_model(system, periods).variables, base.x)
-               if var.binary}
+    shape = (len(system.units), len(periods))
+    # the u block leads the columns, unit by unit
+    fixings = Fixings(commitment=base.x[: shape[0] * shape[1]].reshape(shape), dispatch=np.full(shape, np.nan))
     fixed_model = build_uc_model(system, periods, fixings=fixings)
     reference = brute_force_solve(fixed_model)
     assert reference.status == "optimal"
