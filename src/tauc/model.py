@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .aggregation import ReducedSeries
 
@@ -361,10 +360,9 @@ class UcModel:
     def n_binaries(self) -> int:
         return int(np.count_nonzero(self.integrality))
 
-    @functools.cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        """A in CSR form, assembled from the triplets."""
-        return sparse.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols))
+    def row_activity(self, x: np.ndarray) -> np.ndarray:
+        """A @ x, summed row by row in triplet order."""
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.n_rows)
 
     @functools.cached_property
     def variables(self) -> tuple[Variable, ...]:

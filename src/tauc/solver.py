@@ -25,8 +25,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import UcModel, row_sense
 
@@ -80,11 +78,11 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     """Solve a model and return an audited solution."""
     cfg = config or BackendConfig()
     backend = os.environ.get("TAUC_SOLVER", "").strip() or cfg.backend
+    inprocess = backend in ("auto", "highs", "scipy")
+    if inprocess:
+        import scipy.optimize  # noqa: F401  (a first solve's wall_time leaves out the import)
     start = time.perf_counter()
-    if backend in ("auto", "highs", "scipy"):
-        raw = _solve_inprocess(model, cfg)
-    else:
-        raw = _solve_process(backend, model, cfg)
+    raw = _solve_inprocess(model, cfg) if inprocess else _solve_process(backend, model, cfg)
     wall = time.perf_counter() - start
     if raw.status not in ("optimal", "feasible"):
         return replace(raw, wall_time=wall)
@@ -133,7 +131,7 @@ def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> lis
     fractional = finite & (model.integrality == 1) & (np.abs(x - np.round(x)) > tol)
     out += [f"{names[j]}={x[j]:.9g} is not integral" for j in np.flatnonzero(fractional)]
     if model.n_rows:
-        lhs = model.matrix @ x
+        lhs = model.row_activity(x)
         lo, hi = model.row_lb, model.row_ub
         scale = np.maximum.reduce([np.ones(model.n_rows),
                                    np.abs(np.where(np.isfinite(lo), lo, 0.0)),
@@ -153,6 +151,13 @@ def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> lis
 # in-process backend
 
 
+def milp(*args, **kwargs):
+    """scipy's HiGHS MILP, looked up per call so that importing tauc does not load scipy."""
+    from scipy.optimize import milp as highs_milp
+
+    return highs_milp(*args, **kwargs)
+
+
 def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     """HiGHS on the free columns only.
 
@@ -161,6 +166,9 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     smaller matrix. x comes back at full length, the fixed entries exactly
     at their bounds, for solve() to audit against the whole model.
     """
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint
+
     free = model.lb != model.ub
     x = np.where(free, 0.0, model.lb)
     offset = model.objective_offset + float(model.c @ x)

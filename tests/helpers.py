@@ -2,12 +2,24 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from tauc.aggregation import HiResSeries, ReducedSeries
 from tauc.model import Fixings, PowerSystem, ThermalUnit
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new Python process that imports tauc from src/."""
+    env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
 
 
 def unit(uid: str, flex: str, pmin: float, pmax: float, cost: float, **kw) -> ThermalUnit:

@@ -8,9 +8,10 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from helpers import duck_day_series, run_in_fresh_interpreter
 from tauc import cli, simulation
 from tauc.aggregation import HiResSeries, normalize_features
-from tauc.ingestion import compute_installed_capacity, illustrative_case, write_timeseries
+from tauc.ingestion import compute_installed_capacity, illustrative_case, load_scenario, write_timeseries
 
 
 def test_reproduce_example_prints_goldens(capsys):
@@ -93,6 +94,47 @@ def test_cluster_identity_when_target_equals_samples(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 24
     assert all(float(r["duration_h"]) == 1.0 for r in rows)
+
+
+def test_cluster_never_loads_scipy(tmp_path):
+    """cluster solves nothing, so a process that runs it never imports the solver."""
+    cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=2))
+    proc = run_in_fresh_interpreter(f"""
+import json, sys
+import tauc, tauc.cli
+code = tauc.cli.main(["cluster", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_first_solves_on_two_threads_agree_with_the_library(tmp_path):
+    """In a fresh process, the CH and TA modes of the first day make their
+    first solve, and so the first import of scipy, on two threads at once."""
+    trace = tmp_path / "trace.csv"
+    write_timeseries(trace, duck_day_series(step_minutes=30), datetime(2023, 6, 1, tzinfo=timezone.utc))
+    cfg = write_config(tmp_path / "s.json", trace, step_minutes=30)
+    out = tmp_path / "out"
+    proc = run_in_fresh_interpreter(f"""
+import json, sys
+import tauc.cli
+loaded = "scipy" in sys.modules
+code = tauc.cli.main(["compare", "--config", {str(cfg)!r}, "--out", {str(out)!r}])
+print(json.dumps([loaded, code]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, 0]
+
+    config = load_scenario(cfg)
+    trace = cli._scaled_trace(config)
+    label, window = next(simulation.day_windows(trace, config.lookahead_hours))
+    report, _, _ = simulation.compare_day(cli._system_for(config, trace), window, label.isoformat(),
+                                          config.features, config.solver_config())
+    with open(out / "comparison.csv") as handle:
+        rows = [(r["date"], r["c_ch"], r["c_ta"]) for r in csv.DictReader(handle)]
+    assert rows == [(report.date, f"{report.c_ch:.2f}", f"{report.c_ta:.2f}")]
+    assert report.c_ta < report.c_ch
 
 
 def test_missing_data_file_exits_two(tmp_path, capsys):

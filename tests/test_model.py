@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conventional_hourly_model,
@@ -344,6 +345,21 @@ def test_array_builder_equals_reference_builder_bit_for_bit(instance):
     assert [k for k, _ in got.pruned_violations if k in dict(want.pruned_violations)] == [
         k for k, _ in want.pruned_violations
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(uc_instances(), st.data())
+def test_row_activity_sums_each_row_in_triplet_order_bit_for_bit(instance, data):
+    """row_activity(x) is A @ x with each row summed left to right in the
+    order the builder wrote its terms."""
+    model = build_uc_model(*instance)
+    x = np.array(data.draw(st.lists(st.floats(-1e4, 1e4), min_size=model.n_cols, max_size=model.n_cols)))
+    want = [0.0] * model.n_rows
+    for i, j, v in zip(model.rows.tolist(), model.cols.tolist(), model.vals.tolist()):
+        want[i] += v * x[j]  # not sum(): from Python 3.12 it compensates rounding
+    got = model.row_activity(x)
+    assert got.shape == (model.n_rows,)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 def test_unit_initial_state_validation():

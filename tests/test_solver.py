@@ -1,4 +1,5 @@
 """Solve layer: LP round trip, exhaustive oracle, backends, audits."""
+import json
 import math
 import re
 import sys
@@ -9,9 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from helpers import fixings_from, periods_from, random_small_instance, two_unit_fixture, uc_instances, unit
+from helpers import (
+    TESTS,
+    fixings_from,
+    periods_from,
+    random_small_instance,
+    run_in_fresh_interpreter,
+    two_unit_fixture,
+    uc_instances,
+    unit,
+)
 from oracle import (
     brute_force_solve,
     model_from_rows,
@@ -353,7 +364,8 @@ def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
     fixed = model.lb == model.ub
     assume(fixed.any())
     folded = solve(model)
-    whole = milp(c=model.c, constraints=LinearConstraint(model.matrix, model.row_lb, model.row_ub),
+    matrix = sparse.csr_matrix((model.vals, (model.rows, model.cols)), shape=(model.n_rows, model.n_cols))
+    whole = milp(c=model.c, constraints=LinearConstraint(matrix, model.row_lb, model.row_ub),
                  integrality=model.integrality, bounds=Bounds(model.lb, model.ub),
                  options={"presolve": True, "mip_rel_gap": 0.0})
     assert folded.status == UNFOLDED_STATUS[whole.status]
@@ -686,3 +698,45 @@ def test_process_backend_reports_a_truncated_xml_solution(tmp_path):
     assert res.status == "error"
     assert res.objective is None
     assert "cannot parse solution file" in res.message
+
+
+def test_the_external_backend_never_loads_scipy(tmp_path):
+    stub = make_stub(tmp_path, """\
+        with open(sys.argv[2], "w") as fh:
+            fh.write("x 1.5\\nu 1\\n")
+        """)
+    proc = run_in_fresh_interpreter(f"""
+import json, sys
+sys.path.insert(0, {str(TESTS)!r})
+from oracle import model_from_rows
+from tauc.model import Row, Variable
+from tauc.solver import BackendConfig, solve
+model = model_from_rows((Variable("x", 0.0, 2.0), Variable("u", 0.0, 1.0, binary=True)),
+                        (Row("cap", {{"x": 1.0, "u": -2.0}}, "<=", 0.0),), {{"x": 1.0, "u": 3.0}})
+res = solve(model, BackendConfig(backend={stub!r}))
+print(json.dumps([res.status, res.objective, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["optimal", 4.5, []]
+
+
+def test_a_first_solve_imports_scipy_before_its_clock_starts():
+    """wall_time, and so a day's solve_time, leaves out the one-off import."""
+    proc = run_in_fresh_interpreter(f"""
+import json, sys, time, types
+sys.path.insert(0, {str(TESTS)!r})
+from oracle import model_from_rows
+from tauc import solver
+from tauc.model import Variable
+loaded = []
+
+def perf_counter():
+    loaded.append("scipy.optimize" in sys.modules)
+    return time.perf_counter()
+
+solver.time = types.SimpleNamespace(perf_counter=perf_counter)
+res = solver.solve(model_from_rows((Variable("x", 0.0, 1.0),), (), {{"x": 1.0}}))
+print(json.dumps([res.status, loaded]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["optimal", [True, True]]
