@@ -479,8 +479,3 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         return dataclasses.replace(config, **resolved)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def scenario_to_json(config: ScenarioConfig) -> str:
-    """Serialize a config to JSON with stable key order."""
-    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"

@@ -92,7 +92,8 @@ class RealTimeResult:
 @dataclass(frozen=True)
 class ComparisonReport:
     """One day's outcome under both modes. A nonempty warning marks a day
-    that was skipped (costs are NaN then)."""
+    that was skipped (costs are NaN then). da_time_* and rt_time_* are the
+    wall seconds of each mode's day-ahead and real-time solves."""
 
     date: str
     c_ch: float
@@ -100,8 +101,10 @@ class ComparisonReport:
     delta_pct: float
     shares_ch: dict[str, float]
     shares_ta: dict[str, float]
-    solve_time_ch: float
-    solve_time_ta: float
+    da_time_ch: float
+    rt_time_ch: float
+    da_time_ta: float
+    rt_time_ta: float
     warning: str = ""
 
 
@@ -290,8 +293,10 @@ def _report(
         delta_pct=cost_delta(rt_ch.cost, rt_ta.cost) if rt_ch.cost > 0 else 0.0,
         shares_ch=generation_shares(rt_ch, system),
         shares_ta=generation_shares(rt_ta, system),
-        solve_time_ch=plan_ch.solve_time + rt_ch.solve_time,
-        solve_time_ta=plan_ta.solve_time + rt_ta.solve_time,
+        da_time_ch=plan_ch.solve_time,
+        rt_time_ch=rt_ch.solve_time,
+        da_time_ta=plan_ta.solve_time,
+        rt_time_ta=rt_ta.solve_time,
     )
 
 
@@ -332,8 +337,7 @@ def _skipped_day(label: str, reason: str) -> ComparisonReport:
         delta_pct=math.nan,
         shares_ch={},
         shares_ta={},
-        solve_time_ch=0.0,
-        solve_time_ta=0.0,
+        da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
         warning=f"day skipped: {reason}",
     )
 
@@ -475,8 +479,10 @@ CSV_COLUMNS = (
     "share_base_ta",
     "share_medium_ta",
     "share_peak_ta",
-    "solve_time_ch",
-    "solve_time_ta",
+    "da_time_ch",
+    "rt_time_ch",
+    "da_time_ta",
+    "rt_time_ta",
 )
 
 
@@ -491,7 +497,6 @@ def reports_to_csv(reports: list[ComparisonReport]) -> str:
         row = [rep.date, f"{rep.c_ch:.2f}", f"{rep.c_ta:.2f}", f"{rep.delta_pct:.4f}"]
         row.extend(f"{rep.shares_ch[tech]:.4f}" for tech in TECHNOLOGIES)
         row.extend(f"{rep.shares_ta[tech]:.4f}" for tech in TECHNOLOGIES)
-        row.append(f"{rep.solve_time_ch:.3f}")
-        row.append(f"{rep.solve_time_ta:.3f}")
+        row.extend(f"{t:.3f}" for t in (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta))
         writer.writerow(row)
     return buf.getvalue()

@@ -163,14 +163,25 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
 
     A fixed column (lb == ub) is folded out: its cost moves into the
     objective offset and its terms into the row bounds, so HiGHS gets a
-    smaller matrix. x comes back at full length, the fixed entries exactly
-    at their bounds, for solve() to audit against the whole model.
+    smaller matrix. A free binary is fixed at 1 and folded out with them
+    when raising it can neither add cost nor break a row: its cost is <= 0,
+    each positive coefficient sits in a row with no upper bound and each
+    negative one in a row with no lower bound (dual fixing). Such a binary
+    is the commitment of a unit with pmin 0, free start-ups and no ramp or
+    minimum-time rows, which may stay committed and dispatch 0 when idle.
+    x comes back at full length, the folded entries exactly at their
+    bounds, for solve() to audit against the whole model.
     """
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
 
     free = model.lb != model.ub
-    x = np.where(free, 0.0, model.lb)
+    # the row bound each term pushes against when its column rises
+    limit = np.where(model.vals > 0, model.row_ub[model.rows], -model.row_lb[model.rows])
+    lift = free & (model.integrality == 1) & (model.c <= 0)
+    lift &= np.bincount(model.cols[limit < math.inf], minlength=model.n_cols) == 0
+    free &= ~lift
+    x = np.where(free, 0.0, model.ub)
     offset = model.objective_offset + float(model.c @ x)
     if not free.any():  # nothing to decide; milp rejects an empty problem
         return MipSolution("optimal", offset, x, 0.0, 0.0, "every column is fixed", 0, offset)
@@ -215,7 +226,7 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     else:
         x[free] = res.x
     if status == "optimal" and not model.integrality[free].any():
-        # every binary was fixed, so HiGHS solved an LP and reports no MIP
+        # every binary was fixed or lifted, so HiGHS solved an LP and reports no MIP
         # figures; an LP optimum is its own bound, found without branching
         return MipSolution(status, objective, x, 0.0, 0.0, str(res.message), 0, objective)
     nodes = getattr(res, "mip_node_count", None)

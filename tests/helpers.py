@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracle builders used across test modules."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -11,6 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tauc.aggregation import HiResSeries, ReducedSeries
+from tauc.ingestion import ScenarioConfig
 from tauc.model import Fixings, PowerSystem, ThermalUnit
 
 TESTS = Path(__file__).resolve().parent
@@ -20,6 +23,11 @@ def run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     """Run code in a new Python process that imports tauc from src/."""
     env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+
+
+def scenario_to_json(config: ScenarioConfig) -> str:
+    """Serialize a config to JSON with stable key order."""
+    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
 
 
 def unit(uid: str, flex: str, pmin: float, pmax: float, cost: float, **kw) -> ThermalUnit:
@@ -327,12 +335,14 @@ def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, Reduce
 
 
 @st.composite
-def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = True):
+def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = True, free_unit: bool = False):
     """(system, periods, fixings) for the model builder: ramp-limited and
     unlimited units, minimum times that cover whole periods or fall between
     period ends, both initial states, and fixings in the style of a plan
     (commitment, or commitment and dispatch, of some units) that may break
-    the unit's own rows."""
+    the unit's own rows. free_unit appends one more unit, never fixed, whose
+    commitment cannot change cost or feasibility: pmin 0, free start-ups,
+    no ramp rates and no minimum times."""
     nt = draw(st.integers(1, max_periods))
     durations = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]), min_size=nt, max_size=nt))
     units = []
@@ -359,6 +369,20 @@ def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = Tru
             hours_off0=24.0 if u0 else draw(st.sampled_from([0.5, 1.0, 24.0])),
             p0=draw(st.sampled_from([pmin, pmax])) if u0 else 0.0,
         ))
+    drawn = len(units)
+    if free_unit:
+        pmax = draw(st.sampled_from([40.0, 120.0, 250.0]))
+        u0 = draw(st.integers(0, 1))
+        units.append(ThermalUnit(
+            unit_id=f"g{drawn}",
+            flex_class="peak",
+            pmin=0.0,
+            pmax=pmax,
+            marginal_cost=draw(st.sampled_from([0.0, 12.5, 41.0])),
+            u0=u0,
+            hours_on0=24.0 if u0 else 0.0,
+            p0=draw(st.sampled_from([0.0, pmax])) if u0 else 0.0,
+        ))
     system = PowerSystem(
         units=tuple(units),
         wind_capacity=draw(st.sampled_from([0.0, 80.0])),
@@ -376,7 +400,7 @@ def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = Tru
         return system, periods, None
     commitment = np.full((len(units), nt), np.nan)
     dispatch = np.full((len(units), nt), np.nan)
-    for g, unit_ in enumerate(units):
+    for g, unit_ in enumerate(units[:drawn]):
         how = draw(st.sampled_from(["free", "commitment", "dispatch"]))
         if how == "free":
             continue

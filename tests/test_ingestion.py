@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from helpers import scenario_to_json
 from tauc.aggregation import HiResSeries
 from tauc.ingestion import (
     ScenarioConfig,
@@ -16,7 +17,6 @@ from tauc.ingestion import (
     illustrative_case,
     load_scenario,
     load_timeseries,
-    scenario_to_json,
     write_timeseries,
 )
 from tauc.model import PowerSystem

@@ -362,7 +362,7 @@ def test_reports_render_as_csv():
     reports.append(
         ComparisonReport(
             date="2023-06-03", c_ch=math.nan, c_ta=math.nan, delta_pct=math.nan,
-            shares_ch={}, shares_ta={}, solve_time_ch=0.0, solve_time_ta=0.0,
+            shares_ch={}, shares_ta={}, da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
             warning="day skipped: no data",
         )
     )
@@ -373,6 +373,10 @@ def test_reports_render_as_csv():
     first = lines[1].split(",")
     assert first[0] == "2023-06-01"
     assert float(first[1]) == pytest.approx(reports[0].c_ch, abs=0.01)
+    rep = reports[0]
+    times = (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta)
+    assert min(times) > 0.0
+    assert first[-4:] == [f"{t:.3f}" for t in times]
 
 
 def test_duck_day_favors_the_adaptive_grid():

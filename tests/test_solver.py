@@ -32,7 +32,10 @@ from oracle import (
     solve_lp,
     u_name,
 )
-from tauc.model import Fixings, PowerSystem, Row, UcModel, Variable, build_uc_model
+from tauc.aggregation import HiResSeries, reduce_series, singleton_grid
+from tauc.ingestion import build_portfolio
+from tauc.model import Fixings, PowerSystem, Row, UcModel, Variable, build_uc_model, extract_schedule
+from tauc.simulation import MODES, fix_from_plan, run_day_ahead
 from tauc.solver import (
     BackendConfig,
     check_solution,
@@ -355,6 +358,14 @@ def test_array_audit_agrees_with_reference_audit(instance, data):
 UNFOLDED_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
+def whole_model_milp(model: UcModel):
+    """HiGHS at gap 0 on every column of the model, nothing folded."""
+    matrix = sparse.csr_matrix((model.vals, (model.rows, model.cols)), shape=(model.n_rows, model.n_cols))
+    return milp(c=model.c, constraints=LinearConstraint(matrix, model.row_lb, model.row_ub),
+                integrality=model.integrality, bounds=Bounds(model.lb, model.ub),
+                options={"presolve": True, "mip_rel_gap": 0.0})
+
+
 @settings(max_examples=40, deadline=None)
 @given(uc_instances())
 def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
@@ -364,10 +375,7 @@ def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
     fixed = model.lb == model.ub
     assume(fixed.any())
     folded = solve(model)
-    matrix = sparse.csr_matrix((model.vals, (model.rows, model.cols)), shape=(model.n_rows, model.n_cols))
-    whole = milp(c=model.c, constraints=LinearConstraint(matrix, model.row_lb, model.row_ub),
-                 integrality=model.integrality, bounds=Bounds(model.lb, model.ub),
-                 options={"presolve": True, "mip_rel_gap": 0.0})
+    whole = whole_model_milp(model)
     assert folded.status == UNFOLDED_STATUS[whole.status]
     if folded.status != "optimal":
         return
@@ -375,6 +383,83 @@ def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
     assert folded.objective == pytest.approx(whole.fun + offset, rel=1e-9, abs=1e-9)
     assert folded.dual_bound == pytest.approx(whole.mip_dual_bound + offset, rel=1e-9, abs=1e-9)
     assert np.array_equal(folded.x[fixed], model.lb[fixed])
+
+
+@settings(max_examples=200, deadline=None)
+@given(uc_instances(free_unit=True))
+def test_lifting_binaries_that_cannot_matter_matches_the_unfolded_solve(instance):
+    """A free binary that costs nothing and whose rise no row resists is fixed
+    at 1 before HiGHS; the solve still reaches the whole model's optimum."""
+    system, periods, fixings = instance
+    model = build_uc_model(system, periods, fixings)
+    folded = solve(model)
+    whole = whole_model_milp(model)
+    assert folded.status == UNFOLDED_STATUS[whole.status]
+    if folded.status != "optimal":
+        return
+    assert folded.objective == pytest.approx(whole.fun + model.objective_offset, rel=1e-9, abs=1e-9)
+    commitment = folded.x[:len(system.units) * len(periods)].reshape(len(system.units), -1)
+    assert np.all(commitment[-1] == 1.0)  # the free unit, appended last
+
+
+def recorded_integrality(monkeypatch) -> list[np.ndarray]:
+    """Patch the solver's milp to note the integrality of each call it gets."""
+    seen = []
+
+    def recording_milp(*args, **kwargs):
+        seen.append(np.asarray(kwargs["integrality"]).copy())
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr("tauc.solver.milp", recording_milp)
+    return seen
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_rolling_real_time_model_reaches_highs_as_an_lp(monkeypatch, mode):
+    """example6 under a plan: the plan fixes the base and medium units, and
+    the peak unit p1 (pmin 0, free start-ups, no ramps or minimum times) is
+    lifted, so HiGHS gets no integer column."""
+    rng = np.random.default_rng(0)
+    t = np.arange(96) * 5 / 60.0
+    series = HiResSeries(
+        demand=1150.0 + 150.0 * np.sin(2 * np.pi * (t - 9.0) / 24.0) + rng.normal(0.0, 20.0, 96),
+        wind_cf=np.clip(0.35 + rng.normal(0.0, 0.05, 96), 0.0, 1.0),
+        solar_cf=np.clip(np.sin(np.pi * (t - 6.0) / 12.0), 0.0, 1.0),
+        step_minutes=5,
+    )
+    system = PowerSystem(units=build_portfolio("example6"), wind_capacity=200.0, solar_capacity=150.0,
+                         load_shed_cost=100.0)
+    plan = run_day_ahead(system, series, mode)
+    periods = reduce_series(series, singleton_grid(series.n_points, series.step_minutes))
+    model = build_uc_model(system, periods, fix_from_plan(plan, system.units, series.n_points))
+    assert model.integrality[model.lb != model.ub].any()  # p1's commitment is left free
+    seen = recorded_integrality(monkeypatch)
+    res = solve(model)
+    assert len(seen) == 1 and not seen[0].any()
+    assert res.status == "optimal"
+    assert res.gap == 0.0 and res.node_count == 0
+    # the bound is HiGHS's LP optimum; solve() recomputes the objective from x
+    assert res.dual_bound == pytest.approx(res.objective, rel=1e-12)
+    p1 = [u.unit_id for u in system.units].index("p1")
+    assert np.all(extract_schedule(system, periods, res.x).commitment[p1] == 1.0)
+
+
+@pytest.mark.parametrize("fleet", [("g4", "g8"), None])
+def test_start_up_costs_and_minimum_outputs_keep_every_binary(monkeypatch, fleet):
+    """The day workload's fleet (g4+g8) and study13: a start-up cost or a
+    pmin > 0 blocks each commitment, so HiGHS gets every free binary."""
+    units = build_portfolio("study13")
+    if fleet is not None:
+        units = tuple(u for u in units if u.unit_id in fleet)
+    system = PowerSystem(units=units, wind_capacity=300.0, solar_capacity=300.0, load_shed_cost=10000.0)
+    capacity = sum(u.pmax for u in units)
+    periods = periods_from([1.0] * 4, [0.3 * capacity, 0.6 * capacity, 0.8 * capacity, 0.5 * capacity],
+                           wind_cf=[0.3] * 4, solar_cf=[0.0, 0.5, 1.0, 0.2])
+    model = build_uc_model(system, periods)
+    seen = recorded_integrality(monkeypatch)
+    assert solve(model).status == "optimal"
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], model.integrality[model.lb != model.ub])
 
 
 def test_a_model_with_every_column_fixed_skips_highs_but_not_the_audit(monkeypatch):
