@@ -20,6 +20,7 @@ import os
 import subprocess
 import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +31,13 @@ from .model import UcModel, row_sense
 
 BINARY_SNAP_TOL = 1e-6
 CHECK_TOL = 1e-6
+
+# scipy's milp warns about every HiGHS option outside its own short list and
+# then passes it on verbatim; the two heuristic switches below are such
+# options. A filter installed once, rather than catch_warnings around each
+# call, because catch_warnings is not thread-safe and two solves run at once.
+warnings.filterwarnings("ignore", message=r"Unrecognized options detected: .* passed to HiGHS verbatim",
+                        category=RuntimeWarning)
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,19 @@ class BackendConfig:
     cost, so it may stop with a gap on the cost above gap; MipSolution.gap
     reports the gap on the cost. threads is forwarded to external backends
     via TAUC_THREADS; the in-process backend ignores it.
+
+    The in-process HiGHS always runs with two root heuristics switched off:
+    mip_heuristic_run_root_reduced_cost (the sub-MIP on the columns the
+    root's reduced costs leave free, the "L" line of its log) and
+    mip_heuristic_run_feasibility_jump. The benchmark's models close at or
+    near the root, where the two took about a third of HiGHS's time. On
+    the study13 fixture day at gap 0 (four solves) both off reached the
+    same optima as HiGHS's defaults in 82-85 s against 116-118 s at a
+    10-minute step, and in 10-13 s against 13-26 s on three of four seeds
+    at 30 minutes (a tie on the fourth); feasibility jump off alone took
+    149-150 s at 10 minutes (README, "Solver backends"). A scipy whose
+    bundled HiGHS lacks one of these options warns with OptimizeWarning
+    and runs HiGHS with its default for it, so results do not change.
     """
 
     backend: str = "auto"
@@ -60,8 +81,9 @@ class MipSolution:
     x holds one value per model column, in column order, when the backend
     returned a point. gap, node_count and dual_bound come from the
     in-process backend, which may finish in presolve with 0 nodes;
-    dual_bound includes the objective offset, like objective, and gap is
-    max(0, objective - dual_bound) / max(1, |objective|).
+    dual_bound includes the objective offset, like objective, and is at
+    most objective, which solve() recomputes from the audited x; gap is
+    (objective - dual_bound) / max(1, |objective|).
     """
 
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded" | "error"
@@ -104,7 +126,13 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     # so a fixing taken from it is never out of bounds
     x = np.clip(x, model.lb, model.ub)
     objective = float(model.c @ x) + model.objective_offset
-    return replace(raw, objective=objective, x=x, wall_time=wall)
+    bound, gap = raw.dual_bound, raw.gap
+    if bound is not None:
+        # the backend's bound comes with its own objective and may sit above the
+        # audited one by rounding; a gap the backend closed stays closed
+        bound = min(bound, objective) if gap else objective
+        gap = (objective - bound) / max(1.0, abs(objective))
+    return replace(raw, objective=objective, x=x, wall_time=wall, dual_bound=bound, gap=gap)
 
 
 def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> list[str]:
@@ -201,7 +229,10 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
 
     # Always pass the gap: left unset, HiGHS applies its own default of 1e-4
     # and can stop on a suboptimal incumbent while still reporting "optimal".
-    options: dict[str, object] = {"presolve": True, "mip_rel_gap": float(cfg.gap)}
+    # Two root heuristics stay off; BackendConfig says why.
+    options: dict[str, object] = {"presolve": True, "mip_rel_gap": float(cfg.gap),
+                                  "mip_heuristic_run_root_reduced_cost": False,
+                                  "mip_heuristic_run_feasibility_jump": False}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
     res = milp(c=model.c[free], constraints=constraints, integrality=model.integrality[free],

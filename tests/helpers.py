@@ -19,10 +19,12 @@ from tauc.model import Fixings, PowerSystem, ThermalUnit
 TESTS = Path(__file__).resolve().parent
 
 
-def run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    """Run code in a new Python process that imports tauc from src/."""
+def run_in_fresh_interpreter(code: str, *options: str) -> subprocess.CompletedProcess:
+    """Run code in a new Python process that imports tauc from src/; options
+    (such as "-W", "default") go to the interpreter."""
     env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *options, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 def scenario_to_json(config: ScenarioConfig) -> str:

@@ -25,6 +25,17 @@ def test_reproduce_example_prints_goldens(capsys):
     assert capsys.readouterr().out == out
 
 
+def test_reproduce_example_writes_nothing_to_stderr_with_every_warning_shown():
+    """Under -W default a warning is printed wherever it comes from; scipy's
+    notice that it passes HiGHS options on verbatim is filtered by tauc.solver
+    itself, so no caller sees it."""
+    proc = run_in_fresh_interpreter("import sys, tauc.cli; sys.exit(tauc.cli.main(['reproduce-example']))",
+                                    "-W", "default")
+    assert proc.returncode == 0
+    assert "saving 37.84%" in proc.stdout
+    assert proc.stderr == ""
+
+
 def test_reproduce_example_fails_loud_when_golden_is_wrong(capsys, monkeypatch):
     monkeypatch.setattr(cli, "GOLDEN_COST_TA", 11111.0)
     assert cli.main(["reproduce-example"]) == 1

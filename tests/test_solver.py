@@ -402,12 +402,13 @@ def test_lifting_binaries_that_cannot_matter_matches_the_unfolded_solve(instance
     assert np.all(commitment[-1] == 1.0)  # the free unit, appended last
 
 
-def recorded_integrality(monkeypatch) -> list[np.ndarray]:
-    """Patch the solver's milp to note the integrality of each call it gets."""
+def recorded_calls(monkeypatch) -> list[dict]:
+    """Patch the solver's milp to note the integrality and options of each call it gets."""
     seen = []
 
     def recording_milp(*args, **kwargs):
-        seen.append(np.asarray(kwargs["integrality"]).copy())
+        seen.append({"integrality": np.asarray(kwargs["integrality"]).copy(),
+                     "options": dict(kwargs["options"])})
         return milp(*args, **kwargs)
 
     monkeypatch.setattr("tauc.solver.milp", recording_milp)
@@ -433,13 +434,13 @@ def test_a_rolling_real_time_model_reaches_highs_as_an_lp(monkeypatch, mode):
     periods = reduce_series(series, singleton_grid(series.n_points, series.step_minutes))
     model = build_uc_model(system, periods, fix_from_plan(plan, system.units, series.n_points))
     assert model.integrality[model.lb != model.ub].any()  # p1's commitment is left free
-    seen = recorded_integrality(monkeypatch)
+    seen = recorded_calls(monkeypatch)
     res = solve(model)
-    assert len(seen) == 1 and not seen[0].any()
+    assert len(seen) == 1 and not seen[0]["integrality"].any()
     assert res.status == "optimal"
     assert res.gap == 0.0 and res.node_count == 0
-    # the bound is HiGHS's LP optimum; solve() recomputes the objective from x
-    assert res.dual_bound == pytest.approx(res.objective, rel=1e-12)
+    # an LP optimum is its own bound, so it cannot sit above the audited objective
+    assert res.dual_bound <= res.objective
     p1 = [u.unit_id for u in system.units].index("p1")
     assert np.all(extract_schedule(system, periods, res.x).commitment[p1] == 1.0)
 
@@ -456,10 +457,44 @@ def test_start_up_costs_and_minimum_outputs_keep_every_binary(monkeypatch, fleet
     periods = periods_from([1.0] * 4, [0.3 * capacity, 0.6 * capacity, 0.8 * capacity, 0.5 * capacity],
                            wind_cf=[0.3] * 4, solar_cf=[0.0, 0.5, 1.0, 0.2])
     model = build_uc_model(system, periods)
-    seen = recorded_integrality(monkeypatch)
+    seen = recorded_calls(monkeypatch)
     assert solve(model).status == "optimal"
     assert len(seen) == 1
-    assert np.array_equal(seen[0], model.integrality[model.lb != model.ub])
+    assert np.array_equal(seen[0]["integrality"], model.integrality[model.lb != model.ub])
+
+
+def test_every_in_process_call_turns_two_root_heuristics_off(monkeypatch):
+    """A model with a free binary (the MIP path) and one whose binaries are all
+    fixed (the LP path) both reach HiGHS with presolve, the configured gap, and
+    the root reduced-cost sub-MIP and feasibility jump switched off."""
+    seen = recorded_calls(monkeypatch)
+    mip = build_uc_model(*two_unit_fixture())
+    lp = model_from_rows((Variable("p", 0.0, 50.0), Variable("u", 1.0, 1.0, binary=True)),
+                         (Row("cap", {"p": 1.0, "u": -50.0}, "<=", 0.0), Row("floor", {"p": 1.0}, ">=", 30.0)),
+                         {"p": 3.0, "u": 25.0})
+    for model in (mip, lp):
+        assert solve(model, BackendConfig(gap=1e-3)).status == "optimal"
+    assert [call["integrality"].any() for call in seen] == [True, False]
+    for call in seen:
+        assert call["options"] == {"presolve": True, "mip_rel_gap": 1e-3,
+                                   "mip_heuristic_run_root_reduced_cost": False,
+                                   "mip_heuristic_run_feasibility_jump": False}
+
+
+def test_an_option_the_bundled_highs_lacks_still_warns_and_is_ignored():
+    """tauc.solver filters only scipy's notice that it passes options on
+    verbatim; an option HiGHS does not know still raises scipy's
+    OptimizeWarning, and the solve goes on with HiGHS's default."""
+    proc = run_in_fresh_interpreter("""
+import tauc.solver
+from scipy.optimize import milp
+res = milp(c=[-1.0], integrality=[1], bounds=(0, 1), options={"mip_heuristic_run_no_such_switch": False})
+print(res.status, res.fun)
+""", "-W", "default")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "-1.0"]
+    assert "OptimizeWarning" in proc.stderr and "mip_heuristic_run_no_such_switch" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_a_model_with_every_column_fixed_skips_highs_but_not_the_audit(monkeypatch):
@@ -516,6 +551,20 @@ def test_gap_is_measured_on_the_cost_not_on_highs_objective(monkeypatch):
     assert abs(res.objective) < 0.1 * model.objective_offset  # the offset dominates HiGHS's objective
     assert res.dual_bound == pytest.approx(res.objective - 30.0, rel=1e-12)
     assert res.gap == pytest.approx(30.0 / res.objective, rel=1e-9)
+
+
+def test_a_bound_above_the_audited_objective_is_clamped_onto_it(monkeypatch):
+    """HiGHS's bound comes with its own objective; one that sits above the
+    objective recomputed from the audited point is no bound on it."""
+    def high_milp(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        res.mip_dual_bound = res.fun + 1e-3
+        return res
+
+    monkeypatch.setattr("tauc.solver.milp", high_milp)
+    res = solve(build_uc_model(*two_unit_fixture()))
+    assert res.status == "optimal"
+    assert res.dual_bound == res.objective and res.gap == 0.0
 
 
 # ---------------------------------------------------------------------------
