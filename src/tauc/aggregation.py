@@ -71,11 +71,10 @@ class FeatureMatrix:
     """Per-sample clustering features, min-max scaled column-wise to [0, 1].
 
     Columns that were constant over the window carry no signal; they are
-    scaled to zero and their indices recorded in constant_columns.
+    scaled to zero.
     """
 
     values: np.ndarray
-    constant_columns: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -165,16 +164,14 @@ def normalize_features(
     else:
         raw = np.column_stack([series.demand, series.wind_cf, series.solar_cf])
     scaled = np.empty_like(raw)
-    constant: list[int] = []
     for j in range(raw.shape[1]):
         col = raw[:, j]
         lo, hi = col.min(), col.max()
         if hi - lo == 0.0:
             scaled[:, j] = 0.0
-            constant.append(j)
         else:
             scaled[:, j] = (col - lo) / (hi - lo)
-    return FeatureMatrix(values=scaled, constant_columns=tuple(constant))
+    return FeatureMatrix(values=scaled)
 
 
 def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) -> TimeGrid:
@@ -197,9 +194,10 @@ def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) 
         raise ValueError(f"target_n must be in [1, {n}], got {target_n}")
     values = features.values
     columns = [values[:, j].tolist() for j in range(values.shape[1])]
-    # Between singletons the factor 2 na nb / (na + nb) is exactly 1.
+    # Between singletons the factor 2 na nb / (na + nb) is exactly 1; columns
+    # are summed from the first, as in cost() (einsum's order can differ).
     diff = values[:-1] - values[1:]
-    initial = np.round(np.einsum("ij,ij->i", diff, diff), 12)
+    initial = np.round(sum(diff[:, j] * diff[:, j] for j in range(diff.shape[1])), 12)
     heap = list(zip(initial.tolist(), range(n - 1), range(2, n + 1)))
     heapq.heapify(heap)
     del diff, initial

@@ -63,6 +63,25 @@ def _parse_float(raw: str, column: str, line_no: int) -> float:
     return value
 
 
+def _csv_rows(path: Path, header: tuple[str, ...]):
+    """Yield (line number, row) for each non-blank data row of a CSV whose
+    first line must be header and whose rows must have one field per column."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty") from None
+        if tuple(cell.strip() for cell in first) != header:
+            raise ValueError(f"{path} line 1: header must be {','.join(header)}, got {','.join(first)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+            yield line_no, row
+
+
 def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
     """Read a trace CSV and validate it against the expected uniform step.
 
@@ -71,35 +90,20 @@ def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
     Errors carry the 1-based line number of the offending row.
     """
     path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        if tuple(cell.strip() for cell in header) != TRACE_HEADER:
-            raise ValueError(
-                f"{path} line 1: header must be {','.join(TRACE_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        stamps: list[datetime] = []
-        demand: list[float] = []
-        wind: list[float] = []
-        solar: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path} line {line_no}: expected 4 fields, got {len(row)}")
-            stamps.append(_parse_timestamp(row[0], line_no))
-            demand.append(_parse_float(row[1], "demand_mw", line_no))
-            wind.append(_parse_float(row[2], "wind_cf", line_no))
-            solar.append(_parse_float(row[3], "solar_cf", line_no))
-            if demand[-1] < 0:
-                raise ValueError(f"{path} line {line_no}: demand_mw must be nonnegative")
-            for column, value in (("wind_cf", wind[-1]), ("solar_cf", solar[-1])):
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"{path} line {line_no}: {column} must lie in [0, 1]")
+    stamps: list[datetime] = []
+    demand: list[float] = []
+    wind: list[float] = []
+    solar: list[float] = []
+    for line_no, row in _csv_rows(path, TRACE_HEADER):
+        stamps.append(_parse_timestamp(row[0], line_no))
+        demand.append(_parse_float(row[1], "demand_mw", line_no))
+        wind.append(_parse_float(row[2], "wind_cf", line_no))
+        solar.append(_parse_float(row[3], "solar_cf", line_no))
+        if demand[-1] < 0:
+            raise ValueError(f"{path} line {line_no}: demand_mw must be nonnegative")
+        for column, value in (("wind_cf", wind[-1]), ("solar_cf", solar[-1])):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{path} line {line_no}: {column} must lie in [0, 1]")
     if not stamps:
         raise ValueError(f"{path}: no data rows")
     step = timedelta(minutes=step_minutes)
@@ -276,38 +280,21 @@ def _read_portfolio_csv(path: Path) -> tuple[ThermalUnit, ...]:
     Empty ramp cells mean not ramp limited. Initial state follows the same
     rule as the built-in sets: base units online at minimum, the rest cold.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        if tuple(cell.strip() for cell in header) != PORTFOLIO_HEADER:
-            raise ValueError(
-                f"{path} line 1: header must be {','.join(PORTFOLIO_HEADER)}"
-            )
-        units: list[ThermalUnit] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+    units: list[ThermalUnit] = []
+    for line_no, row in _csv_rows(path, PORTFOLIO_HEADER):
+        unit_id = row[0].strip()
+        flex_class = row[1].strip()
+        numbers = []
+        for column, cell in zip(PORTFOLIO_HEADER[2:], row[2:]):
+            cell = cell.strip()
+            if cell == "" and column in ("ramp_up", "ramp_down"):
+                numbers.append(None)
                 continue
-            if len(row) != len(PORTFOLIO_HEADER):
-                raise ValueError(
-                    f"{path} line {line_no}: expected {len(PORTFOLIO_HEADER)} fields,"
-                    f" got {len(row)}"
-                )
-            unit_id = row[0].strip()
-            flex_class = row[1].strip()
-            numbers = []
-            for column, cell in zip(PORTFOLIO_HEADER[2:], row[2:]):
-                cell = cell.strip()
-                if cell == "" and column in ("ramp_up", "ramp_down"):
-                    numbers.append(None)
-                    continue
-                numbers.append(_parse_float(cell, column, line_no))
-            try:
-                units.append(_unit(unit_id, flex_class, *numbers))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {line_no}: {exc}") from None
+            numbers.append(_parse_float(cell, column, line_no))
+        try:
+            units.append(_unit(unit_id, flex_class, *numbers))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
     if not units:
         raise ValueError(f"{path}: no generator rows")
     return tuple(units)

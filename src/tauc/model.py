@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -250,8 +250,6 @@ class Names:
     """Names of a model's columns or rows, made into strings only on request.
 
     Item i is called stems[stem[i]], followed by "_<t[i]>" when t[i] > 0.
-    positions() expects the items of one stem to sit together, numbered
-    1, 2, ... or as one unnumbered item, as a model's columns do.
     """
 
     stems: tuple[str, ...]
@@ -271,30 +269,6 @@ class Names:
 
     def take(self, keep: np.ndarray) -> "Names":
         return Names(self.stems, self.stem[keep], self.t[keep])
-
-    @functools.cached_property
-    def _runs(self) -> dict[str, tuple[int, int, bool]]:
-        """stem -> (first position, item count, numbered)."""
-        ids, first, count = np.unique(self.stem, return_index=True, return_counts=True)
-        numbered = self.t[first] > 0
-        return {
-            self.stems[s]: (f, n, num)
-            for s, f, n, num in zip(ids.tolist(), first.tolist(), count.tolist(), numbered.tolist())
-        }
-
-    def positions(self, names: Iterable[str]) -> np.ndarray:
-        """Position of each named item, or -1 for a name no item has."""
-        runs = self._runs
-        out = []
-        for name in names:
-            head, _, tail = name.rpartition("_")
-            run = runs.get(head)
-            if run and run[2] and tail.isascii() and tail.isdigit() and tail[0] != "0" and int(tail) <= run[1]:
-                out.append(run[0] + int(tail) - 1)
-                continue
-            run = runs.get(name)
-            out.append(run[0] if run and not run[2] else -1)
-        return np.array(out, dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,11 +559,7 @@ def build_uc_model(
         # bincount adds each row's terms in their written order
         value = np.bincount(r, weights=vals * lb[cols], minlength=rows.n)[drop]
         lo, hi = row_lb[drop], row_ub[drop]
-        violation = np.where(
-            lo == hi,
-            np.abs(value - lo),
-            np.where(hi == math.inf, np.maximum(0.0, lo - value), np.maximum(0.0, value - hi)),
-        )
+        violation = np.maximum(0.0, np.maximum(lo - value, value - hi))
         violated = violation > 1e-6
         pruned = tuple(zip(map(row_names.__getitem__, np.flatnonzero(drop)[violated].tolist()),
                            violation[violated].tolist()))

@@ -465,24 +465,9 @@ def run_rolling_horizon(
 
 
 CSV_COLUMNS = (
-    "date",
-    "c_ch",
-    "c_ta",
-    "delta_pct",
-    "share_wind_ch",
-    "share_solar_ch",
-    "share_base_ch",
-    "share_medium_ch",
-    "share_peak_ch",
-    "share_wind_ta",
-    "share_solar_ta",
-    "share_base_ta",
-    "share_medium_ta",
-    "share_peak_ta",
-    "da_time_ch",
-    "rt_time_ch",
-    "da_time_ta",
-    "rt_time_ta",
+    ("date", "c_ch", "c_ta", "delta_pct")
+    + tuple(f"share_{tech}_{mode.lower()}" for mode in MODES for tech in TECHNOLOGIES)
+    + ("da_time_ch", "rt_time_ch", "da_time_ta", "rt_time_ta")
 )
 
 

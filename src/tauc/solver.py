@@ -79,10 +79,11 @@ class MipSolution:
     """What a solve returns.
 
     x holds one value per model column, in column order, when the backend
-    returned a point. gap, node_count and dual_bound come from the
-    in-process backend, which may finish in presolve with 0 nodes;
-    dual_bound includes the objective offset, like objective, and is at
-    most objective, which solve() recomputes from the audited x; gap is
+    returned a point. node_count and dual_bound come from the in-process
+    backend, which may finish in presolve with 0 nodes. dual_bound includes
+    the objective offset, like objective. solve() alone sets gap and clamps
+    dual_bound: it recomputes objective from the audited x, lowers the
+    backend's bound onto it where it sits above, and sets gap to
     (objective - dual_bound) / max(1, |objective|).
     """
 
@@ -126,11 +127,11 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     # so a fixing taken from it is never out of bounds
     x = np.clip(x, model.lb, model.ub)
     objective = float(model.c @ x) + model.objective_offset
-    bound, gap = raw.dual_bound, raw.gap
+    bound, gap = raw.dual_bound, None
     if bound is not None:
         # the backend's bound comes with its own objective and may sit above the
         # audited one by rounding; a gap the backend closed stays closed
-        bound = min(bound, objective) if gap else objective
+        bound = min(bound, objective) if bound < raw.objective else objective
         gap = (objective - bound) / max(1.0, abs(objective))
     return replace(raw, objective=objective, x=x, wall_time=wall, dual_bound=bound, gap=gap)
 
@@ -198,7 +199,9 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     is the commitment of a unit with pmin 0, free start-ups and no ramp or
     minimum-time rows, which may stay committed and dispatch 0 when idle.
     x comes back at full length, the folded entries exactly at their
-    bounds, for solve() to audit against the whole model.
+    bounds, for solve() to audit against the whole model. The objective
+    and the dual bound include the offset; the bound is the objective itself
+    when HiGHS solved an LP or had no free column.
     """
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
@@ -212,7 +215,7 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     x = np.where(free, 0.0, model.ub)
     offset = model.objective_offset + float(model.c @ x)
     if not free.any():  # nothing to decide; milp rejects an empty problem
-        return MipSolution("optimal", offset, x, 0.0, 0.0, "every column is fixed", 0, offset)
+        return MipSolution("optimal", offset, x, message="every column is fixed", node_count=0, dual_bound=offset)
 
     constraints = None
     if model.n_rows:
@@ -259,15 +262,12 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     if status == "optimal" and not model.integrality[free].any():
         # every binary was fixed or lifted, so HiGHS solved an LP and reports no MIP
         # figures; an LP optimum is its own bound, found without branching
-        return MipSolution(status, objective, x, 0.0, 0.0, str(res.message), 0, objective)
+        return MipSolution(status, objective, x, message=str(res.message), node_count=0, dual_bound=objective)
     nodes = getattr(res, "mip_node_count", None)
     bound = getattr(res, "mip_dual_bound", None)
     bound = float(bound) + offset if bound is not None and solved else None
-    # HiGHS's own mip_gap is relative to its offset-free objective, which can
-    # be far larger than the cost; measure the gap on the cost instead
-    gap = None if bound is None else max(0.0, objective - bound) / max(1.0, abs(objective))
-    return MipSolution(status, objective, x, gap, 0.0, str(res.message),
-                       None if nodes is None else int(nodes), bound)
+    return MipSolution(status, objective, x, message=str(res.message),
+                       node_count=None if nodes is None else int(nodes), dual_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +315,20 @@ def _solve_process(executable: str, model: UcModel, cfg: BackendConfig) -> MipSo
     if not values:
         return MipSolution("error", None, None, None, 0.0,
                            "solution file contained no variable values")
-    x = np.zeros(model.n_cols)  # sparse files omit zero variables
-    x[model.col_names.positions(values)] = list(values.values())
+    # sparse files omit zero variables
+    x = np.array([values.get(name, 0.0) for name in model.col_names.tolist()])
     return MipSolution("optimal", None, x, None, 0.0, "; ".join(notes))
 
 
-def parse_solution_file(text: str, model: UcModel | None = None):
+def parse_solution_file(text: str, model: UcModel):
     """Parse a solution file into (values, status_hint, notes).
 
     Two formats are understood: XML with <variable name=... value=...>
     elements, and plain text where each line carries "name value" (extra
     leading index and trailing columns, as some solvers write, are
     tolerated). Lines that are not value pairs are scanned for status
-    keywords. When a model is given, names it does not know are dropped and
-    reported in notes.
+    keywords. Names that no column of the model has are dropped and reported
+    in notes.
     """
     values: dict[str, float] = {}
     notes: list[str] = []
@@ -367,11 +367,10 @@ def parse_solution_file(text: str, model: UcModel | None = None):
                     hint = "optimal"
                 continue
             values[pair[0]] = pair[1]
-    if model is not None:
-        unknown = model.col_names.positions(values) < 0
-        for name in [n for n, missing in zip(values, unknown) if missing]:
-            notes.append(f"ignoring unknown variable {name!r} in solution file")
-            del values[name]
+    known = set(model.col_names.tolist())
+    for name in [n for n in values if n not in known]:
+        notes.append(f"ignoring unknown variable {name!r} in solution file")
+        del values[name]
     return values, hint, notes
 
 

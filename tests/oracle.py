@@ -1051,7 +1051,9 @@ def quadratic_cluster(values: np.ndarray, target_n: int) -> tuple[tuple, tuple]:
     while len(bounds) > target_n:
         left_s, right_s = sizes[:-1], sizes[1:]
         diff = centroids[:-1] - centroids[1:]
-        dist = 2.0 * left_s * right_s / (left_s + right_s) * np.einsum("ij,ij->i", diff, diff)
+        # columns summed from the first: einsum's order varies with its SIMD path
+        sq = sum(diff[:, j] * diff[:, j] for j in range(diff.shape[1]))
+        dist = 2.0 * left_s * right_s / (left_s + right_s) * sq
         dist = np.round(dist, 12)
         k = int(np.argmin(dist))
         merges.append(float(dist[k]))

@@ -10,6 +10,8 @@ import pytest
 from helpers import scenario_to_json
 from tauc.aggregation import HiResSeries
 from tauc.ingestion import (
+    PORTFOLIO_HEADER,
+    TRACE_HEADER,
     ScenarioConfig,
     build_portfolio,
     compute_installed_capacity,
@@ -224,6 +226,26 @@ def test_portfolio_csv_reports_bad_row_line(tmp_path):
     )
     with pytest.raises(ValueError, match="line 2"):
         build_portfolio(path)
+
+
+@pytest.mark.parametrize("header, good_row, load", [
+    (TRACE_HEADER, "2023-01-01T00:00:00Z,100,0.5,0.5", lambda path: load_timeseries(path, step_minutes=60)),
+    (PORTFOLIO_HEADER, "a1,base,100,250,12.5,600,80,80,6,6", build_portfolio),
+])
+def test_trace_and_portfolio_csvs_follow_one_set_of_rules(tmp_path, header, good_row, load):
+    """An empty file, a wrong header and a row with the wrong field count
+    raise the same errors for both inputs; blank lines are skipped but counted."""
+    path = tmp_path / "input.csv"
+    cases = (
+        ("", f"{path}: file is empty"),
+        (f"a,b\n{good_row}\n", f"{path} line 1: header must be {','.join(header)}, got a,b"),
+        (f"{','.join(header)}\n{good_row}\n\n1,2\n", f"{path} line 4: expected {len(header)} fields, got 2"),
+    )
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == message
 
 
 def test_unknown_portfolio_id_rejected():

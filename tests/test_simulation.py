@@ -20,7 +20,6 @@ from tauc.aggregation import HiResSeries, reduce_series, singleton_grid, normali
 from tauc.ingestion import LoadedTrace, illustrative_case
 from tauc.model import Fixings, PowerSystem, ThermalUnit, build_uc_model
 from tauc.simulation import (
-    CSV_COLUMNS,
     MODE_CH,
     MODE_TA,
     ComparisonReport,
@@ -368,7 +367,12 @@ def test_reports_render_as_csv():
     )
     text = reports_to_csv(reports)
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == (
+        "date,c_ch,c_ta,delta_pct,"
+        "share_wind_ch,share_solar_ch,share_base_ch,share_medium_ch,share_peak_ch,"
+        "share_wind_ta,share_solar_ta,share_base_ta,share_medium_ta,share_peak_ta,"
+        "da_time_ch,rt_time_ch,da_time_ta,rt_time_ta"
+    )
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "2023-06-01"

@@ -732,6 +732,41 @@ def test_process_backend_fills_omitted_variables_with_zero(tmp_path):
     assert res.x.tolist() == [1.5, 0.0]
 
 
+def test_process_backend_maps_every_column_name_to_its_own_position(tmp_path):
+    """Units a and a_1 give both u_a_11 and u_a_1_1. Fixings make the two
+    units' commitment and dispatch differ in every period, so a solution file
+    written in reverse column order comes back as the in-process point only if
+    each name lands on its own column; u_a_01 and an unknown stem are dropped."""
+    nt = 12
+    system = PowerSystem(units=(unit("a", "peak", 0.0, 100.0, 30.0), unit("a_1", "peak", 0.0, 100.0, 40.0)),
+                         wind_capacity=0.0, solar_capacity=0.0, load_shed_cost=1000.0)
+    odd = np.arange(1, nt + 1) % 2
+    commitment = np.array([odd, 1 - odd], dtype=float)
+    dispatch = commitment * (np.array([[10.0], [50.0]]) + np.arange(1, nt + 1))
+    model = build_uc_model(system, periods_from([1.0] * nt, [500.0] * nt), Fixings(commitment, dispatch))
+    names = model.col_names.tolist()
+    assert {"u_a_11", "u_a_1_1"} <= set(names)
+    inprocess = solve(model)
+    assert inprocess.status == "optimal"
+    lines = [f"{name} {value!r}" for name, value in zip(names, inprocess.x.tolist())][::-1]
+    text = "\n".join(["u_a_01 1.0", "u_zz_1 1.0", *lines]) + "\n"
+
+    values, _, notes = parse_solution_file(text, model)
+    assert values == dict(zip(names, inprocess.x.tolist()))
+    assert notes == ["ignoring unknown variable 'u_a_01' in solution file",
+                     "ignoring unknown variable 'u_zz_1' in solution file"]
+
+    (tmp_path / "answer.sol").write_text(text)
+    stub = make_stub(tmp_path, """\
+        import shutil
+        shutil.copy(os.path.join(os.path.dirname(sys.argv[0]), "answer.sol"), sys.argv[2])
+        """)
+    external = solve(model, BackendConfig(backend=stub))
+    assert external.status == "optimal", external.message
+    assert np.array_equal(external.x, inprocess.x)
+    assert "u_a_01" in external.message and "u_zz_1" in external.message
+
+
 def test_model_with_vacuous_minimum_time_rows_runs_on_the_external_backend(tmp_path):
     """min_up = min_down = one period left up_g_1 and dn_g_1 without terms,
     and the LP writer refused the model; the rows are dropped now."""
