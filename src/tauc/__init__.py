@@ -51,6 +51,7 @@ from .simulation import (
     run_day_ahead,
     run_real_time,
     run_rolling_horizon,
+    shed_and_spill,
 )
 from .solver import BackendConfig, MipSolution, solve
 
@@ -92,6 +93,7 @@ __all__ = [
     "run_day_ahead",
     "run_real_time",
     "run_rolling_horizon",
+    "shed_and_spill",
     "singleton_grid",
     "solve",
     "write_timeseries",

@@ -4,8 +4,9 @@ The formulation prices energy per period as power times duration and rescales
 every inter-period coupling quantity (ramp room, minimum up and down times) by
 the actual period lengths, so the same builder serves uniform hourly grids and
 clustered grids alike. Served demand is elastic up to the forecast at a load
-shedding price, and renewable injections are free but curtailable, which keeps
-every instance feasible for any commitment.
+shedding price, and renewable injections are free but curtailable, so a
+shortfall or a renewable surplus never makes an instance infeasible; thermal
+output held above demand by commitments or fixings still does.
 """
 from __future__ import annotations
 
@@ -437,7 +438,13 @@ def build_uc_model(
     family is written with index arrays over (unit, period). su counts
     start-ups (su_t >= u_t - u_{t-1}, priced at the unit's startup_cost); a
     unit whose start-ups are free has its su columns pinned to 0 and no
-    start-up rows. fixings freezes u and pg columns through equality bounds.
+    start-up rows. The rampup and rampdn rows relax their limit, when the
+    unit is off in t (rampup) or in t-1 (rampdn), by
+    M_t = max(0, SU_t - RU_t - pmin) (rampdn: SD_t - RD_t - pmin) where the
+    paper uses pmax: onmin keeps a committed unit at pmin or above, so both
+    forms admit the same integer points, and the smaller M_t lifts the LP
+    bound. M_t is 0 for every unit of the built-in portfolios. fixings
+    freezes u and pg columns through equality bounds.
     Rows with no term on a free column are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -506,23 +513,27 @@ def build_uc_model(
             rows.add([f"sucost_{uid}"], np.zeros(nt, dtype=int), tt, lo, math.inf,
                      (loc, su[g], 1.0), (loc, ug, -1.0), (loc[1:], ug[:-1], 1.0))
         # ramping, skipped entirely for rate-unlimited units (rows are vacuous
-        # once every limit clamps to pmax); rampup and rampdn alternate by period
+        # once every limit clamps to pmax); rampup and rampdn alternate by
+        # period. m is each row's big-M, smaller than the paper's pmax (see above)
         emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
         emit_dn = unit.ramp_down is not None or unit.shutdown_ramp is not None
         families = []
         if emit_up:
-            first = unit.pmax + (unit.p0 + (ru_hat[0] - su_hat[0]) * unit.u0)
-            families.append(("rampup", first, (pgg, 1.0), (ug, unit.pmax - su_hat),
+            m = np.maximum(0.0, su_hat - ru_hat - unit.pmin)
+            first = m[0] + (unit.p0 + (ru_hat[0] - su_hat[0]) * unit.u0)
+            families.append(("rampup", m, first, (pgg, 1.0), (ug, m - su_hat),
                              (pgg[:-1], -1.0), (ug[:-1], su_hat[1:] - ru_hat[1:])))
         if emit_dn:
-            first = unit.pmax + (-unit.p0 - (unit.pmax - sd_hat[0]) * unit.u0)
-            families.append(("rampdn", first, (pgg, -1.0), (ug, sd_hat - rd_hat),
-                             (pgg[:-1], 1.0), (ug[:-1], unit.pmax - sd_hat[1:])))
+            m = np.maximum(0.0, sd_hat - rd_hat - unit.pmin)
+            first = m[0] + (-unit.p0 - (m[0] - sd_hat[0]) * unit.u0)
+            families.append(("rampdn", m, first, (pgg, -1.0), (ug, sd_hat - rd_hat),
+                             (pgg[:-1], 1.0), (ug[:-1], m[1:] - sd_hat[1:])))
         if families:
             k = len(families)
-            hi = np.full((nt, k), float(unit.pmax))
+            hi = np.empty((nt, k))
             terms = []
-            for i, (_, first, now_p, now_u, prev_p, prev_u) in enumerate(families):
+            for i, (_, m, first, now_p, now_u, prev_p, prev_u) in enumerate(families):
+                hi[:, i] = m
                 hi[0, i] = first
                 r = loc * k + i
                 terms += [(r, *now_p), (r, *now_u), (r[1:], *prev_p), (r[1:], *prev_u)]

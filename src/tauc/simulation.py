@@ -30,6 +30,7 @@ import numpy as np
 
 from .aggregation import (
     HiResSeries,
+    ReducedSeries,
     TimeGrid,
     cluster_adjacent,
     hourly_grid,
@@ -92,8 +93,10 @@ class RealTimeResult:
 @dataclass(frozen=True)
 class ComparisonReport:
     """One day's outcome under both modes. A nonempty warning marks a day
-    that was skipped (costs are NaN then). da_time_* and rt_time_* are the
-    wall seconds of each mode's day-ahead and real-time solves."""
+    that was skipped (costs, shed and spill are NaN then). da_time_* and
+    rt_time_* are the wall seconds of each mode's day-ahead and real-time
+    solves; shed_mwh_* and spill_mwh_* are each mode's shed demand and
+    spilled wind plus solar energy over the day's periods, as the cost is."""
 
     date: str
     c_ch: float
@@ -105,6 +108,10 @@ class ComparisonReport:
     rt_time_ch: float
     da_time_ta: float
     rt_time_ta: float
+    shed_mwh_ch: float
+    spill_mwh_ch: float
+    shed_mwh_ta: float
+    spill_mwh_ta: float
     warning: str = ""
 
 
@@ -214,8 +221,12 @@ def run_real_time(
 ) -> RealTimeResult:
     """Re-solve one window at full resolution under a plan's fixings.
 
-    The model keeps the load-shed slack, so this stays feasible for any
-    plan; rows fully pinned by fixings are dropped rather than enforced.
+    Load shedding covers any shortfall and curtailment any renewable
+    surplus, but nothing absorbs thermal output the plan froze above
+    demand: fixed dispatch plus the pmin of units whose commitment is fixed
+    on. A period where that output exceeds demand makes the model
+    infeasible, and the RuntimeError names the first such period and the
+    excess. Rows fully pinned by fixings are dropped rather than enforced.
     fixings None leaves every column free.
     """
     grid = singleton_grid(series.n_points, series.step_minutes)
@@ -223,10 +234,13 @@ def run_real_time(
     model = build_uc_model(system, periods, fixings=fixings)
     result = solve(model, config)
     if result.status != "optimal":
-        raise RuntimeError(
-            f"real-time solve for {label} ended {result.status} despite load-shed slack: "
-            f"{result.message}"
-        )
+        why = result.message
+        over = None if fixings is None else _frozen_excess(system, periods, fixings)
+        if over is not None:
+            t, excess = over
+            why = (f"the plan freezes {excess:.1f} MW more thermal output than the demand of "
+                   f"period {t} (sample {t - 1} of the window)")
+        raise RuntimeError(f"real-time solve for {label} ended {result.status}: {why}")
     schedule = extract_schedule(system, periods, result.x)
     day_periods = min(len(periods), 24 * 60 // series.step_minutes)
     cost = operating_cost(system, periods, schedule, slice(0, day_periods))
@@ -239,6 +253,18 @@ def run_real_time(
         objective=result.objective,
         solve_time=result.wall_time,
     )
+
+
+def _frozen_excess(system: PowerSystem, periods: ReducedSeries, fixings: Fixings) -> tuple[int, float] | None:
+    """(period, MW) of the first period whose frozen thermal output, fixed
+    dispatch or else pmin times a fixed commitment, exceeds demand; None if none does."""
+    pmin = np.array([unit.pmin for unit in system.units])[:, None]
+    floor = np.where(np.isnan(fixings.dispatch), np.nan_to_num(fixings.commitment) * pmin, fixings.dispatch)
+    excess = floor.sum(axis=0) - periods.demand_mw
+    over = np.flatnonzero(excess > 1e-6)
+    if len(over) == 0:
+        return None
+    return int(over[0]) + 1, float(excess[over[0]])
 
 
 def cost_delta(c_ch: float, c_ta: float) -> float:
@@ -261,6 +287,15 @@ def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, 
     if total <= 0:
         raise ValueError("no energy served; shares are undefined")
     return {tech: 100.0 * energy[tech] / total for tech in TECHNOLOGIES}
+
+
+def shed_and_spill(result: RealTimeResult) -> tuple[float, float]:
+    """Shed demand and spilled wind plus solar energy over the day, in MWh."""
+    sl = slice(0, result.day_periods)
+    d = result.step_minutes / 60.0
+    schedule = result.schedule
+    spill = schedule.wind_spill[sl] + schedule.solar_spill[sl]
+    return float(np.sum(schedule.shed[sl]) * d), float(np.sum(spill) * d)
 
 
 def run_one_mode(
@@ -286,6 +321,8 @@ def _report(
 ) -> ComparisonReport:
     """One day's report from the (plan, real-time result) pair of each mode."""
     (plan_ch, rt_ch), (plan_ta, rt_ta) = ch, ta
+    shed_ch, spill_ch = shed_and_spill(rt_ch)
+    shed_ta, spill_ta = shed_and_spill(rt_ta)
     return ComparisonReport(
         date=label,
         c_ch=rt_ch.cost,
@@ -297,6 +334,10 @@ def _report(
         rt_time_ch=rt_ch.solve_time,
         da_time_ta=plan_ta.solve_time,
         rt_time_ta=rt_ta.solve_time,
+        shed_mwh_ch=shed_ch,
+        spill_mwh_ch=spill_ch,
+        shed_mwh_ta=shed_ta,
+        spill_mwh_ta=spill_ta,
     )
 
 
@@ -338,6 +379,7 @@ def _skipped_day(label: str, reason: str) -> ComparisonReport:
         shares_ch={},
         shares_ta={},
         da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
+        shed_mwh_ch=math.nan, spill_mwh_ch=math.nan, shed_mwh_ta=math.nan, spill_mwh_ta=math.nan,
         warning=f"day skipped: {reason}",
     )
 
@@ -468,6 +510,7 @@ CSV_COLUMNS = (
     ("date", "c_ch", "c_ta", "delta_pct")
     + tuple(f"share_{tech}_{mode.lower()}" for mode in MODES for tech in TECHNOLOGIES)
     + ("da_time_ch", "rt_time_ch", "da_time_ta", "rt_time_ta")
+    + ("shed_mwh_ch", "spill_mwh_ch", "shed_mwh_ta", "spill_mwh_ta")
 )
 
 
@@ -483,5 +526,6 @@ def reports_to_csv(reports: list[ComparisonReport]) -> str:
         row.extend(f"{rep.shares_ch[tech]:.4f}" for tech in TECHNOLOGIES)
         row.extend(f"{rep.shares_ta[tech]:.4f}" for tech in TECHNOLOGIES)
         row.extend(f"{t:.3f}" for t in (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta))
+        row.extend(f"{e:.3f}" for e in (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta))
         writer.writerow(row)
     return buf.getvalue()

@@ -59,11 +59,14 @@ class BackendConfig:
     root's reduced costs leave free, the "L" line of its log) and
     mip_heuristic_run_feasibility_jump. The benchmark's models close at or
     near the root, where the two took about a third of HiGHS's time. On
-    the study13 fixture day at gap 0 (four solves) both off reached the
-    same optima as HiGHS's defaults in 82-85 s against 116-118 s at a
-    10-minute step, and in 10-13 s against 13-26 s on three of four seeds
-    at 30 minutes (a tie on the fourth); feasibility jump off alone took
-    149-150 s at 10 minutes (README, "Solver backends"). A scipy whose
+    the study13 fixture day at gap 0 (four solves, on the paper's pmax ramp
+    rows) both off reached the same optima as HiGHS's defaults in 82-85 s
+    against 116-118 s at a 10-minute step, and in 10-13 s against 13-26 s
+    on three of four seeds at 30 minutes (a tie on the fourth); feasibility
+    jump off alone took 149-150 s at 10 minutes. On the strengthened ramp
+    rows both off is still ahead: 101 against 119 s over eight study13
+    days at 10 and 30 minutes, and 11.7 against 18.6 ms per day-benchmark
+    model (README, "Solver backends"). A scipy whose
     bundled HiGHS lacks one of these options warns with OptimizeWarning
     and runs HiGHS with its default for it, so results do not change.
     """

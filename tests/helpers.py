@@ -128,6 +128,9 @@ def conventional_hourly_model(system: PowerSystem, periods):
         )
         su = u.pmax if su_rate is None else min(u.pmax, max(u.pmin, su_rate * 1.0))
         sd = u.pmax if sd_rate is None else min(u.pmax, max(u.pmin, sd_rate * 1.0))
+        # the ramp rows' big-M: the room an off unit needs beyond pmin
+        m_up = max(0.0, su - ru - u.pmin)
+        m_dn = max(0.0, sd - rd - u.pmin)
         for t in range(1, nt + 1):
             put(f"onmin_{g}_{t}", {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": -u.pmin}, ">=", 0.0)
             put(f"onmax_{g}_{t}", {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": -u.pmax}, "<=", 0.0)
@@ -149,9 +152,9 @@ def conventional_hourly_model(system: PowerSystem, periods):
                 if t == 1:
                     put(
                         f"rampup_{g}_{t}",
-                        {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": u.pmax - su},
+                        {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": m_up - su},
                         "<=",
-                        u.pmax + u.p0 + (ru - su) * u.u0,
+                        m_up + u.p0 + (ru - su) * u.u0,
                     )
                 else:
                     put(
@@ -159,11 +162,11 @@ def conventional_hourly_model(system: PowerSystem, periods):
                         {
                             f"pg_{g}_{t}": 1.0,
                             f"pg_{g}_{t-1}": -1.0,
-                            f"u_{g}_{t}": u.pmax - su,
+                            f"u_{g}_{t}": m_up - su,
                             f"u_{g}_{t-1}": su - ru,
                         },
                         "<=",
-                        u.pmax,
+                        m_up,
                     )
             if emit_dn:
                 if t == 1:
@@ -171,7 +174,7 @@ def conventional_hourly_model(system: PowerSystem, periods):
                         f"rampdn_{g}_{t}",
                         {f"pg_{g}_{t}": -1.0, f"u_{g}_{t}": sd - rd},
                         "<=",
-                        u.pmax - u.p0 - (u.pmax - sd) * u.u0,
+                        m_dn - u.p0 - (m_dn - sd) * u.u0,
                     )
                 else:
                     put(
@@ -180,10 +183,10 @@ def conventional_hourly_model(system: PowerSystem, periods):
                             f"pg_{g}_{t}": -1.0,
                             f"pg_{g}_{t-1}": 1.0,
                             f"u_{g}_{t}": sd - rd,
-                            f"u_{g}_{t-1}": u.pmax - sd,
+                            f"u_{g}_{t-1}": m_dn - sd,
                         },
                         "<=",
-                        u.pmax,
+                        m_dn,
                     )
         if emit_dn:
             for t in range(1, nt):
@@ -337,14 +340,17 @@ def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, Reduce
 
 
 @st.composite
-def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = True, free_unit: bool = False):
+def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = True, free_unit: bool = False,
+                 ramp_limited: bool = False):
     """(system, periods, fixings) for the model builder: ramp-limited and
     unlimited units, minimum times that cover whole periods or fall between
     period ends, both initial states, and fixings in the style of a plan
     (commitment, or commitment and dispatch, of some units) that may break
     the unit's own rows. free_unit appends one more unit, never fixed, whose
     commitment cannot change cost or feasibility: pmin 0, free start-ups,
-    no ramp rates and no minimum times."""
+    no ramp rates and no minimum times. ramp_limited gives every drawn unit
+    all four ramp rates (ramp up and down, start-up and shut-down), so each
+    has both ramp row families."""
     nt = draw(st.integers(1, max_periods))
     durations = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]), min_size=nt, max_size=nt))
     units = []
@@ -352,7 +358,9 @@ def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = Tru
         pmax = draw(st.sampled_from([40.0, 120.0, 250.0]))
         pmin = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) * pmax
         u0 = draw(st.integers(0, 1))
-        rate = st.one_of(st.none(), st.sampled_from([15.0, 70.0, 400.0]))
+        rate = st.sampled_from([15.0, 70.0, 400.0])
+        if not ramp_limited:
+            rate = st.one_of(st.none(), rate)
         units.append(ThermalUnit(
             unit_id=f"g{g}",
             flex_class=draw(st.sampled_from(["base", "medium", "peak"])),

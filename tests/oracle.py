@@ -13,10 +13,12 @@ result the package computes another way, so tests can compare the two:
 - ``read_model_file`` parses LP text back into a model, for round-trip tests
   of ``tauc.solver.emit_model_file``.
 - ``reference_build_uc_model`` and ``reference_check_solution`` are the
-  earlier builder and audit of ``tauc.model``/``tauc.solver``, kept verbatim:
-  one dict of coefficients per row and one ``Variable`` per column, walked by
-  name. The array builder must write the same rows, terms, bounds and
-  objective bit for bit, and the ``A @ x`` audit must reach the same verdict.
+  earlier builder and audit of ``tauc.model``/``tauc.solver``: one dict of
+  coefficients per row and one ``Variable`` per column, walked by name. The
+  array builder must write the same rows, terms, bounds and objective bit
+  for bit, and the ``A @ x`` audit must reach the same verdict. The builder
+  also keeps the paper's ramp rows, whose big-M is pmax
+  (``ramp_big_m="pmax"``), as the reference for the strengthened ones.
 - ``model_from_rows`` makes an array ``UcModel`` from hand-written
   ``Variable``/``Row`` lists, for small test models and the LP reader.
 - ``ward_distance`` is the scalar Ward merge cost that the greedy clustering
@@ -540,17 +542,24 @@ def reference_build_uc_model(
     system: PowerSystem,
     periods: ReducedSeries,
     fixings: Mapping[str, float] | None = None,
+    ramp_big_m: str = "tight",
 ) -> ReferenceModel:
     """Build the commitment MILP for one system over one window of periods.
 
     Each unit's ramp limits and minimum-time counts are rescaled to the
-    period durations (effective_ramp_limits, effective_min_times). fixings
+    period durations (effective_ramp_limits, effective_min_times). The
+    rampup and rampdn rows of period t are relaxed by a big-M when the unit
+    is off in t (rampup) or in t-1 (rampdn): ramp_big_m "tight" uses
+    max(0, SU_t - RU_t - pmin) (rampdn: SD_t - RD_t - pmin), as
+    tauc.model.build_uc_model does, and "pmax" uses the paper's pmax. fixings
     maps variable names to frozen values and is applied as equality bounds.
     Rows whose variables are all fixed are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
     committed plan needs.
     """
+    if ramp_big_m not in ("tight", "pmax"):
+        raise ValueError(f"ramp_big_m must be 'tight' or 'pmax', got {ramp_big_m!r}")
     d = period_durations(periods)
     nt = len(d)
 
@@ -609,9 +618,10 @@ def reference_build_uc_model(
         emit_dn = unit.ramp_down is not None or unit.shutdown_ramp is not None
         for t, ru, rd, suh, sdh in zip(range(1, nt + 1), ru_hat, rd_hat, su_hat, sd_hat):
             if emit_up:
+                m = unit.pmax if ramp_big_m == "pmax" else max(0.0, suh - ru - unit.pmin)
                 coeffs = {pg_name(uid, t): 1.0}
-                rhs = unit.pmax
-                _add(coeffs, u_name(uid, t), unit.pmax - suh)
+                rhs = m
+                _add(coeffs, u_name(uid, t), m - suh)
                 if t > 1:
                     _add(coeffs, pg_name(uid, t - 1), -1.0)
                     _add(coeffs, u_name(uid, t - 1), suh - ru)
@@ -619,14 +629,15 @@ def reference_build_uc_model(
                     rhs += unit.p0 + (ru - suh) * unit.u0
                 rows.append(Row(f"rampup_{uid}_{t}", coeffs, "<=", rhs))
             if emit_dn:
+                m = unit.pmax if ramp_big_m == "pmax" else max(0.0, sdh - rd - unit.pmin)
                 coeffs = {pg_name(uid, t): -1.0}
-                rhs = unit.pmax
+                rhs = m
                 _add(coeffs, u_name(uid, t), sdh - rd)
                 if t > 1:
                     _add(coeffs, pg_name(uid, t - 1), 1.0)
-                    _add(coeffs, u_name(uid, t - 1), unit.pmax - sdh)
+                    _add(coeffs, u_name(uid, t - 1), m - sdh)
                 else:
-                    rhs += -unit.p0 - (unit.pmax - sdh) * unit.u0
+                    rhs += -unit.p0 - (m - sdh) * unit.u0
                 rows.append(Row(f"rampdn_{uid}_{t}", coeffs, "<=", rhs))
         if emit_dn:
             for t, sdh in zip(range(1, nt), sd_hat):

@@ -33,6 +33,7 @@ from tauc.simulation import (
     run_chain,
     run_real_time,
     run_rolling_horizon,
+    shed_and_spill,
 )
 from tauc.solver import solve
 
@@ -109,6 +110,39 @@ def test_hourly_plan_sheds_and_spills_where_the_tables_say():
     np.testing.assert_allclose(
         class_totals(system, rt.schedule.dispatch, "peak"), [0, 0, 0, 0, 0, 50.0], atol=1e-6
     )
+
+
+def test_shed_and_spill_energy_covers_the_day_only():
+    system, series = illustrative_case()
+    plan = run_day_ahead(system, series, MODE_CH)
+    rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
+    # 100 MW shed in the sixth half-hour, 200 MW of solar spilled in the fifth
+    assert shed_and_spill(rt) == pytest.approx((50.0, 100.0), abs=1e-6)
+    # periods past the day's end belong to the next day
+    assert shed_and_spill(dataclasses.replace(rt, day_periods=5)) == pytest.approx((0.0, 100.0), abs=1e-6)
+
+
+def test_real_time_names_the_period_where_frozen_output_exceeds_demand():
+    """A base unit fixed at 60 MW and a medium unit committed at its 50 MW
+    minimum meet 100 MW of demand in period 2. Neither shedding nor
+    curtailment absorbs a surplus, so the solve is infeasible, and the error
+    says where and by how much."""
+    base = ThermalUnit("b", "base", 60.0, 60.0, 10.0, u0=1, hours_on0=24.0, p0=60.0)
+    medium = ThermalUnit("m", "medium", 50.0, 100.0, 30.0, u0=1, hours_on0=24.0, p0=50.0)
+    peak = ThermalUnit("p", "peak", 0.0, 50.0, 50.0)
+    system = PowerSystem(units=(base, medium, peak), wind_capacity=0.0, solar_capacity=0.0,
+                         load_shed_cost=1000.0)
+    series = HiResSeries(demand=np.array([150.0, 100.0, 120.0]), wind_cf=np.zeros(3), solar_cf=np.zeros(3),
+                         step_minutes=60)
+    free = [np.nan] * 3
+    fixings = Fixings(commitment=np.array([[1.0] * 3, [1.0] * 3, free]),
+                      dispatch=np.array([[60.0] * 3, free, free]))
+    with pytest.raises(RuntimeError, match=r"real-time solve for d ended infeasible: the plan freezes 10\.0 MW "
+                                           r"more thermal output than the demand of period 2 \(sample 1 of"):
+        run_real_time(system, series, fixings, label="d")
+    # with the medium unit free to stop, the same plan is feasible
+    fixings.commitment[1] = np.nan
+    assert run_real_time(system, series, fixings).cost > 0
 
 
 def test_adaptive_plan_model_agrees_with_exhaustive_search():
@@ -362,6 +396,7 @@ def test_reports_render_as_csv():
         ComparisonReport(
             date="2023-06-03", c_ch=math.nan, c_ta=math.nan, delta_pct=math.nan,
             shares_ch={}, shares_ta={}, da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
+            shed_mwh_ch=math.nan, spill_mwh_ch=math.nan, shed_mwh_ta=math.nan, spill_mwh_ta=math.nan,
             warning="day skipped: no data",
         )
     )
@@ -371,7 +406,8 @@ def test_reports_render_as_csv():
         "date,c_ch,c_ta,delta_pct,"
         "share_wind_ch,share_solar_ch,share_base_ch,share_medium_ch,share_peak_ch,"
         "share_wind_ta,share_solar_ta,share_base_ta,share_medium_ta,share_peak_ta,"
-        "da_time_ch,rt_time_ch,da_time_ta,rt_time_ta"
+        "da_time_ch,rt_time_ch,da_time_ta,rt_time_ta,"
+        "shed_mwh_ch,spill_mwh_ch,shed_mwh_ta,spill_mwh_ta"
     )
     assert len(lines) == 3
     first = lines[1].split(",")
@@ -380,7 +416,9 @@ def test_reports_render_as_csv():
     rep = reports[0]
     times = (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta)
     assert min(times) > 0.0
-    assert first[-4:] == [f"{t:.3f}" for t in times]
+    assert first[-8:-4] == [f"{t:.3f}" for t in times]
+    energies = (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta)
+    assert first[-4:] == [f"{e:.3f}" for e in energies]
 
 
 def test_duck_day_favors_the_adaptive_grid():
