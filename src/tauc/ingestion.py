@@ -381,10 +381,8 @@ class ScenarioConfig:
     start_date: str | None = None
     end_date: str | None = None
     shed_cost: float | None = None
-    backend: str = "auto"
     gap: float = 0.0
     time_limit: float | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -409,8 +407,6 @@ class ScenarioConfig:
             raise ValueError("gap must be nonnegative")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive or None")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be at least 1 or None, got {self.threads}")
         if self.shed_cost is not None and self.shed_cost <= 0:
             raise ValueError("shed_cost must be positive or None")
         if not self.portfolio:
@@ -429,12 +425,7 @@ class ScenarioConfig:
             raise ValueError("start_date is after end_date")
 
     def solver_config(self) -> BackendConfig:
-        return BackendConfig(
-            backend=self.backend,
-            gap=self.gap,
-            time_limit=self.time_limit,
-            threads=self.threads,
-        )
+        return BackendConfig(gap=self.gap, time_limit=self.time_limit)
 
     def resolved_shed_cost(self) -> float:
         if self.shed_cost is not None:

@@ -280,16 +280,16 @@ class UcModel:
     lb <= x <= ub, with x[j] binary where integrality[j] is 1; reported
     objective values then equal the full operating cost. A is kept as the
     triplets (rows, cols, vals), sorted by row and, within a row, in the
-    order the builder wrote the terms, so the LP file and the sparse matrix
-    HiGHS receives are reproducible. objective_order lists the columns of
-    the objective in the order the LP file writes them.
+    order the builder wrote the terms, so the sparse matrix HiGHS receives
+    and the views below are reproducible. objective_order lists the columns
+    of the objective in the order the builder wrote them.
 
-    Names are made only at the edges: the LP file, the external backend,
-    error messages and the read-only views variables, constraints and
-    objective, which are built on first use. Fixed columns are those whose
-    bounds coincide. pruned_violations lists rows that were dropped because
-    none of their terms is on a free column, together with the amount by
-    which the frozen values violate them (normally zero).
+    Names are made only for error and audit messages, pruned_violations and
+    the read-only views variables, constraints and objective, which are
+    built on first use. Fixed columns are those whose bounds coincide.
+    pruned_violations lists rows that were dropped because none of their
+    terms is on a free column, together with the amount by which the frozen
+    values violate them (normally zero).
     """
 
     col_names: Names

@@ -1,29 +1,18 @@
 """Solving layer for commitment models.
 
-The default backend is the in-process HiGHS MILP solver that ships with
-scipy. Any external solver can be plugged in through a small command-line
-contract: the executable is invoked as ``exe model.lp solution.sol`` and must
-leave a readable solution file behind (plain name/value lines or a CPLEX-style
-XML file). The ``TAUC_SOLVER`` environment variable overrides the configured
-backend so operators can redirect solves without touching code.
-
-Every answer, regardless of backend, is audited before it is returned:
-binaries are snapped to integers, bounds and rows are re-checked against the
-model with an independent residual test, the accepted point is clipped onto
-its column bounds, and the objective is recomputed from it. A backend can
-therefore be wrong but not quietly wrong.
+Models are solved by the in-process HiGHS MILP solver that ships with scipy.
+Every answer is audited before it is returned: binaries are snapped to
+integers, bounds and rows are re-checked against the model with an
+independent residual test, the accepted point is clipped onto its column
+bounds, and the objective is recomputed from it. The solver can therefore be
+wrong but not quietly wrong.
 """
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import tempfile
 import time
 import warnings
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -44,17 +33,13 @@ warnings.filterwarnings("ignore", message=r"Unrecognized options detected: .* pa
 class BackendConfig:
     """How to run a solve.
 
-    backend: "auto" (in-process HiGHS) or a path to an external solver
-    executable. The TAUC_SOLVER environment variable, when set, wins over
-    this field.
-    gap is the relative MIP gap target. The in-process HiGHS applies it to
-    its own objective, which lacks the objective offset (the price of
-    shedding all demand) and is mostly far larger in magnitude than the
-    cost, so it may stop with a gap on the cost above gap; MipSolution.gap
-    reports the gap on the cost. threads is forwarded to external backends
-    via TAUC_THREADS; the in-process backend ignores it.
+    gap is the relative MIP gap target. HiGHS applies it to its own
+    objective, which lacks the objective offset (the price of shedding all
+    demand) and is mostly far larger in magnitude than the cost, so it may
+    stop with a gap on the cost above gap; MipSolution.gap reports the gap
+    on the cost. time_limit, in seconds, stops HiGHS with its incumbent.
 
-    The in-process HiGHS always runs with two root heuristics switched off:
+    HiGHS always runs with two root heuristics switched off:
     mip_heuristic_run_root_reduced_cost (the sub-MIP on the columns the
     root's reduced costs leave free, the "L" line of its log) and
     mip_heuristic_run_feasibility_jump. The benchmark's models close at or
@@ -66,27 +51,25 @@ class BackendConfig:
     jump off alone took 149-150 s at 10 minutes. On the strengthened ramp
     rows both off is still ahead: 101 against 119 s over eight study13
     days at 10 and 30 minutes, and 11.7 against 18.6 ms per day-benchmark
-    model (README, "Solver backends"). A scipy whose
-    bundled HiGHS lacks one of these options warns with OptimizeWarning
-    and runs HiGHS with its default for it, so results do not change.
+    model (README, "Solver"). A scipy whose bundled HiGHS lacks one of
+    these options warns with OptimizeWarning and runs HiGHS with its
+    default for it, so results do not change.
     """
 
-    backend: str = "auto"
     gap: float = 0.0
     time_limit: float | None = None
-    threads: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class MipSolution:
     """What a solve returns.
 
-    x holds one value per model column, in column order, when the backend
-    returned a point. node_count and dual_bound come from the in-process
-    backend, which may finish in presolve with 0 nodes. dual_bound includes
-    the objective offset, like objective. solve() alone sets gap and clamps
-    dual_bound: it recomputes objective from the audited x, lowers the
-    backend's bound onto it where it sits above, and sets gap to
+    x holds one value per model column, in column order, when HiGHS
+    returned a point. node_count and dual_bound come from HiGHS, which may
+    finish in presolve with 0 nodes. dual_bound includes the objective
+    offset, like objective. solve() alone sets gap and clamps dual_bound:
+    it recomputes objective from the audited x, lowers HiGHS's bound onto
+    it where it sits above, and sets gap to
     (objective - dual_bound) / max(1, |objective|).
     """
 
@@ -103,12 +86,9 @@ class MipSolution:
 def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     """Solve a model and return an audited solution."""
     cfg = config or BackendConfig()
-    backend = os.environ.get("TAUC_SOLVER", "").strip() or cfg.backend
-    inprocess = backend in ("auto", "highs", "scipy")
-    if inprocess:
-        import scipy.optimize  # noqa: F401  (a first solve's wall_time leaves out the import)
+    import scipy.optimize  # noqa: F401  (a first solve's wall_time leaves out the import)
     start = time.perf_counter()
-    raw = _solve_inprocess(model, cfg) if inprocess else _solve_process(backend, model, cfg)
+    raw = _solve_highs(model, cfg)
     wall = time.perf_counter() - start
     if raw.status not in ("optimal", "feasible"):
         return replace(raw, wall_time=wall)
@@ -132,8 +112,8 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     objective = float(model.c @ x) + model.objective_offset
     bound, gap = raw.dual_bound, None
     if bound is not None:
-        # the backend's bound comes with its own objective and may sit above the
-        # audited one by rounding; a gap the backend closed stays closed
+        # HiGHS's bound comes with its own objective and may sit above the
+        # audited one by rounding; a gap HiGHS closed stays closed
         bound = min(bound, objective) if bound < raw.objective else objective
         gap = (objective - bound) / max(1.0, abs(objective))
     return replace(raw, objective=objective, x=x, wall_time=wall, dual_bound=bound, gap=gap)
@@ -180,7 +160,7 @@ def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> lis
 
 
 # ---------------------------------------------------------------------------
-# in-process backend
+# HiGHS
 
 
 def milp(*args, **kwargs):
@@ -190,7 +170,7 @@ def milp(*args, **kwargs):
     return highs_milp(*args, **kwargs)
 
 
-def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
+def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     """HiGHS on the free columns only.
 
     A fixed column (lb == ub) is folded out: its cost moves into the
@@ -271,191 +251,3 @@ def _solve_inprocess(model: UcModel, cfg: BackendConfig) -> MipSolution:
     bound = float(bound) + offset if bound is not None and solved else None
     return MipSolution(status, objective, x, message=str(res.message),
                        node_count=None if nodes is None else int(nodes), dual_bound=bound)
-
-
-# ---------------------------------------------------------------------------
-# external process backend
-
-
-def _solve_process(executable: str, model: UcModel, cfg: BackendConfig) -> MipSolution:
-    lp_text = emit_model_file(model)
-    with tempfile.TemporaryDirectory(prefix="tauc-solve-") as tmp:
-        lp_path = Path(tmp) / "model.lp"
-        sol_path = Path(tmp) / "solution.sol"
-        lp_path.write_text(lp_text)
-        env = dict(os.environ)
-        env["TAUC_MIP_GAP"] = str(cfg.gap)
-        if cfg.time_limit is not None:
-            env["TAUC_TIME_LIMIT"] = str(cfg.time_limit)
-        if cfg.threads is not None:
-            env["TAUC_THREADS"] = str(int(cfg.threads))
-        timeout = cfg.time_limit + 60.0 if cfg.time_limit else None
-        try:
-            proc = subprocess.run([executable, str(lp_path), str(sol_path)],
-                                  capture_output=True, text=True, env=env,
-                                  timeout=timeout)
-        except FileNotFoundError:
-            return MipSolution("error", None, None, None, 0.0,
-                               f"solver executable not found: {executable}")
-        except subprocess.TimeoutExpired:
-            return MipSolution("error", None, None, None, 0.0,
-                               f"solver timed out after {timeout:.0f}s")
-        if proc.returncode != 0:
-            tail = (proc.stderr or proc.stdout or "").strip()[-400:]
-            return MipSolution("error", None, None, None, 0.0,
-                               f"solver exited with code {proc.returncode}: {tail}")
-        if not sol_path.exists():
-            return MipSolution("error", None, None, None, 0.0,
-                               "solver wrote no solution file")
-        try:
-            values, hint, notes = parse_solution_file(sol_path.read_text(), model)
-        except ET.ParseError as exc:
-            return MipSolution("error", None, None, None, 0.0,
-                               f"cannot parse solution file: {exc}")
-    if hint in ("infeasible", "unbounded"):
-        return MipSolution(hint, None, None, None, 0.0,
-                           "; ".join(notes) or f"solver reported {hint}")
-    if not values:
-        return MipSolution("error", None, None, None, 0.0,
-                           "solution file contained no variable values")
-    # sparse files omit zero variables
-    x = np.array([values.get(name, 0.0) for name in model.col_names.tolist()])
-    return MipSolution("optimal", None, x, None, 0.0, "; ".join(notes))
-
-
-def parse_solution_file(text: str, model: UcModel):
-    """Parse a solution file into (values, status_hint, notes).
-
-    Two formats are understood: XML with <variable name=... value=...>
-    elements, and plain text where each line carries "name value" (extra
-    leading index and trailing columns, as some solvers write, are
-    tolerated). Lines that are not value pairs are scanned for status
-    keywords. Names that no column of the model has are dropped and reported
-    in notes.
-    """
-    values: dict[str, float] = {}
-    notes: list[str] = []
-    hint = None
-    if text.lstrip().startswith("<"):
-        root = ET.fromstring(text)
-        for el in root.iter("variable"):
-            name = el.get("name")
-            raw = el.get("value")
-            if name is None or raw is None:
-                continue
-            try:
-                values[name] = float(raw)
-            except ValueError:
-                notes.append(f"unparseable value for {name!r}")
-        header = root.find("header")
-        if header is not None:
-            status_str = (header.get("solutionStatusString") or "").lower()
-            for word in ("infeasible", "unbounded", "optimal"):
-                if word in status_str:
-                    hint = word
-                    break
-    else:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith(("#", "//")):
-                continue
-            pair = _value_pair(line.split())
-            if pair is None:
-                low = line.lower()
-                if "infeasible" in low:
-                    hint = "infeasible"
-                elif "unbounded" in low:
-                    hint = "unbounded"
-                elif "optimal" in low and hint is None:
-                    hint = "optimal"
-                continue
-            values[pair[0]] = pair[1]
-    known = set(model.col_names.tolist())
-    for name in [n for n in values if n not in known]:
-        notes.append(f"ignoring unknown variable {name!r} in solution file")
-        del values[name]
-    return values, hint, notes
-
-
-def _value_pair(toks: list[str]) -> tuple[str, float] | None:
-    def as_float(s: str) -> float | None:
-        try:
-            return float(s)
-        except ValueError:
-            return None
-
-    if len(toks) >= 3 and toks[0].lstrip("-").isdigit() and as_float(toks[1]) is None:
-        val = as_float(toks[2])
-        if val is not None:
-            return toks[1], val  # "index name value [extra]" style
-    if len(toks) >= 2 and as_float(toks[0]) is None:
-        val = as_float(toks[1])
-        if val is not None:
-            return toks[0], val
-    return None
-
-
-# ---------------------------------------------------------------------------
-# LP file emission
-
-
-def _fmt(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError("cannot write a non-finite number to an LP file")
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.12g}"
-
-
-def _terms(coeffs, constant: float = 0.0) -> str:
-    parts: list[str] = []
-    for name, coef in coeffs.items():
-        if not parts:
-            head = f"- {_fmt(-coef)} {name}" if coef < 0 else f"{_fmt(coef)} {name}"
-        else:
-            head = f"- {_fmt(-coef)} {name}" if coef < 0 else f"+ {_fmt(coef)} {name}"
-        parts.append(head)
-    if constant != 0.0 or not parts:
-        if not parts:
-            parts.append(_fmt(constant))
-        elif constant < 0:
-            parts.append(f"- {_fmt(-constant)}")
-        else:
-            parts.append(f"+ {_fmt(constant)}")
-    return " ".join(parts)
-
-
-def emit_model_file(model: UcModel) -> str:
-    """Serialize a model to LP text; byte-identical for equal models."""
-    lines = ["Minimize",
-             f" obj: {_terms(model.objective, model.objective_offset)}",
-             "Subject To"]
-    for row in model.constraints:
-        if not row.coeffs:
-            raise ValueError(f"constraint {row.label} has no terms")
-        lines.append(f" {row.label}: {_terms(row.coeffs)} {row.sense} {_fmt(row.rhs)}")
-    lines.append("Bounds")
-    binaries = []
-    for var in model.variables:
-        if var.binary:
-            binaries.append(var.name)
-            if var.lb == var.ub:
-                lines.append(f" {var.name} = {_fmt(var.lb)}")
-            continue
-        lo_inf = math.isinf(var.lb)
-        hi_inf = math.isinf(var.ub)
-        if var.lb == var.ub:
-            lines.append(f" {var.name} = {_fmt(var.lb)}")
-        elif lo_inf and hi_inf:
-            lines.append(f" {var.name} free")
-        elif hi_inf:
-            lines.append(f" {var.name} >= {_fmt(var.lb)}")
-        elif lo_inf:
-            lines.append(f" -inf <= {var.name} <= {_fmt(var.ub)}")
-        else:
-            lines.append(f" {_fmt(var.lb)} <= {var.name} <= {_fmt(var.ub)}")
-    if binaries:
-        lines.append("Binary")
-        lines.extend(f" {name}" for name in binaries)
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -1,17 +1,18 @@
-"""Test-only references: an exhaustive MILP oracle, the dict model builder, an LP-file reader and Ward's formula.
+"""Test-only references: an exhaustive MILP oracle, the dict model builder, an LP-file writer and reader, and Ward's formula.
 
 Nothing here runs in the package. Each piece is an independent route to a
 result the package computes another way, so tests can compare the two:
 
 - ``solve_lp`` is a dense two-phase simplex for small LPs with variable
   bounds. It is the exact sub-solver behind the oracle and uses numpy only,
-  so oracle results share no code with the production MILP backend. Sizes
+  so oracle results share no code with the production MILP solver. Sizes
   are tiny, so it favours clarity and airtight termination (Bland's rule
   throughout) over speed.
 - ``brute_force_solve`` enumerates the binaries of a small model and solves
   each LP subproblem with ``solve_lp``.
-- ``read_model_file`` parses LP text back into a model, for round-trip tests
-  of ``tauc.solver.emit_model_file``.
+- ``emit_model_file`` writes a model as LP text, and ``read_model_file``
+  parses LP text back into a model; their round trip checks that the
+  array model carries every coefficient, bound and name it should.
 - ``reference_build_uc_model`` and ``reference_check_solution`` are the
   earlier builder and audit of ``tauc.model``/``tauc.solver``: one dict of
   coefficients per row and one ``Variable`` per column, walked by name. The
@@ -218,6 +219,72 @@ def _iterate(tab, basis, at_upper, ub_all, cost, max_iter) -> str:
         at_upper[j] = False
         at_upper[leaving] = leave_to_upper
     raise RuntimeError("simplex iteration limit exceeded")
+
+
+# ---------------------------------------------------------------------------
+# LP file writer
+
+
+def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("cannot write a non-finite number to an LP file")
+    if value == 0.0:
+        value = 0.0  # normalize -0.0
+    return f"{value:.12g}"
+
+
+def _terms(coeffs, constant: float = 0.0) -> str:
+    parts: list[str] = []
+    for name, coef in coeffs.items():
+        if not parts:
+            head = f"- {_fmt(-coef)} {name}" if coef < 0 else f"{_fmt(coef)} {name}"
+        else:
+            head = f"- {_fmt(-coef)} {name}" if coef < 0 else f"+ {_fmt(coef)} {name}"
+        parts.append(head)
+    if constant != 0.0 or not parts:
+        if not parts:
+            parts.append(_fmt(constant))
+        elif constant < 0:
+            parts.append(f"- {_fmt(-constant)}")
+        else:
+            parts.append(f"+ {_fmt(constant)}")
+    return " ".join(parts)
+
+
+def emit_model_file(model: UcModel) -> str:
+    """Serialize a model to LP text; byte-identical for equal models."""
+    lines = ["Minimize",
+             f" obj: {_terms(model.objective, model.objective_offset)}",
+             "Subject To"]
+    for row in model.constraints:
+        if not row.coeffs:
+            raise ValueError(f"constraint {row.label} has no terms")
+        lines.append(f" {row.label}: {_terms(row.coeffs)} {row.sense} {_fmt(row.rhs)}")
+    lines.append("Bounds")
+    binaries = []
+    for var in model.variables:
+        if var.binary:
+            binaries.append(var.name)
+            if var.lb == var.ub:
+                lines.append(f" {var.name} = {_fmt(var.lb)}")
+            continue
+        lo_inf = math.isinf(var.lb)
+        hi_inf = math.isinf(var.ub)
+        if var.lb == var.ub:
+            lines.append(f" {var.name} = {_fmt(var.lb)}")
+        elif lo_inf and hi_inf:
+            lines.append(f" {var.name} free")
+        elif hi_inf:
+            lines.append(f" {var.name} >= {_fmt(var.lb)}")
+        elif lo_inf:
+            lines.append(f" -inf <= {var.name} <= {_fmt(var.ub)}")
+        else:
+            lines.append(f" {_fmt(var.lb)} <= {var.name} <= {_fmt(var.ub)}")
+    if binaries:
+        lines.append("Binary")
+        lines.extend(f" {name}" for name in binaries)
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

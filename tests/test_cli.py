@@ -108,16 +108,18 @@ def test_cluster_identity_when_target_equals_samples(tmp_path):
 
 
 def test_cluster_never_loads_scipy(tmp_path):
-    """cluster solves nothing, so a process that runs it never imports the solver."""
+    """cluster solves nothing, so a process that runs it never imports the
+    solver; and the package imports neither subprocess nor an XML parser."""
     cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=2))
     proc = run_in_fresh_interpreter(f"""
 import json, sys
 import tauc, tauc.cli
 code = tauc.cli.main(["cluster", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  sorted({{"subprocess", "xml.etree.ElementTree"}} & set(sys.modules))]))
 """)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], []]
 
 
 def test_first_solves_on_two_threads_agree_with_the_library(tmp_path):
@@ -161,7 +163,7 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
         ("data_path", 7),
         ("alpha_wind", "x"),
         ("lookahead_hours", None),
-        ("threads", 0),
+        ("time_limit", 0),
     ],
 )
 def test_config_value_of_wrong_type_or_range_exits_two(tmp_path, capsys, key, value):

@@ -269,8 +269,8 @@ def test_illustrative_case_matches_published_numbers():
 def test_scenario_config_defaults_and_solver_mapping():
     cfg = ScenarioConfig(data_path="trace.csv")
     assert cfg.step_minutes == 10 and cfg.portfolio == "study13"
-    backend = cfg.solver_config()
-    assert backend.backend == "auto" and backend.gap == 0.0
+    solver = cfg.solver_config()
+    assert solver.gap == 0.0 and solver.time_limit is None
     assert cfg.resolved_shed_cost() == 10000.0
     assert ScenarioConfig(data_path="t.csv", shed_cost=123.0).resolved_shed_cost() == 123.0
 
@@ -290,7 +290,7 @@ def test_scenario_config_defaults_and_solver_mapping():
         ({"shed_cost": 0.0}, "shed_cost"),
         # wrong types get the same ValueError naming the key as in a JSON config
         ({"lookahead_hours": None}, "lookahead_hours"),
-        ({"threads": True}, "threads"),
+        ({"step_minutes": True}, "step_minutes"),
     ],
 )
 def test_scenario_config_rejects_invalid_values(overrides, match):
@@ -329,10 +329,12 @@ def test_load_scenario_keeps_builtin_portfolio_ids(tmp_path):
     assert load_scenario(path).portfolio == "example6"
 
 
-def test_load_scenario_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("key", ["solver", "backend", "threads"])
+def test_load_scenario_rejects_unknown_keys(tmp_path, key):
+    """A key the config does not have, such as the removed backend and threads, fails by name."""
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"data_path": "t.csv", "solver": "glpk"}))
-    with pytest.raises(ValueError, match="unknown config keys: solver"):
+    path.write_text(json.dumps({"data_path": "t.csv", key: "glpk"}))
+    with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
         load_scenario(path)
 
 

@@ -1,10 +1,8 @@
-"""Solve layer: LP round trip, exhaustive oracle, backends, audits."""
+"""Solve layer: LP round trip, exhaustive oracle, solve(), audits."""
 import json
 import math
 import re
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +23,7 @@ from helpers import (
 )
 from oracle import (
     brute_force_solve,
+    emit_model_file,
     model_from_rows,
     read_model_file,
     reference_build_uc_model,
@@ -36,13 +35,7 @@ from tauc.aggregation import HiResSeries, reduce_series, singleton_grid
 from tauc.ingestion import build_portfolio
 from tauc.model import Fixings, PowerSystem, Row, UcModel, Variable, build_uc_model, extract_schedule
 from tauc.simulation import MODES, fix_from_plan, run_day_ahead
-from tauc.solver import (
-    BackendConfig,
-    check_solution,
-    emit_model_file,
-    parse_solution_file,
-    solve,
-)
+from tauc.solver import BackendConfig, check_solution, solve
 
 GOLDEN_ONE_VAR_LP = (
     "Minimize\n"
@@ -243,44 +236,6 @@ def test_parser_handles_wrapped_constraints_and_rhs_terms():
     assert rows["c2"].coeffs == {"x": 3.0, "y": -1.0}
     assert rows["c2"].rhs == 1.0
     assert {v.name: v for v in model.variables}["y"].ub == 8.0
-
-
-def test_parse_solution_text_formats():
-    model = one_var_model()
-    values, hint, notes = parse_solution_file("x 0.25\n", model)
-    assert values == {"x": 0.25}
-    assert hint is None
-    assert notes == []
-
-    # index / name / value / reduced-cost columns and a status banner
-    text = "Optimal - objective value 0.25\n0 x 0.25 0\n"
-    values, hint, _ = parse_solution_file(text, model)
-    assert values == {"x": 0.25}
-    assert hint == "optimal"
-
-    values, hint, notes = parse_solution_file("x 0.5\nzzz 4\n", model)
-    assert values == {"x": 0.5}
-    assert any("zzz" in note for note in notes)
-
-    _, hint, _ = parse_solution_file("Problem proved INFEASIBLE\n", model)
-    assert hint == "infeasible"
-
-
-def test_parse_solution_xml():
-    xml = textwrap.dedent("""\
-        <?xml version="1.0" encoding="UTF-8"?>
-        <CPLEXSolution version="1.2">
-         <header problemName="model" solutionStatusString="integer optimal solution"/>
-         <variables>
-          <variable name="x" index="0" value="0.75"/>
-          <variable name="ghost" index="1" value="1"/>
-         </variables>
-        </CPLEXSolution>
-        """)
-    values, hint, notes = parse_solution_file(xml, one_var_model())
-    assert values == {"x": 0.75}
-    assert hint == "optimal"
-    assert any("ghost" in note for note in notes)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +523,7 @@ def test_a_bound_above_the_audited_objective_is_clamped_onto_it(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle vs in-process backend
+# exhaustive oracle vs HiGHS
 
 
 def test_oracle_matches_default_backend_on_the_two_unit_fixture():
@@ -679,95 +634,7 @@ def test_solve_reports_infeasible_models():
     assert res.objective is None
 
 
-# ---------------------------------------------------------------------------
-# external process backend, driven by stub executables
-
-
-def make_stub(tmp_path, body: str) -> str:
-    path = tmp_path / "fakesolver"
-    path.write_text("#!/usr/bin/env python3\nimport os, sys\n"
-                    + textwrap.dedent(body))
-    path.chmod(0o755)
-    return str(path)
-
-
-def test_process_backend_runs_the_executable_contract(tmp_path):
-    stub = make_stub(tmp_path, """\
-        lp = open(sys.argv[1]).read()
-        assert lp.startswith("Minimize")
-        assert lp.rstrip().endswith("End")
-        side = os.path.join(os.path.dirname(sys.argv[0]), "seen_gap.txt")
-        open(side, "w").write(os.environ.get("TAUC_MIP_GAP", "missing"))
-        with open(sys.argv[2], "w") as fh:
-            fh.write("# written by stub\\n")
-            fh.write("x 0.25\\n")
-        """)
-    res = solve(one_var_model(), BackendConfig(backend=stub, gap=0.01))
-    assert res.status == "optimal"
-    assert res.x.tolist() == [0.25]
-    assert res.objective == pytest.approx(0.25)
-    assert (tmp_path / "seen_gap.txt").read_text() == "0.01"
-
-
-def test_environment_variable_overrides_configured_backend(tmp_path, monkeypatch):
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write("x 0.25\\n")
-        """)
-    monkeypatch.setenv("TAUC_SOLVER", stub)
-    res = solve(one_var_model())  # config says auto; env must win
-    assert res.status == "optimal"
-    assert res.x.tolist() == [0.25]
-
-
-def test_process_backend_fills_omitted_variables_with_zero(tmp_path):
-    model = model_from_rows((Variable("x", 0.0, 2.0), Variable("y", 0.0, 2.0)),
-                            (), {"x": 1.0, "y": 1.0})
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write("x 1.5\\n")
-        """)
-    res = solve(model, BackendConfig(backend=stub))
-    assert res.status == "optimal"
-    assert res.x.tolist() == [1.5, 0.0]
-
-
-def test_process_backend_maps_every_column_name_to_its_own_position(tmp_path):
-    """Units a and a_1 give both u_a_11 and u_a_1_1. Fixings make the two
-    units' commitment and dispatch differ in every period, so a solution file
-    written in reverse column order comes back as the in-process point only if
-    each name lands on its own column; u_a_01 and an unknown stem are dropped."""
-    nt = 12
-    system = PowerSystem(units=(unit("a", "peak", 0.0, 100.0, 30.0), unit("a_1", "peak", 0.0, 100.0, 40.0)),
-                         wind_capacity=0.0, solar_capacity=0.0, load_shed_cost=1000.0)
-    odd = np.arange(1, nt + 1) % 2
-    commitment = np.array([odd, 1 - odd], dtype=float)
-    dispatch = commitment * (np.array([[10.0], [50.0]]) + np.arange(1, nt + 1))
-    model = build_uc_model(system, periods_from([1.0] * nt, [500.0] * nt), Fixings(commitment, dispatch))
-    names = model.col_names.tolist()
-    assert {"u_a_11", "u_a_1_1"} <= set(names)
-    inprocess = solve(model)
-    assert inprocess.status == "optimal"
-    lines = [f"{name} {value!r}" for name, value in zip(names, inprocess.x.tolist())][::-1]
-    text = "\n".join(["u_a_01 1.0", "u_zz_1 1.0", *lines]) + "\n"
-
-    values, _, notes = parse_solution_file(text, model)
-    assert values == dict(zip(names, inprocess.x.tolist()))
-    assert notes == ["ignoring unknown variable 'u_a_01' in solution file",
-                     "ignoring unknown variable 'u_zz_1' in solution file"]
-
-    (tmp_path / "answer.sol").write_text(text)
-    stub = make_stub(tmp_path, """\
-        import shutil
-        shutil.copy(os.path.join(os.path.dirname(sys.argv[0]), "answer.sol"), sys.argv[2])
-        """)
-    external = solve(model, BackendConfig(backend=stub))
-    assert external.status == "optimal", external.message
-    assert np.array_equal(external.x, inprocess.x)
-    assert "u_a_01" in external.message and "u_zz_1" in external.message
-
-
-def test_model_with_vacuous_minimum_time_rows_runs_on_the_external_backend(tmp_path):
+def test_model_with_vacuous_minimum_time_rows_drops_them_and_solves():
     """min_up = min_down = one period left up_g_1 and dn_g_1 without terms,
     and the LP writer refused the model; the rows are dropped now."""
     system = PowerSystem(
@@ -783,110 +650,10 @@ def test_model_with_vacuous_minimum_time_rows_runs_on_the_external_backend(tmp_p
     assert not empty & {r.label for r in model.constraints}
     assert model.pruned_violations == ()
     assert_models_equivalent(model, read_model_file(emit_model_file(model)))
-    here = Path(__file__).resolve().parent
-    stub = tmp_path / "oraclesolver"
-    stub.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""\
-        import sys
-        sys.path[:0] = [{str(here)!r}, {str(here.parent / "src")!r}]
-        from oracle import brute_force_solve, read_model_file
-        model = read_model_file(open(sys.argv[1]).read())
-        res = brute_force_solve(model)
-        with open(sys.argv[2], "w") as fh:
-            for var, value in zip(model.variables, res.x):
-                fh.write(f"{{var.name}} {{float(value)!r}}\\n")
-        """))
-    stub.chmod(0o755)
-    external = solve(model, BackendConfig(backend=str(stub)))
-    inprocess = solve(model)
-    assert external.status == inprocess.status == "optimal", external.message
-    assert external.objective == pytest.approx(inprocess.objective, rel=1e-9)
-
-
-def test_process_backend_surfaces_crashes(tmp_path):
-    stub = make_stub(tmp_path, """\
-        sys.stderr.write("boom\\n")
-        sys.exit(3)
-        """)
-    res = solve(one_var_model(), BackendConfig(backend=stub))
-    assert res.status == "error"
-    assert "code 3" in res.message
-    assert "boom" in res.message
-
-
-def test_process_backend_requires_a_solution_file(tmp_path):
-    stub = make_stub(tmp_path, "pass\n")
-    res = solve(one_var_model(), BackendConfig(backend=stub))
-    assert res.status == "error"
-    assert "no solution file" in res.message
-
-
-def test_process_backend_missing_executable(tmp_path):
-    res = solve(one_var_model(),
-                BackendConfig(backend=str(tmp_path / "does-not-exist")))
-    assert res.status == "error"
-    assert "not found" in res.message
-
-
-def test_process_backend_propagates_infeasible_verdict(tmp_path):
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write("Problem is infeasible\\n")
-        """)
-    res = solve(one_var_model(), BackendConfig(backend=stub))
-    assert res.status == "infeasible"
-
-
-def test_process_backend_rejects_solutions_that_fail_the_audit(tmp_path):
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write("x 7.0\\n")
-        """)
-    res = solve(one_var_model(), BackendConfig(backend=stub))
-    assert res.status == "error"
-    assert "failed verification" in res.message
-
-
-def test_process_backend_parses_xml_solutions(tmp_path):
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write('<CPLEXSolution><variables>'
-                     '<variable name="x" value="0.5"/>'
-                     '</variables></CPLEXSolution>')
-        """)
-    res = solve(one_var_model(), BackendConfig(backend=stub))
-    assert res.status == "optimal"
-    assert res.x.tolist() == [0.5]
-
-
-def test_process_backend_reports_a_truncated_xml_solution(tmp_path):
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write('<CPLEXSolution><variables><variable name="x" value="0.5"/>')
-        """)
-    res = solve(one_var_model(), BackendConfig(backend=stub))
-    assert res.status == "error"
-    assert res.objective is None
-    assert "cannot parse solution file" in res.message
-
-
-def test_the_external_backend_never_loads_scipy(tmp_path):
-    stub = make_stub(tmp_path, """\
-        with open(sys.argv[2], "w") as fh:
-            fh.write("x 1.5\\nu 1\\n")
-        """)
-    proc = run_in_fresh_interpreter(f"""
-import json, sys
-sys.path.insert(0, {str(TESTS)!r})
-from oracle import model_from_rows
-from tauc.model import Row, Variable
-from tauc.solver import BackendConfig, solve
-model = model_from_rows((Variable("x", 0.0, 2.0), Variable("u", 0.0, 1.0, binary=True)),
-                        (Row("cap", {{"x": 1.0, "u": -2.0}}, "<=", 0.0),), {{"x": 1.0, "u": 3.0}})
-res = solve(model, BackendConfig(backend={stub!r}))
-print(json.dumps([res.status, res.objective, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
-""")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == ["optimal", 4.5, []]
+    res = solve(model)
+    exact = brute_force_solve(model)
+    assert res.status == exact.status == "optimal", res.message
+    assert res.objective == pytest.approx(exact.objective, rel=1e-9)
 
 
 def test_a_first_solve_imports_scipy_before_its_clock_starts():
