@@ -3,10 +3,10 @@
 The formulation prices energy per period as power times duration and rescales
 every inter-period coupling quantity (ramp room, minimum up and down times) by
 the actual period lengths, so the same builder serves uniform hourly grids and
-clustered grids alike. Served demand is elastic up to the forecast at a load
-shedding price, and renewable injections are free but curtailable, so a
-shortfall or a renewable surplus never makes an instance infeasible; thermal
-output held above demand by commitments or fixings still does.
+clustered grids alike. Load may be shed up to the forecast at a load shedding
+price, and renewable injections are free but curtailable, so a shortfall or a
+renewable surplus never makes an instance infeasible; thermal output held
+above demand by commitments or fixings still does.
 """
 from __future__ import annotations
 
@@ -63,6 +63,8 @@ class ThermalUnit:
                 raise ValueError(f"{self.unit_id}: {name} must be positive or None")
         if self.min_up < 0 or self.min_down < 0:
             raise ValueError(f"{self.unit_id}: minimum times must be nonnegative")
+        if self.marginal_cost < 0:
+            raise ValueError(f"{self.unit_id}: marginal_cost must be nonnegative")
         if self.startup_cost < 0:
             raise ValueError(f"{self.unit_id}: startup_cost must be nonnegative")
         if self.u0 not in (0, 1):
@@ -276,17 +278,15 @@ class Names:
 class UcModel:
     """Solver-agnostic MILP held as arrays.
 
-    Minimize c @ x + objective_offset subject to row_lb <= A x <= row_ub and
-    lb <= x <= ub, with x[j] binary where integrality[j] is 1; reported
-    objective values then equal the full operating cost. A is kept as the
-    triplets (rows, cols, vals), sorted by row and, within a row, in the
-    order the builder wrote the terms, so the sparse matrix HiGHS receives
-    and the views below are reproducible. objective_order lists the columns
-    of the objective in the order the builder wrote them.
+    Minimize c @ x subject to row_lb <= A x <= row_ub and lb <= x <= ub,
+    with x[j] binary where integrality[j] is 1; c @ x is the operating cost.
+    A is kept as the triplets (rows, cols, vals), sorted by row and, within
+    a row, in the order the builder wrote the terms, so the sparse matrix
+    HiGHS receives and the views below are reproducible.
 
     Names are made only for error and audit messages, pruned_violations and
-    the read-only views variables, constraints and objective, which are
-    built on first use. Fixed columns are those whose bounds coincide.
+    the read-only views variables and constraints, which are built on first
+    use. Fixed columns are those whose bounds coincide.
     pruned_violations lists rows that were dropped because none of their
     terms is on a free column, together with the amount by which the frozen
     values violate them (normally zero).
@@ -297,14 +297,12 @@ class UcModel:
     ub: np.ndarray
     c: np.ndarray
     integrality: np.ndarray
-    objective_order: np.ndarray
     row_names: Names
     row_lb: np.ndarray
     row_ub: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    objective_offset: float = 0.0
     pruned_violations: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -359,12 +357,6 @@ class UcModel:
             start = stop
         return tuple(out)
 
-    @property
-    def objective(self) -> dict[str, float]:
-        """Read-only view: the objective's coefficients by column name, in written order."""
-        order = self.objective_order.tolist()
-        return dict(zip((self.col_names[j] for j in order), self.c[order].tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class Fixings:
@@ -379,7 +371,7 @@ class Fixings:
 
 
 def _blocks(n_units: int, nt: int) -> tuple[slice, ...]:
-    """Column slices of u, pg and su (each unit-major, then period) and of pw, ps and pd."""
+    """Column slices of u, pg and su (each unit-major, then period) and of pw, ps and shed."""
     gt = n_units * nt
     starts = (0, gt, 2 * gt, 3 * gt, 3 * gt + nt, 3 * gt + 2 * nt)
     sizes = (gt, gt, gt, nt, nt, nt)
@@ -443,8 +435,10 @@ def build_uc_model(
     M_t = max(0, SU_t - RU_t - pmin) (rampdn: SD_t - RD_t - pmin) where the
     paper uses pmax: onmin keeps a committed unit at pmin or above, so both
     forms admit the same integer points, and the smaller M_t lifts the LP
-    bound. M_t is 0 for every unit of the built-in portfolios. fixings
-    freezes u and pg columns through equality bounds.
+    bound. M_t is 0 for every unit of the built-in portfolios. Shed load
+    is its own column, priced at the shed cost, so every entry of c is
+    nonnegative and c @ x is the operating cost. fixings freezes u and pg
+    columns through equality bounds.
     Rows with no term on a free column are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -455,17 +449,17 @@ def build_uc_model(
     units = system.units
     ng = len(units)
     blocks = _blocks(ng, nt)
-    s_u, s_pg, s_su, s_pw, s_ps, s_pd = blocks
+    s_u, s_pg, s_su, s_pw, s_ps, s_shed = blocks
     n = blocks[-1].stop
     col = np.arange(n)
     u, pg, su = (col[s].reshape(ng, nt) for s in (s_u, s_pg, s_su))
-    pw, ps, pd = col[s_pw], col[s_ps], col[s_pd]
+    pw, ps, shed = col[s_pw], col[s_ps], col[s_shed]
     tt = np.arange(1, nt + 1)
     loc = tt - 1  # local row of period t in a one-row-per-period family
     demand = periods.demand_mw
 
     col_names = Names(
-        tuple(f"{kind}_{unit.unit_id}" for kind in ("u", "pg", "su") for unit in units) + ("pw", "ps", "pd"),
+        tuple(f"{kind}_{unit.unit_id}" for kind in ("u", "pg", "su") for unit in units) + ("pw", "ps", "shed"),
         np.repeat(np.arange(3 * ng + 3), nt),
         np.tile(tt, 3 * ng + 3),
     )
@@ -478,22 +472,18 @@ def build_uc_model(
     ub[s_su] = np.repeat(np.where(su_cost > 0, math.inf, 0.0), nt)
     ub[s_pw] = periods.wind_cf * system.wind_capacity
     ub[s_ps] = periods.solar_cf * system.solar_capacity
-    ub[s_pd] = demand
+    ub[s_shed] = demand
     integrality = np.zeros(n, dtype=np.uint8)
     integrality[s_u] = 1
 
     c = np.zeros(n)
     c[s_pg] = (np.array([unit.marginal_cost for unit in units], dtype=float)[:, None] * d).ravel()
     c[s_su] = np.repeat(su_cost, nt)
-    c[s_pd] = -system.load_shed_cost * d
-    objective_order = np.concatenate((np.stack((pg, su), axis=2).ravel(), pd))
-    objective_order = objective_order[c[objective_order] != 0.0]
-    # a running sum, so the offset adds its terms in period order
-    offset = float(np.cumsum(system.load_shed_cost * d * demand)[-1])
+    c[s_shed] = system.load_shed_cost * d
 
     rows = _RowWriter()
-    rows.add(["bal"], np.zeros(nt, dtype=int), tt, 0.0, 0.0,
-             *((loc, pg[g], 1.0) for g in range(ng)), (loc, pw, 1.0), (loc, ps, 1.0), (loc, pd, -1.0))
+    rows.add(["bal"], np.zeros(nt, dtype=int), tt, demand, demand,
+             *((loc, pg[g], 1.0) for g in range(ng)), (loc, pw, 1.0), (loc, ps, 1.0), (loc, shed, 1.0))
 
     for g, unit in enumerate(units):
         uid = unit.unit_id
@@ -586,14 +576,12 @@ def build_uc_model(
         ub=ub,
         c=c,
         integrality=integrality,
-        objective_order=objective_order,
         row_names=row_names,
         row_lb=row_lb,
         row_ub=row_ub,
         rows=r,
         cols=cols,
         vals=vals,
-        objective_offset=offset,
         pruned_violations=pruned,
     )
 
@@ -672,9 +660,9 @@ class Schedule:
 
     Unit-indexed arrays follow the system's unit order; column t is period
     t+1. startup_cost is in euros: the start-up count times the unit's
-    start-up cost. shed and spill entries are derived from the balance
-    variables and clamped of numerical dust (they are asserted nonnegative
-    to 1e-6 first).
+    start-up cost. p_served is demand less shed, and spill is availability
+    less injection; shed and spill are clamped of numerical dust (they are
+    asserted nonnegative to 1e-6 first).
     """
 
     commitment: np.ndarray
@@ -692,10 +680,10 @@ def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray)
     """The Schedule of a solution x of the model built on (system, periods); an off unit dispatches 0."""
     nt = len(periods)
     ng = len(system.units)
-    s_u, s_pg, s_su, s_pw, s_ps, s_pd = _blocks(ng, nt)
+    s_u, s_pg, s_su, s_pw, s_ps, s_shed = _blocks(ng, nt)
     x = np.asarray(x, dtype=float)
-    if x.shape != (s_pd.stop,):
-        raise ValueError(f"solution has {x.size} values, the model {s_pd.stop} columns")
+    if x.shape != (s_shed.stop,):
+        raise ValueError(f"solution has {x.size} values, the model {s_shed.stop} columns")
     u = x[s_u].reshape(ng, nt)
     rounded = np.round(u)
     off = np.abs(u - rounded) > 1e-6
@@ -706,8 +694,8 @@ def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray)
     dispatch = np.where(commitment == 1, x[s_pg].reshape(ng, nt), 0.0)
     su_cost = np.array([unit.startup_cost for unit in system.units], dtype=float)
     startup = x[s_su].reshape(ng, nt) * su_cost[:, None]
-    p_wind, p_solar, p_served = x[s_pw], x[s_ps], x[s_pd]
-    shed = periods.demand_mw - p_served
+    p_wind, p_solar, shed = x[s_pw], x[s_ps], x[s_shed]
+    p_served = periods.demand_mw - shed
     wind_spill = periods.wind_cf * system.wind_capacity - p_wind
     solar_spill = periods.solar_cf * system.solar_capacity - p_solar
     for name, arr in (("shed", shed), ("wind spill", wind_spill), ("solar spill", solar_spill)):

@@ -33,27 +33,18 @@ warnings.filterwarnings("ignore", message=r"Unrecognized options detected: .* pa
 class BackendConfig:
     """How to run a solve.
 
-    gap is the relative MIP gap target. HiGHS applies it to its own
-    objective, which lacks the objective offset (the price of shedding all
-    demand) and is mostly far larger in magnitude than the cost, so it may
-    stop with a gap on the cost above gap; MipSolution.gap reports the gap
-    on the cost. time_limit, in seconds, stops HiGHS with its incumbent.
+    gap is the relative MIP gap target; time_limit, in seconds, stops
+    HiGHS with its incumbent.
 
     HiGHS always runs with two root heuristics switched off:
     mip_heuristic_run_root_reduced_cost (the sub-MIP on the columns the
-    root's reduced costs leave free, the "L" line of its log) and
-    mip_heuristic_run_feasibility_jump. The benchmark's models close at or
-    near the root, where the two took about a third of HiGHS's time. On
-    the study13 fixture day at gap 0 (four solves, on the paper's pmax ramp
-    rows) both off reached the same optima as HiGHS's defaults in 82-85 s
-    against 116-118 s at a 10-minute step, and in 10-13 s against 13-26 s
-    on three of four seeds at 30 minutes (a tie on the fourth); feasibility
-    jump off alone took 149-150 s at 10 minutes. On the strengthened ramp
-    rows both off is still ahead: 101 against 119 s over eight study13
-    days at 10 and 30 minutes, and 11.7 against 18.6 ms per day-benchmark
-    model (README, "Solver"). A scipy whose bundled HiGHS lacks one of
-    these options warns with OptimizeWarning and runs HiGHS with its
-    default for it, so results do not change.
+    root's reduced costs leave free) and mip_heuristic_run_feasibility_jump.
+    The benchmark's models close at or near the root, where the two took
+    about a third of HiGHS's time; with both off HiGHS reached the same
+    optima in less time in all on the benchmark's models and on the study13
+    fixture days (README, "Solver"). A scipy whose
+    bundled HiGHS lacks one of these options warns with OptimizeWarning and
+    runs HiGHS with its default for it, so results do not change.
     """
 
     gap: float = 0.0
@@ -66,11 +57,13 @@ class MipSolution:
 
     x holds one value per model column, in column order, when HiGHS
     returned a point. node_count and dual_bound come from HiGHS, which may
-    finish in presolve with 0 nodes. dual_bound includes the objective
-    offset, like objective. solve() alone sets gap and clamps dual_bound:
-    it recomputes objective from the audited x, lowers HiGHS's bound onto
-    it where it sits above, and sets gap to
-    (objective - dual_bound) / max(1, |objective|).
+    finish in presolve with 0 nodes. solve() alone sets gap and clamps
+    dual_bound: it recomputes objective from the audited x, lowers HiGHS's
+    bound onto it where it sits above, and sets gap to
+    (objective - dual_bound) / max(1, |objective|). "optimal" means HiGHS
+    met the gap target on its own objective, which is the cost less the
+    cost of the folded columns; with every cost nonnegative, as
+    build_uc_model writes them, gap then meets the target too.
     """
 
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded" | "error"
@@ -109,7 +102,7 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     # what passed the audit within its tolerance lands exactly on the bounds,
     # so a fixing taken from it is never out of bounds
     x = np.clip(x, model.lb, model.ub)
-    objective = float(model.c @ x) + model.objective_offset
+    objective = float(model.c @ x)
     bound, gap = raw.dual_bound, None
     if bound is not None:
         # HiGHS's bound comes with its own objective and may sit above the
@@ -173,9 +166,9 @@ def milp(*args, **kwargs):
 def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     """HiGHS on the free columns only.
 
-    A fixed column (lb == ub) is folded out: its cost moves into the
-    objective offset and its terms into the row bounds, so HiGHS gets a
-    smaller matrix. A free binary is fixed at 1 and folded out with them
+    A fixed column (lb == ub) is folded out: its cost moves into a constant
+    offset and its terms into the row bounds, so HiGHS gets a smaller
+    matrix. A free binary is fixed at 1 and folded out with them
     when raising it can neither add cost nor break a row: its cost is <= 0,
     each positive coefficient sits in a row with no upper bound and each
     negative one in a row with no lower bound (dual fixing). Such a binary
@@ -196,7 +189,7 @@ def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     lift &= np.bincount(model.cols[limit < math.inf], minlength=model.n_cols) == 0
     free &= ~lift
     x = np.where(free, 0.0, model.ub)
-    offset = model.objective_offset + float(model.c @ x)
+    offset = float(model.c @ x)
     if not free.any():  # nothing to decide; milp rejects an empty problem
         return MipSolution("optimal", offset, x, message="every column is fixed", node_count=0, dual_bound=offset)
 

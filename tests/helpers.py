@@ -96,8 +96,9 @@ def rows_as_maps(model) -> dict[str, tuple[tuple[tuple[str, float], ...], str, f
 def conventional_hourly_model(system: PowerSystem, periods):
     """Conventional hourly unit commitment, coded directly from the uniform
     formulation: unit durations, per-hour ramp clamps, integer-hour minimum
-    times via ceilings. Independent of the production builder; returns
-    (rows map, objective dict, offset) in the production label convention.
+    times via ceilings, and shed load as a column priced at the shed cost
+    (pg + pw + ps + shed = demand). Independent of the production builder;
+    returns (rows map, objective dict) in the production label convention.
     """
     nt = len(periods)
     assert np.all(periods.duration_h == 1.0), "hourly oracle needs 1 h periods"
@@ -109,12 +110,12 @@ def conventional_hourly_model(system: PowerSystem, periods):
         assert label not in rows
         rows[label] = (coeffs, sense, rhs)
 
-    for t in range(1, nt + 1):
+    for t, demand in enumerate(periods.demand_mw.tolist(), start=1):
         coeffs = {f"pg_{u.unit_id}_{t}": 1.0 for u in system.units}
         coeffs[f"pw_{t}"] = 1.0
         coeffs[f"ps_{t}"] = 1.0
-        coeffs[f"pd_{t}"] = -1.0
-        put(f"bal_{t}", coeffs, "=", 0.0)
+        coeffs[f"shed_{t}"] = 1.0
+        put(f"bal_{t}", coeffs, "=", demand)
 
     for u in system.units:
         g = u.unit_id
@@ -244,22 +245,20 @@ def conventional_hourly_model(system: PowerSystem, periods):
                 put(f"dnend_{g}_{t}", coeffs, ">=", -k)
 
     objective: dict[str, float] = {}
-    offset = 0.0
     for u in system.units:
         for t in range(1, nt + 1):
             if u.marginal_cost != 0.0:
                 objective[f"pg_{u.unit_id}_{t}"] = u.marginal_cost
             if u.startup_cost != 0.0:
                 objective[f"su_{u.unit_id}_{t}"] = u.startup_cost
-    for t, demand in enumerate(periods.demand_mw.tolist(), start=1):
-        objective[f"pd_{t}"] = -system.load_shed_cost
-        offset += system.load_shed_cost * demand
+    for t in range(1, nt + 1):
+        objective[f"shed_{t}"] = system.load_shed_cost
 
     rows_canonical = {
         label: (tuple(sorted(coeffs.items())), sense, rhs)
         for label, (coeffs, sense, rhs) in rows.items()
     }
-    return rows_canonical, objective, offset
+    return rows_canonical, objective
 
 
 def random_day_series(rng: np.random.Generator, step_minutes: int = 60, hours: float = 24.0) -> HiResSeries:

@@ -19,7 +19,10 @@ result the package computes another way, so tests can compare the two:
   array builder must write the same rows, terms, bounds and objective bit
   for bit, and the ``A @ x`` audit must reach the same verdict. The builder
   also keeps the paper's ramp rows, whose big-M is pmax
-  (``ramp_big_m="pmax"``), as the reference for the strengthened ones.
+  (``ramp_big_m="pmax"``), as the reference for the strengthened ones, and
+  the served-demand balance (``balance="served"``), priced below zero and
+  made up by a constant offset, as the reference for the shed column.
+- ``objective_terms`` is the objective of an array model by column name.
 - ``model_from_rows`` makes an array ``UcModel`` from hand-written
   ``Variable``/``Row`` lists, for small test models and the LP reader.
 - ``ward_distance`` is the scalar Ward merge cost that the greedy clustering
@@ -233,7 +236,7 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _terms(coeffs, constant: float = 0.0) -> str:
+def _terms(coeffs) -> str:
     parts: list[str] = []
     for name, coef in coeffs.items():
         if not parts:
@@ -241,20 +244,18 @@ def _terms(coeffs, constant: float = 0.0) -> str:
         else:
             head = f"- {_fmt(-coef)} {name}" if coef < 0 else f"+ {_fmt(coef)} {name}"
         parts.append(head)
-    if constant != 0.0 or not parts:
-        if not parts:
-            parts.append(_fmt(constant))
-        elif constant < 0:
-            parts.append(f"- {_fmt(-constant)}")
-        else:
-            parts.append(f"+ {_fmt(constant)}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def objective_terms(model: UcModel) -> dict[str, float]:
+    """The model's nonzero costs by column name, in column order."""
+    return {model.col_names[j]: float(model.c[j]) for j in np.flatnonzero(model.c)}
 
 
 def emit_model_file(model: UcModel) -> str:
     """Serialize a model to LP text; byte-identical for equal models."""
     lines = ["Minimize",
-             f" obj: {_terms(model.objective, model.objective_offset)}",
+             f" obj: {_terms(objective_terms(model))}",
              "Subject To"]
     for row in model.constraints:
         if not row.coeffs:
@@ -387,6 +388,8 @@ def read_model_file(text: str) -> UcModel:
     if label_match:
         obj_text = obj_text[label_match.end():]
     objective, offset = _parse_expr(obj_text)
+    if offset != 0.0:
+        raise ValueError("a model's objective has no constant term")
 
     # group physical lines into one logical line per constraint
     logical: list[str] = []
@@ -473,7 +476,7 @@ def read_model_file(text: str) -> UcModel:
         default = (0.0, 1.0) if is_bin else (0.0, math.inf)
         lo, hi = explicit.get(name, default)
         variables.append(Variable(name, lo, hi, binary=is_bin))
-    return model_from_rows(variables, rows, objective, offset)
+    return model_from_rows(variables, rows, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +484,7 @@ def read_model_file(text: str) -> UcModel:
 
 
 def model_from_rows(variables: Sequence[Variable], constraints: Sequence[Row],
-                    objective: Mapping[str, float], objective_offset: float = 0.0) -> UcModel:
+                    objective: Mapping[str, float]) -> UcModel:
     """An array UcModel from Variable and Row lists; each name is its own stem."""
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
@@ -506,14 +509,12 @@ def model_from_rows(variables: Sequence[Variable], constraints: Sequence[Row],
         ub=np.array([v.ub for v in variables], dtype=float),
         c=c,
         integrality=np.array([v.binary for v in variables], dtype=np.uint8),
-        objective_order=np.array([pos[n] for n in objective], dtype=int),
         row_names=Names(tuple(labels), np.arange(len(labels)), np.zeros(len(labels), dtype=int)),
         row_lb=np.array(row_lb, dtype=float),
         row_ub=np.array(row_ub, dtype=float),
         rows=rows,
         cols=cols,
         vals=vals,
-        objective_offset=objective_offset,
     )
 
 
@@ -525,11 +526,12 @@ def model_from_rows(variables: Sequence[Variable], constraints: Sequence[Row],
 class ReferenceModel:
     """Solver-agnostic MILP: variables with bounds, rows, linear objective.
 
-    The objective is minimized and carries a constant offset so that reported
-    objective values equal the full operating cost. Fixed variables are those
-    whose bounds coincide. pruned_violations lists rows that were dropped
-    because every variable in them was fixed, together with the amount by
-    which the frozen values violate them (normally zero).
+    The objective is minimized; adding the constant objective_offset (0
+    unless demand is written as served) gives the full operating cost.
+    Fixed variables are those whose bounds coincide. pruned_violations lists
+    rows that were dropped because every variable in them was fixed,
+    together with the amount by which the frozen values violate them
+    (normally zero).
     """
 
     variables: tuple[Variable, ...]
@@ -591,6 +593,10 @@ def ps_name(t: int) -> str:
     return f"ps_{t}"
 
 
+def shed_name(t: int) -> str:
+    return f"shed_{t}"
+
+
 def pd_name(t: int) -> str:
     return f"pd_{t}"
 
@@ -610,6 +616,7 @@ def reference_build_uc_model(
     periods: ReducedSeries,
     fixings: Mapping[str, float] | None = None,
     ramp_big_m: str = "tight",
+    balance: str = "shed",
 ) -> ReferenceModel:
     """Build the commitment MILP for one system over one window of periods.
 
@@ -618,8 +625,14 @@ def reference_build_uc_model(
     rampup and rampdn rows of period t are relaxed by a big-M when the unit
     is off in t (rampup) or in t-1 (rampdn): ramp_big_m "tight" uses
     max(0, SU_t - RU_t - pmin) (rampdn: SD_t - RD_t - pmin), as
-    tauc.model.build_uc_model does, and "pmax" uses the paper's pmax. fixings
-    maps variable names to frozen values and is applied as equality bounds.
+    tauc.model.build_uc_model does, and "pmax" uses the paper's pmax.
+    balance "shed" writes shed load as the column shed_t in [0, demand_t]
+    priced at the shed cost (sum pg + pw + ps + shed_t = demand_t), as
+    tauc.model.build_uc_model does; "served" writes served demand pd_t in
+    [0, demand_t] priced at minus the shed cost (sum pg + pw + ps - pd_t = 0)
+    and adds the price of shedding the whole forecast as objective_offset,
+    the same cost with opposite signs. fixings maps variable names to
+    frozen values and is applied as equality bounds.
     Rows whose variables are all fixed are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -627,6 +640,10 @@ def reference_build_uc_model(
     """
     if ramp_big_m not in ("tight", "pmax"):
         raise ValueError(f"ramp_big_m must be 'tight' or 'pmax', got {ramp_big_m!r}")
+    if balance not in ("shed", "served"):
+        raise ValueError(f"balance must be 'shed' or 'served', got {balance!r}")
+    served = balance == "served"
+    demand_name = pd_name if served else shed_name
     d = period_durations(periods)
     nt = len(d)
 
@@ -644,7 +661,7 @@ def reference_build_uc_model(
     variables.extend(
         Variable(ps_name(t), 0.0, periods.solar_cf[t - 1] * system.solar_capacity) for t in range(1, nt + 1)
     )
-    variables.extend(Variable(pd_name(t), 0.0, periods.demand_mw[t - 1]) for t in range(1, nt + 1))
+    variables.extend(Variable(demand_name(t), 0.0, periods.demand_mw[t - 1]) for t in range(1, nt + 1))
 
     rows: list[Row] = []
     for t in range(1, nt + 1):
@@ -653,8 +670,8 @@ def reference_build_uc_model(
             _add(coeffs, pg_name(unit.unit_id, t), 1.0)
         _add(coeffs, pw_name(t), 1.0)
         _add(coeffs, ps_name(t), 1.0)
-        _add(coeffs, pd_name(t), -1.0)
-        rows.append(Row(f"bal_{t}", coeffs, "=", 0.0))
+        _add(coeffs, demand_name(t), -1.0 if served else 1.0)
+        rows.append(Row(f"bal_{t}", coeffs, "=", 0.0 if served else float(periods.demand_mw[t - 1])))
 
     for unit in system.units:
         uid = unit.unit_id
@@ -772,8 +789,11 @@ def reference_build_uc_model(
             _add(objective, pg_name(unit.unit_id, t), unit.marginal_cost * d[t - 1])
             _add(objective, su_name(unit.unit_id, t), unit.startup_cost)
     for t in range(1, nt + 1):
-        _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
-        offset += system.load_shed_cost * d[t - 1] * periods.demand_mw[t - 1]
+        if served:
+            _add(objective, pd_name(t), -system.load_shed_cost * d[t - 1])
+            offset += system.load_shed_cost * d[t - 1] * periods.demand_mw[t - 1]
+        else:
+            _add(objective, shed_name(t), system.load_shed_cost * d[t - 1])
 
     if fixings:
         by_name = {v.name: i for i, v in enumerate(variables)}
@@ -960,7 +980,7 @@ def brute_force_solve(model: UcModel,
     for ri, (_, _, cont_terms, _, _) in enumerate(mixed):
         comp_rows.setdefault(find(next(iter(cont_terms))), []).append(ri)
 
-    obj_of = dict(model.objective)
+    obj_of = objective_terms(model)
 
     class _Comp:
         __slots__ = ("vars", "key_bins", "a", "senses", "rhs_base", "bin_rows",
@@ -1005,7 +1025,7 @@ def brute_force_solve(model: UcModel,
         comp.ub = np.array([variables[cont[p]].ub for p in comp.vars])
         comps.append(comp)
 
-    base_obj = model.objective_offset
+    base_obj = 0.0
     for i, val in fixed_value.items():
         base_obj += obj_of.get(variables[i].name, 0.0) * val
     obj_bin = np.zeros(k)

@@ -228,6 +228,18 @@ def test_portfolio_csv_reports_bad_row_line(tmp_path):
         build_portfolio(path)
 
 
+def test_portfolio_csv_rejects_negative_marginal_cost(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "unit_id,flex_class,pmin,pmax,marginal_cost,startup_cost,"
+        "ramp_up,ramp_down,min_up,min_down\n"
+        "a1,base,100,250,12.5,600,80,80,6,6\n"
+        "a2,peak,0,90,-45,100,,,0,0\n"
+    )
+    with pytest.raises(ValueError, match="line 3: a2: marginal_cost must be nonnegative"):
+        build_portfolio(path)
+
+
 @pytest.mark.parametrize("header, good_row, load", [
     (TRACE_HEADER, "2023-01-01T00:00:00Z,100,0.5,0.5", lambda path: load_timeseries(path, step_minutes=60)),
     (PORTFOLIO_HEADER, "a1,base,100,250,12.5,600,80,80,6,6", build_portfolio),

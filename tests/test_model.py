@@ -20,7 +20,7 @@ from helpers import (
     uc_instances,
     unit,
 )
-from oracle import brute_force_solve, model_from_rows, reference_build_uc_model
+from oracle import brute_force_solve, model_from_rows, objective_terms, reference_build_uc_model
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid
 from tauc.ingestion import build_portfolio, compute_installed_capacity
 from tauc.model import (
@@ -188,14 +188,15 @@ def test_build_counts_for_unconstrained_units():
 
 def test_build_objective_prices_energy_and_shedding():
     model = build_uc_model(*_flat_instance())
-    assert model.objective["pg_b1_1"] == pytest.approx(10.0 * 2.0)
-    assert model.objective["pg_m1_2"] == pytest.approx(30.0 * 0.5)
+    objective = objective_terms(model)
+    assert objective["pg_b1_1"] == pytest.approx(10.0 * 2.0)
+    assert objective["pg_m1_2"] == pytest.approx(30.0 * 0.5)
     # free start-ups are not priced; a priced one costs the unit's start-up cost
-    assert "su_p1_3" not in model.objective
-    assert build_uc_model(*two_unit_fixture()).objective["su_a1_3"] == 500.0
-    assert model.objective["pd_1"] == pytest.approx(-100.0 * 2.0)
-    # offset prices the full forecast so a zero-shed solution pays energy only
-    assert model.objective_offset == pytest.approx(100.0 * (2.0 * 500 + 0.5 * 650 + 0.5 * 850))
+    assert "su_p1_3" not in objective
+    assert objective_terms(build_uc_model(*two_unit_fixture()))["su_a1_3"] == 500.0
+    # shed load pays the shed cost per MWh, so a zero-shed solution pays energy only
+    assert objective["shed_1"] == pytest.approx(100.0 * 2.0)
+    assert np.all(model.c >= 0.0)
 
 
 def test_free_start_ups_get_no_rows_and_pinned_indicators():
@@ -215,7 +216,7 @@ def test_free_start_ups_get_no_rows_and_pinned_indicators():
 
 def test_build_variable_bounds_follow_availability():
     vmap = {v.name: v for v in build_uc_model(*_flat_instance()).variables}
-    assert (vmap["pd_2"].lb, vmap["pd_2"].ub) == (0.0, 650.0)
+    assert (vmap["shed_2"].lb, vmap["shed_2"].ub) == (0.0, 650.0)
     assert vmap["ps_1"].ub == pytest.approx(300.0)
     assert vmap["ps_2"].ub == pytest.approx(200.0)
     assert vmap["ps_3"].ub == pytest.approx(0.0)
@@ -254,10 +255,9 @@ def test_structural_equality_with_conventional_hourly_builder():
     system, periods = two_unit_fixture()
     model = build_uc_model(system, periods)
     got_rows = rows_as_maps(model)
-    want_rows, want_obj, want_offset = conventional_hourly_model(system, periods)
+    want_rows, want_obj = conventional_hourly_model(system, periods)
     assert got_rows == want_rows
-    assert dict(model.objective) == pytest.approx(want_obj)
-    assert model.objective_offset == pytest.approx(want_offset)
+    assert objective_terms(model) == pytest.approx(want_obj)
 
 
 def _flat_fixings(**named: float) -> Fixings:
@@ -322,7 +322,7 @@ def _bits(value: float) -> str:
 @given(uc_instances())
 def test_array_builder_equals_reference_builder_bit_for_bit(instance):
     """Same labels, term order, coefficients, row and column bounds,
-    integrality, objective, offset and pruned rows as the dict builder; a
+    integrality, objective and pruned rows as the dict builder; a
     reference row left with no terms is the one allowed difference: the
     array builder drops it like a fully fixed row."""
     system, periods, fixings = instance
@@ -338,10 +338,9 @@ def test_array_builder_equals_reference_builder_bit_for_bit(instance):
     assert [(v.name, _bits(v.lb), _bits(v.ub), v.binary) for v in got.variables] == [
         (v.name, _bits(v.lb), _bits(v.ub), v.binary) for v in want.variables
     ]
-    assert [(k, _bits(v)) for k, v in got.objective.items()] == [
-        (k, _bits(v)) for k, v in want.objective.items()
-    ]
-    assert _bits(got.objective_offset) == _bits(want.objective_offset)
+    assert {k: _bits(v) for k, v in objective_terms(got).items()} == {
+        k: _bits(v) for k, v in want.objective.items()
+    }
 
     def zero_violation(row):
         return {"<=": max(0.0, -row.rhs), ">=": max(0.0, row.rhs), "=": abs(row.rhs)}[row.sense]
@@ -360,7 +359,7 @@ def _paper_model(system, periods, fixings=None) -> tuple[UcModel, tuple]:
     builder drops them."""
     ref = reference_build_uc_model(system, periods, fixing_names(system, fixings), ramp_big_m="pmax")
     rows = [row for row in ref.constraints if row.coeffs]
-    return model_from_rows(ref.variables, rows, ref.objective, ref.objective_offset), ref.pruned_violations
+    return model_from_rows(ref.variables, rows, ref.objective), ref.pruned_violations
 
 
 def _relaxed(model: UcModel) -> UcModel:
@@ -387,6 +386,24 @@ def test_strengthened_ramp_rows_keep_the_papers_optimum_and_lift_its_lp_bound(in
     elif got.status != "infeasible":
         assert (got.status, want.status) == ("optimal", "optimal")
         assert got.objective >= want.objective - 1e-9 * max(1.0, abs(want.objective))
+
+
+@settings(max_examples=80, deadline=None)
+@given(uc_instances())
+def test_shed_column_and_served_demand_reach_the_same_optimum(instance):
+    """The shipped balance, shed load as a column priced at the shed cost,
+    and the served-demand form (pd_t priced at minus the shed cost, plus the
+    price of shedding the whole forecast) reach the same status and cost to
+    1e-6; every cost the shipped builder writes is nonnegative."""
+    system, periods, fixings = instance
+    shipped = build_uc_model(system, periods, fixings)
+    assert np.all(shipped.c >= 0.0)
+    ref = reference_build_uc_model(system, periods, fixing_names(system, fixings), balance="served")
+    served = model_from_rows(ref.variables, [row for row in ref.constraints if row.coeffs], ref.objective)
+    got, want = solve(shipped), solve(served)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.objective == pytest.approx(want.objective + ref.objective_offset, rel=1e-6, abs=1e-6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -458,6 +475,13 @@ def test_unit_initial_state_validation():
         ThermalUnit("x", "nuclear", 10.0, 20.0, 5.0)
 
 
+def test_negative_marginal_cost_is_rejected():
+    """Solve results count as optimal on the cost only while every cost is nonnegative."""
+    with pytest.raises(ValueError, match="x: marginal_cost must be nonnegative"):
+        ThermalUnit("x", "peak", 0.0, 20.0, -5.0)
+    assert ThermalUnit("x", "peak", 0.0, 20.0, 0.0).marginal_cost == 0.0
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="unique"):
         PowerSystem(
@@ -497,7 +521,7 @@ def _toy_solution():
         "su_a_1": 0.0, "su_a_2": 0.0,
         "pw_1": 0.0, "pw_2": 0.0,
         "ps_1": 20.0, "ps_2": 80.0,
-        "pd_1": 120.0, "pd_2": 180.0,
+        "shed_1": 0.0, "shed_2": 20.0,
     }
     names = build_uc_model(system, periods).col_names.tolist()
     return system, periods, np.array([values[name] for name in names]), names
@@ -521,7 +545,7 @@ def test_extract_schedule_rejects_fractional_commitment():
 
 def test_extract_schedule_rejects_oversupply():
     system, periods, values, names = _toy_solution()
-    values[names.index("pd_2")] = 230.0  # above the 200 MW forecast: negative shed
+    values[names.index("shed_2")] = -30.0  # serves 230 MW of a 200 MW forecast
     with pytest.raises(ValueError, match="shed"):
         extract_schedule(system, periods, values)
 
