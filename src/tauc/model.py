@@ -157,55 +157,30 @@ def effective_ramp_limits(
     )
 
 
-def _forward_cover(d: np.ndarray, start: int, threshold: float) -> int:
-    """Smallest k with d[start:start+k] summing to threshold; capped at the tail."""
-    if threshold <= _SUM_TOL:
-        return 0
-    acc = 0.0
-    for k in range(start, len(d)):
-        acc += d[k]
-        if acc >= threshold - _SUM_TOL:
-            return k - start + 1
-    return len(d) - start
-
-
-def _backward_cover(d: np.ndarray, threshold: float) -> int:
-    if threshold <= _SUM_TOL:
-        return 0
-    acc = 0.0
-    for k in range(len(d) - 1, -1, -1):
-        acc += d[k]
-        if acc >= threshold - _SUM_TOL:
-            return len(d) - k
-    return len(d)
-
-
 def effective_min_times(
     unit: ThermalUnit, durations: Sequence[float]
-) -> tuple[int, int, np.ndarray, int, int, np.ndarray]:
+) -> tuple[int, np.ndarray, int, np.ndarray]:
     """Minimum up/down times converted into period counts for one unit.
 
-    Returns (ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts):
-    the number of leading periods the initial state pins, the number of
-    trailing periods whose duration sum first reaches the threshold, and the
-    per-period counts used by the rolling-window constraints.
+    Returns (ut_init, ut_counts, dt_init, dt_counts): the number of leading
+    periods the initial state pins, and for each period t the number of
+    periods from t on whose durations first sum to the minimum time, capped
+    at the tail. A sum reaches an hour threshold within _SUM_TOL.
     """
     d = np.asarray(durations, dtype=float)
     n = len(d)
+    ends = np.concatenate(([0.0], np.cumsum(d)))  # ends[k]: hours to the end of period k
 
-    def family(threshold_h: float, init_hours: float) -> tuple[int, int, np.ndarray]:
-        if threshold_h <= 0:
-            return 0, 0, np.zeros(n, dtype=int)
-        init = _forward_cover(d, 0, init_hours)
-        end = _backward_cover(d, threshold_h)
-        counts = np.array([_forward_cover(d, t, threshold_h) for t in range(n)], dtype=int)
-        return init, end, counts
+    def cover(start: np.ndarray, hours: float) -> np.ndarray:
+        if hours <= _SUM_TOL:
+            return np.zeros(len(start), dtype=int)
+        return np.minimum(np.searchsorted(ends, ends[start] + (hours - _SUM_TOL)), n) - start
 
     ut_pin = max(0.0, (unit.min_up - unit.hours_on0)) * unit.u0
     dt_pin = max(0.0, (unit.min_down - unit.hours_off0)) * (1 - unit.u0)
-    ut_init, ut_end, ut_counts = family(unit.min_up, ut_pin)
-    dt_init, dt_end, dt_counts = family(unit.min_down, dt_pin)
-    return ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts
+    first, every = np.zeros(1, dtype=int), np.arange(n)
+    return (int(cover(first, ut_pin)[0]), cover(every, unit.min_up),
+            int(cover(first, dt_pin)[0]), cover(every, unit.min_down))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +403,14 @@ def build_uc_model(
     Each unit's ramp limits and minimum-time counts are rescaled to the
     period durations (effective_ramp_limits, effective_min_times). Each row
     family is written with index arrays over (unit, period). su counts
-    start-ups (su_t >= u_t - u_{t-1}, priced at the unit's startup_cost); a
-    unit whose start-ups are free has its su columns pinned to 0 and no
-    start-up rows. The rampup and rampdn rows relax their limit, when the
+    start-ups (su_t >= u_t - u_{t-1}, priced at the unit's startup_cost) for
+    each unit with a start-up cost or a minimum time; any other unit has its
+    su columns pinned to 0 and no start-up rows. Minimum times are the rows
+    of Rajan and Takriti, one per period and direction: with a..t the
+    periods whose minimum up (down) window, started there, still covers t,
+    up_t is sum su_a..t - u_t <= -[t pinned on] and dn_t is
+    sum su_a..t + u_{a-1} <= 1 - [t pinned off], u_0 being the initial
+    state. The rampup and rampdn rows relax their limit, when the
     unit is off in t (rampup) or in t-1 (rampdn), by
     M_t = max(0, SU_t - RU_t - pmin) (rampdn: SD_t - RD_t - pmin) where the
     paper uses pmax: onmin keeps a committed unit at pmin or above, so both
@@ -438,7 +418,9 @@ def build_uc_model(
     bound. M_t is 0 for every unit of the built-in portfolios. Shed load
     is its own column, priced at the shed cost, so every entry of c is
     nonnegative and c @ x is the operating cost. fixings freezes u and pg
-    columns through equality bounds.
+    columns through equality bounds, and each free su_t whose u_t and
+    u_{t-1} are both frozen at max(0, u_t - u_{t-1}): nothing rewards a
+    larger su.
     Rows with no term on a free column are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -467,9 +449,10 @@ def build_uc_model(
     ub = np.empty(n)
     ub[s_u] = 1.0
     ub[s_pg] = np.repeat([unit.pmax for unit in units], nt)
-    # a start-up indicator per unit and period, pinned to 0 when start-ups are free
+    # a start-up indicator per unit and period, pinned to 0 when nothing reads it
     su_cost = np.array([unit.startup_cost for unit in units], dtype=float)
-    ub[s_su] = np.repeat(np.where(su_cost > 0, math.inf, 0.0), nt)
+    counts_su = (su_cost > 0) | np.array([unit.min_up > 0 or unit.min_down > 0 for unit in units])
+    ub[s_su] = np.repeat(np.where(counts_su, math.inf, 0.0), nt)
     ub[s_pw] = periods.wind_cf * system.wind_capacity
     ub[s_ps] = periods.solar_cf * system.solar_capacity
     ub[s_shed] = demand
@@ -489,15 +472,15 @@ def build_uc_model(
         uid = unit.unit_id
         ug, pgg = u[g], pg[g]
         ru_hat, rd_hat, su_hat, sd_hat = effective_ramp_limits(unit, d)
-        ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(unit, d)
+        ut_init, ut_counts, dt_init, dt_counts = effective_min_times(unit, d)
         # commitment-linked dispatch bounds, onmin and onmax alternating by period
         pair = np.arange(2 * nt)
         rows.add([f"onmin_{uid}", f"onmax_{uid}"], np.tile([0, 1], nt), np.repeat(tt, 2),
                  np.tile([0.0, -math.inf], nt), np.tile([math.inf, 0.0], nt),
                  (pair, np.repeat(pgg, 2), 1.0),
                  (pair, np.repeat(ug, 2), np.tile([-unit.pmin, -unit.pmax], nt)))
-        # start-up indicators, su_t >= u_t - u_{t-1}; none for free start-ups
-        if unit.startup_cost > 0:
+        # start-up indicators, su_t >= u_t - u_{t-1}
+        if counts_su[g]:
             lo = np.zeros(nt)
             lo[0] = -unit.u0
             rows.add([f"sucost_{uid}"], np.zeros(nt, dtype=int), tt, lo, math.inf,
@@ -533,23 +516,34 @@ def build_uc_model(
             r = loc[:-1]
             rows.add([f"sdramp_{uid}"], np.zeros(nt - 1, dtype=int), tt[:-1], -math.inf, 0.0,
                      (r, pgg[:-1], 1.0), (r, ug[1:], sd_hat[:-1] - unit.pmax), (r, ug[:-1], -sd_hat[:-1]))
-        # minimum up and down times
-        for word, sign, hours, pin, end, counts in (
-            ("up", 1.0, unit.min_up, ut_init, ut_end, ut_counts),
-            ("dn", -1.0, unit.min_down, dt_init, dt_end, dt_counts),
-        ):
+        # minimum up and down times: a is the first period whose window,
+        # started there, still covers t; windows end in order, so it is a search
+        for word, hours, pin, counts in (("up", unit.min_up, ut_init, ut_counts),
+                                         ("dn", unit.min_down, dt_init, dt_counts)):
             if hours <= 0:
                 continue
-            if pin >= 1:
-                rhs = float(pin) if word == "up" else 0.0
-                rows.add([f"{word}init_{uid}"], [0], [0], rhs, rhs, (np.zeros(pin, dtype=int), ug[:pin], 1.0))
-            _add_window_rows(rows, word, uid, ug, sign, unit.u0, pin, end, counts)
+            a = np.searchsorted(loc + counts - 1, loc)
+            w = loc - a + 1
+            rr = np.repeat(loc, w)  # row t lists su_a .. su_t
+            window = (rr, su[g][np.repeat(a - np.cumsum(w) + w, w) + np.arange(len(rr))], 1.0)
+            hi = np.where(loc < pin, -1.0, 0.0)
+            if word == "up":
+                rows.add([f"up_{uid}"], np.zeros(nt, dtype=int), tt, -math.inf, hi, window, (loc, ug, -1.0))
+            else:
+                later = a > 0
+                rows.add([f"dn_{uid}"], np.zeros(nt, dtype=int), tt, -math.inf,
+                         hi + np.where(later, 1.0, 1.0 - unit.u0), window, (loc[later], ug[a[later] - 1], 1.0))
 
     r, cols, vals, which, t, row_lb, row_ub = rows.arrays()
     row_names = Names(tuple(rows.stems), which, t)
 
     if fixings is not None:
         _apply_fixings(fixings, (ng, nt), col_names, integrality, lb, ub)
+        frozen = np.where(lb[s_u] == ub[s_u], lb[s_u], np.nan).reshape(ng, nt)
+        before = np.concatenate(([[unit.u0] for unit in units], frozen[:, :-1]), axis=1)
+        start = np.maximum(0.0, frozen - before).ravel()  # NaN unless both are frozen
+        j = np.flatnonzero(~np.isnan(start) & (ub[s_su] > 0))
+        lb[s_su][j] = ub[s_su][j] = start[j]
 
     # a row with no term on a free column is a constant: drop it, and report
     # by how much the frozen values violate it
@@ -615,38 +609,6 @@ def _apply_fixings(fixings: Fixings, shape: tuple[int, int], col_names: Names,
         raise ValueError(f"{name}: fixing {value[i]} outside bounds [{lb[j[i]]}, {ub[j[i]]}]")
     lb[j] = value
     ub[j] = value
-
-
-def _add_window_rows(rows: _RowWriter, word: str, uid: str, ug: np.ndarray, sign: float,
-                     u0: int, pin: int, end: int, counts: np.ndarray) -> None:
-    """Rolling-window rows of a minimum up (sign 1) or down (sign -1) time.
-
-    The row of period t spans the w periods t..t+w-1 after t-1: with s the
-    sign, s*(u[t..t+w-1] - w*u[t] + w*u[t-1]) >= rhs, so u[t] carries
-    s*(1 - w) (nothing when w = 1) and u[t-1] carries s*w. Rows from pin+1
-    on take w from counts; the end rows, whose window reaches the horizon,
-    take w = nt - t + 1. Before the horizon, u[0] is the initial state u0.
-    """
-    nt = len(ug)
-    start = np.arange(pin + 1, nt - end + 2)
-    tail = np.arange(max(2, nt - end + 2), nt + 1)
-    t = np.concatenate((start, tail))
-    if len(t) == 0:
-        return
-    w = np.concatenate((counts[start - 1], nt - tail + 1)).astype(float)
-    if word == "up":
-        rhs = np.where(t == 1, -w * u0, 0.0)
-    else:
-        rhs = np.where(t == 1, -w + w * u0, -w)
-    width = w.astype(int)
-    rr = np.repeat(np.arange(len(t)), width)
-    pos = np.arange(len(rr)) - np.repeat(np.cumsum(width) - width, width)
-    first = sign + (-sign * w)
-    window = (rr, ug[t[rr] + pos - 1], np.where(pos == 0, first[rr], sign))
-    later = t > 1
-    before = (np.flatnonzero(later), ug[t[later] - 2], sign * w[later])
-    rows.add([f"{word}_{uid}", f"{word}end_{uid}"],
-             np.repeat([0, 1], [len(start), len(tail)]), t, rhs, math.inf, window, before)
 
 
 # ---------------------------------------------------------------------------

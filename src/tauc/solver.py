@@ -4,8 +4,9 @@ Models are solved by the in-process HiGHS MILP solver that ships with scipy.
 Every answer is audited before it is returned: binaries are snapped to
 integers, bounds and rows are re-checked against the model with an
 independent residual test, the accepted point is clipped onto its column
-bounds, and the objective is recomputed from it. The solver can therefore be
-wrong but not quietly wrong.
+bounds, and the objective is recomputed from it. A snapped point that fails
+the audit gets one LP re-solve with every binary fixed at its snapped value.
+The solver can therefore be wrong but not quietly wrong.
 """
 from __future__ import annotations
 
@@ -96,6 +97,17 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
                        message=f"non-integral binary {model.col_names[j]}={x[j]:.9g}")
     x[binary] = snapped
     problems = check_solution(model, x)
+    if problems:
+        # HiGHS accepts a binary within its own integrality tolerance, and a
+        # term such as pmax * u can carry that dust past the audit once u is
+        # snapped; the LP over the snapped commitment gives the point exactly
+        lb, ub = model.lb.copy(), model.ub.copy()
+        lb[binary] = ub[binary] = snapped
+        redo = _solve_highs(replace(model, lb=lb, ub=ub), cfg)
+        wall = time.perf_counter() - start
+        if redo.status == "optimal":
+            x = np.array(redo.x, dtype=float)
+            problems = check_solution(model, x)
     if problems:
         return replace(raw, status="error", wall_time=wall,
                        message="solution failed verification: " + problems[0])

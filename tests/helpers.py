@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tauc.aggregation import HiResSeries, ReducedSeries
-from tauc.ingestion import ScenarioConfig
+from tauc.ingestion import ScenarioConfig, build_portfolio, compute_installed_capacity
 from tauc.model import Fixings, PowerSystem, ThermalUnit
 
 TESTS = Path(__file__).resolve().parent
@@ -96,7 +96,8 @@ def rows_as_maps(model) -> dict[str, tuple[tuple[tuple[str, float], ...], str, f
 def conventional_hourly_model(system: PowerSystem, periods):
     """Conventional hourly unit commitment, coded directly from the uniform
     formulation: unit durations, per-hour ramp clamps, integer-hour minimum
-    times via ceilings, and shed load as a column priced at the shed cost
+    times via ceilings written as start-up rows (Rajan and Takriti), and
+    shed load as a column priced at the shed cost
     (pg + pw + ps + shed = demand). Independent of the production builder;
     returns (rows map, objective dict) in the production label convention.
     """
@@ -135,7 +136,8 @@ def conventional_hourly_model(system: PowerSystem, periods):
         for t in range(1, nt + 1):
             put(f"onmin_{g}_{t}", {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": -u.pmin}, ">=", 0.0)
             put(f"onmax_{g}_{t}", {f"pg_{g}_{t}": 1.0, f"u_{g}_{t}": -u.pmax}, "<=", 0.0)
-        if u.startup_cost != 0.0:  # free start-ups need no indicator rows
+        # start-ups need indicator rows when they cost or a minimum time counts them
+        if u.startup_cost != 0.0 or u.min_up > 0 or u.min_down > 0:
             for t in range(1, nt + 1):
                 if t == 1:
                     put(f"sucost_{g}_{t}", {f"su_{g}_{t}": 1.0, f"u_{g}_{t}": -1.0}, ">=", float(-u.u0))
@@ -197,52 +199,26 @@ def conventional_hourly_model(system: PowerSystem, periods):
                     "<=",
                     0.0,
                 )
-        if u.min_up > 0:
-            pin_h = max(0.0, (u.min_up - u.hours_on0)) * u.u0
+        # minimum times as start-up rows: a start-up in period a keeps the
+        # unit on (off, after a stop) through a + k - 1, k whole hours
+        for word, hours, pin_h in (("up", u.min_up, max(0.0, u.min_up - u.hours_on0) * u.u0),
+                                   ("dn", u.min_down, max(0.0, u.min_down - u.hours_off0) * (1 - u.u0))):
+            if hours <= 0:
+                continue
+            k = math.ceil(hours - tol)
             pin = 0 if pin_h <= tol else min(nt, math.ceil(pin_h - tol))
-            end = min(nt, math.ceil(u.min_up - tol))
-            if pin >= 1:
-                put(f"upinit_{g}", {f"u_{g}_{t}": 1.0 for t in range(1, pin + 1)}, "=", float(pin))
-            for t in range(pin + 1, nt - end + 2):
-                omega = min(nt - t + 1, math.ceil(u.min_up - tol))
-                coeffs: dict[str, float] = {}
-                for tau in range(t, t + omega):
-                    coeffs[f"u_{g}_{tau}"] = coeffs.get(f"u_{g}_{tau}", 0.0) + 1.0
-                coeffs[f"u_{g}_{t}"] = coeffs.get(f"u_{g}_{t}", 0.0) - omega
-                if t > 1:
-                    coeffs[f"u_{g}_{t-1}"] = coeffs.get(f"u_{g}_{t-1}", 0.0) + omega
-                    put(f"up_{g}_{t}", coeffs, ">=", 0.0)
+            for t in range(1, nt + 1):
+                first = max(1, t - k + 1)
+                coeffs = {f"su_{g}_{a}": 1.0 for a in range(first, t + 1)}
+                rhs = -1.0 if t <= pin else 0.0
+                if word == "up":
+                    coeffs[f"u_{g}_{t}"] = -1.0
+                elif first > 1:
+                    coeffs[f"u_{g}_{first - 1}"] = 1.0
+                    rhs += 1.0
                 else:
-                    put(f"up_{g}_{t}", coeffs, ">=", -float(omega) * u.u0)
-            for t in range(max(2, nt - end + 2), nt + 1):
-                k = float(nt - t + 1)
-                coeffs = {f"u_{g}_{tau}": 1.0 for tau in range(t, nt + 1)}
-                coeffs[f"u_{g}_{t}"] = coeffs.get(f"u_{g}_{t}", 0.0) - k
-                coeffs[f"u_{g}_{t-1}"] = coeffs.get(f"u_{g}_{t-1}", 0.0) + k
-                put(f"upend_{g}_{t}", coeffs, ">=", 0.0)
-        if u.min_down > 0:
-            pin_h = max(0.0, (u.min_down - u.hours_off0)) * (1 - u.u0)
-            pin = 0 if pin_h <= tol else min(nt, math.ceil(pin_h - tol))
-            end = min(nt, math.ceil(u.min_down - tol))
-            if pin >= 1:
-                put(f"dninit_{g}", {f"u_{g}_{t}": 1.0 for t in range(1, pin + 1)}, "=", 0.0)
-            for t in range(pin + 1, nt - end + 2):
-                omega = min(nt - t + 1, math.ceil(u.min_down - tol))
-                coeffs = {}
-                for tau in range(t, t + omega):
-                    coeffs[f"u_{g}_{tau}"] = coeffs.get(f"u_{g}_{tau}", 0.0) - 1.0
-                coeffs[f"u_{g}_{t}"] = coeffs.get(f"u_{g}_{t}", 0.0) + omega
-                if t > 1:
-                    coeffs[f"u_{g}_{t-1}"] = coeffs.get(f"u_{g}_{t-1}", 0.0) - omega
-                    put(f"dn_{g}_{t}", coeffs, ">=", -float(omega))
-                else:
-                    put(f"dn_{g}_{t}", coeffs, ">=", -float(omega) + float(omega) * u.u0)
-            for t in range(max(2, nt - end + 2), nt + 1):
-                k = float(nt - t + 1)
-                coeffs = {f"u_{g}_{tau}": -1.0 for tau in range(t, nt + 1)}
-                coeffs[f"u_{g}_{t}"] = coeffs.get(f"u_{g}_{t}", 0.0) + k
-                coeffs[f"u_{g}_{t-1}"] = coeffs.get(f"u_{g}_{t-1}", 0.0) - k
-                put(f"dnend_{g}_{t}", coeffs, ">=", -k)
+                    rhs += 1.0 - u.u0
+                put(f"{word}_{g}_{t}", coeffs, "<=", rhs)
 
     objective: dict[str, float] = {}
     for u in system.units:
@@ -270,6 +246,29 @@ def random_day_series(rng: np.random.Generator, step_minutes: int = 60, hours: f
     solar = np.clip(np.sin(np.pi * (t - 6.0) / 12.0), 0.0, 1.0) * rng.uniform(0.6, 1.0)
     wind = np.clip(0.3 + np.cumsum(rng.normal(0.0, 0.05, n)), 0.0, 1.0)
     return HiResSeries(demand=demand, wind_cf=wind, solar_cf=solar, step_minutes=step_minutes)
+
+
+def study13_window(seed: int, step_minutes: int) -> tuple[PowerSystem, HiResSeries]:
+    """The study13 fixture day: the whole study13 portfolio over a 32 h window
+    (a day plus an 8 h look-ahead) at step_minutes. default_rng(seed) draws
+    the demand noise, then the wind noise: demand is
+    1500 + 500 sin(2 pi (t - 9) / 24) + N(0, 60) clipped at 200 MW, wind
+    0.35 + 0.2 sin(2 pi t / 37) + N(0, 0.05) clipped to [0, 1], and solar
+    clip(sin(pi ((t mod 24) - 6) / 12), 0, 1), t in hours. Both renewable
+    fleets are sized at alpha 0.2 over the window; shedding costs 10000 EUR/MWh."""
+    n = 32 * 60 // step_minutes
+    t = np.arange(n) * step_minutes / 60.0
+    rng = np.random.default_rng(seed)
+    demand = np.clip(1500.0 + 500.0 * np.sin(2 * np.pi * (t - 9.0) / 24.0) + rng.normal(0.0, 60.0, n), 200.0, None)
+    wind = np.clip(0.35 + 0.2 * np.sin(2 * np.pi * t / 37.0) + rng.normal(0.0, 0.05, n), 0.0, 1.0)
+    solar = np.clip(np.sin(np.pi * ((t % 24.0) - 6.0) / 12.0), 0.0, 1.0)
+    system = PowerSystem(
+        units=build_portfolio("study13"),
+        wind_capacity=compute_installed_capacity(0.2, demand, wind),
+        solar_capacity=compute_installed_capacity(0.2, demand, solar),
+        load_shed_cost=10000.0,
+    )
+    return system, HiResSeries(demand=demand, wind_cf=wind, solar_cf=solar, step_minutes=step_minutes)
 
 
 def flat_day_series(step_minutes: int = 60, hours: float = 24.0, demand: float = 500.0) -> HiResSeries:

@@ -19,9 +19,14 @@ result the package computes another way, so tests can compare the two:
   array builder must write the same rows, terms, bounds and objective bit
   for bit, and the ``A @ x`` audit must reach the same verdict. The builder
   also keeps the paper's ramp rows, whose big-M is pmax
-  (``ramp_big_m="pmax"``), as the reference for the strengthened ones, and
-  the served-demand balance (``balance="served"``), priced below zero and
-  made up by a constant offset, as the reference for the shed column.
+  (``ramp_big_m="pmax"``), as the reference for the strengthened ones, the
+  served-demand balance (``balance="served"``), priced below zero and made
+  up by a constant offset, as the reference for the shed column, and the
+  aggregated window rows of minimum up and down times on ``u`` alone
+  (``min_time="window"``), as the reference for the start-up rows.
+- ``reference_min_times`` is the per-period loop that turned minimum times
+  into period counts before ``tauc.model.effective_min_times`` searched a
+  cumulative sum; it also gives the end counts the window rows need.
 - ``objective_terms`` is the objective of an array model by column name.
 - ``model_from_rows`` makes an array ``UcModel`` from hand-written
   ``Variable``/``Row`` lists, for small test models and the LP reader.
@@ -49,6 +54,7 @@ from tauc.model import (
     Row,
     UcModel,
     Variable,
+    _SUM_TOL,
     effective_min_times,
     effective_ramp_limits,
     period_durations,
@@ -611,12 +617,62 @@ def _add(coeffs: dict[str, float], name: str, value: float) -> None:
         coeffs[name] = acc
 
 
+def _forward_cover(d: np.ndarray, start: int, threshold: float) -> int:
+    """Smallest k with d[start:start+k] summing to threshold; capped at the tail."""
+    if threshold <= _SUM_TOL:
+        return 0
+    acc = 0.0
+    for k in range(start, len(d)):
+        acc += d[k]
+        if acc >= threshold - _SUM_TOL:
+            return k - start + 1
+    return len(d) - start
+
+
+def _backward_cover(d: np.ndarray, threshold: float) -> int:
+    if threshold <= _SUM_TOL:
+        return 0
+    acc = 0.0
+    for k in range(len(d) - 1, -1, -1):
+        acc += d[k]
+        if acc >= threshold - _SUM_TOL:
+            return len(d) - k
+    return len(d)
+
+
+def reference_min_times(unit, durations) -> tuple[int, int, np.ndarray, int, int, np.ndarray]:
+    """Minimum up/down times as period counts, one period at a time.
+
+    Returns (ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts): the
+    number of leading periods the initial state pins, the number of
+    trailing periods whose duration sum first reaches the threshold, and
+    the per-period counts used by the rolling-window rows.
+    """
+    d = np.asarray(durations, dtype=float)
+    n = len(d)
+
+    def family(threshold_h: float, init_hours: float) -> tuple[int, int, np.ndarray]:
+        if threshold_h <= 0:
+            return 0, 0, np.zeros(n, dtype=int)
+        init = _forward_cover(d, 0, init_hours)
+        end = _backward_cover(d, threshold_h)
+        counts = np.array([_forward_cover(d, t, threshold_h) for t in range(n)], dtype=int)
+        return init, end, counts
+
+    ut_pin = max(0.0, (unit.min_up - unit.hours_on0)) * unit.u0
+    dt_pin = max(0.0, (unit.min_down - unit.hours_off0)) * (1 - unit.u0)
+    ut_init, ut_end, ut_counts = family(unit.min_up, ut_pin)
+    dt_init, dt_end, dt_counts = family(unit.min_down, dt_pin)
+    return ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts
+
+
 def reference_build_uc_model(
     system: PowerSystem,
     periods: ReducedSeries,
     fixings: Mapping[str, float] | None = None,
     ramp_big_m: str = "tight",
     balance: str = "shed",
+    min_time: str = "startup",
 ) -> ReferenceModel:
     """Build the commitment MILP for one system over one window of periods.
 
@@ -631,8 +687,15 @@ def reference_build_uc_model(
     tauc.model.build_uc_model does; "served" writes served demand pd_t in
     [0, demand_t] priced at minus the shed cost (sum pg + pw + ps - pd_t = 0)
     and adds the price of shedding the whole forecast as objective_offset,
-    the same cost with opposite signs. fixings maps variable names to
-    frozen values and is applied as equality bounds.
+    the same cost with opposite signs. min_time "startup" writes minimum up
+    and down times as one row per period on the start-up indicators, as
+    tauc.model.build_uc_model does: su is free, with its sucost rows, for a
+    unit with a start-up cost or a minimum time, and a fixing of u_t and
+    u_{t-1} fixes su_t at max(0, u_t - u_{t-1}). "window" writes the
+    aggregated window rows on u alone (upinit, up, upend, dninit, dn,
+    dnend) from the counts of reference_min_times, with su free only for a
+    unit with a start-up cost and never fixed. fixings maps variable names
+    to frozen values and is applied as equality bounds.
     Rows whose variables are all fixed are removed (they are constants); any
     such row the frozen values violate is reported in pruned_violations
     rather than making the model infeasible, which is what a simulation of a
@@ -642,6 +705,9 @@ def reference_build_uc_model(
         raise ValueError(f"ramp_big_m must be 'tight' or 'pmax', got {ramp_big_m!r}")
     if balance not in ("shed", "served"):
         raise ValueError(f"balance must be 'shed' or 'served', got {balance!r}")
+    if min_time not in ("startup", "window"):
+        raise ValueError(f"min_time must be 'startup' or 'window', got {min_time!r}")
+    window = min_time == "window"
     served = balance == "served"
     demand_name = pd_name if served else shed_name
     d = period_durations(periods)
@@ -652,8 +718,12 @@ def reference_build_uc_model(
         variables.extend(Variable(u_name(unit.unit_id, t), 0.0, 1.0, binary=True) for t in range(1, nt + 1))
     for unit in system.units:
         variables.extend(Variable(pg_name(unit.unit_id, t), 0.0, unit.pmax) for t in range(1, nt + 1))
+
+    def counts_su(unit) -> bool:
+        return unit.startup_cost > 0 or (not window and (unit.min_up > 0 or unit.min_down > 0))
+
     for unit in system.units:
-        su_ub = math.inf if unit.startup_cost > 0 else 0.0
+        su_ub = math.inf if counts_su(unit) else 0.0
         variables.extend(Variable(su_name(unit.unit_id, t), 0.0, su_ub) for t in range(1, nt + 1))
     variables.extend(
         Variable(pw_name(t), 0.0, periods.wind_cf[t - 1] * system.wind_capacity) for t in range(1, nt + 1)
@@ -676,7 +746,10 @@ def reference_build_uc_model(
     for unit in system.units:
         uid = unit.unit_id
         ru_hat, rd_hat, su_hat, sd_hat = effective_ramp_limits(unit, d)
-        ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(unit, d)
+        if window:
+            ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = reference_min_times(unit, d)
+        else:
+            ut_init, ut_counts, dt_init, dt_counts = effective_min_times(unit, d)
         # commitment-linked dispatch bounds
         for t in range(1, nt + 1):
             coeffs = {pg_name(uid, t): 1.0}
@@ -685,8 +758,8 @@ def reference_build_uc_model(
             coeffs = {pg_name(uid, t): 1.0}
             _add(coeffs, u_name(uid, t), -unit.pmax)
             rows.append(Row(f"onmax_{uid}_{t}", coeffs, "<=", 0.0))
-        # start-up indicators, none for a unit whose start-ups are free
-        if unit.startup_cost > 0:
+        # start-up indicators
+        if counts_su(unit):
             for t in range(1, nt + 1):
                 coeffs = {su_name(uid, t): 1.0}
                 rhs = 0.0
@@ -729,8 +802,27 @@ def reference_build_uc_model(
                 _add(coeffs, u_name(uid, t + 1), sdh - unit.pmax)
                 _add(coeffs, u_name(uid, t), -sdh)
                 rows.append(Row(f"sdramp_{uid}_{t}", coeffs, "<=", 0.0))
+        if not window:
+            # minimum up and down times: the row of period t sums the
+            # start-ups in the periods whose window, started there, covers t
+            for word, hours, pin, counts in (("up", unit.min_up, ut_init, ut_counts),
+                                             ("dn", unit.min_down, dt_init, dt_counts)):
+                if hours <= 0:
+                    continue
+                for t in range(1, nt + 1):
+                    first = next((a for a in range(1, t + 1) if a + int(counts[a - 1]) - 1 >= t), t + 1)
+                    coeffs = {su_name(uid, a): 1.0 for a in range(first, t + 1)}
+                    rhs = -1.0 if t <= pin else 0.0
+                    if word == "up":
+                        _add(coeffs, u_name(uid, t), -1.0)
+                    elif first > 1:
+                        _add(coeffs, u_name(uid, first - 1), 1.0)
+                        rhs += 1.0
+                    else:
+                        rhs += 1.0 - unit.u0
+                    rows.append(Row(f"{word}_{uid}_{t}", coeffs, "<=", rhs))
         # minimum up time
-        if unit.min_up > 0:
+        if window and unit.min_up > 0:
             pin, end = ut_init, ut_end
             if pin >= 1:
                 coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
@@ -756,7 +848,7 @@ def reference_build_uc_model(
                 _add(coeffs, u_name(uid, t - 1), k)
                 rows.append(Row(f"upend_{uid}_{t}", coeffs, ">=", 0.0))
         # minimum down time
-        if unit.min_down > 0:
+        if window and unit.min_down > 0:
             pin, end = dt_init, dt_end
             if pin >= 1:
                 coeffs = {u_name(uid, t): 1.0 for t in range(1, pin + 1)}
@@ -808,6 +900,16 @@ def reference_build_uc_model(
             if not var.lb - 1e-9 <= value <= var.ub + 1e-9:
                 raise ValueError(f"{name}: fixing {value} outside bounds [{var.lb}, {var.ub}]")
             variables[by_name[name]] = Variable(var.name, value, value, var.binary)
+        if not window:
+            # a start-up between two frozen commitments is frozen too
+            fixed = {v.name: v.lb for v in variables if v.lb == v.ub}
+            for unit in system.units:
+                uid = unit.unit_id
+                for t in range(1, nt + 1):
+                    before = float(unit.u0) if t == 1 else fixed.get(u_name(uid, t - 1))
+                    if counts_su(unit) and u_name(uid, t) in fixed and before is not None:
+                        value = max(0.0, fixed[u_name(uid, t)] - before)
+                        variables[by_name[su_name(uid, t)]] = Variable(su_name(uid, t), value, value)
 
     pruned: list[tuple[str, float]] = []
     fixed_vals = {v.name: v.lb for v in variables if v.lb == v.ub}
@@ -883,6 +985,24 @@ def reference_check_solution(model: ReferenceModel, values: dict[str, float],
 # exhaustive oracle
 
 
+def _lower_corner(c, a, senses, rhs, lb, tol: float = 1e-9):
+    """(status, objective, x) of an LP that its lower-bound corner settles
+    without a simplex, else None. With c >= 0 the corner minimises c.x over
+    the box, so it is optimal when it meets every row; a row it breaks in the
+    direction every one of its coefficients pushes cannot be mended by
+    raising variables, so the LP is infeasible."""
+    if np.any(c < 0) or not np.all(np.isfinite(lb)):
+        return None
+    act = a @ lb
+    high = np.array([s != ">=" for s in senses], dtype=bool) & (act > rhs + tol)
+    low = np.array([s != "<=" for s in senses], dtype=bool) & (act < rhs - tol)
+    if np.any(high & np.all(a >= 0, axis=1)) or np.any(low & np.all(a <= 0, axis=1)):
+        return ("infeasible", math.inf, None)
+    if high.any() or low.any():
+        return None
+    return ("optimal", float(c @ lb), lb.copy())
+
+
 def brute_force_solve(model: UcModel,
                       max_binaries: int = ORACLE_MAX_BINARIES) -> MipSolution:
     """Exhaustive reference solve: enumerate binaries, solve LPs exactly.
@@ -890,7 +1010,8 @@ def brute_force_solve(model: UcModel,
     Rows touching no continuous variable are checked for all assignments at
     once; the rest decompose into connected components of continuous
     variables whose LP solutions are memoized on the binary bits they
-    actually see. Refuses models with more than max_binaries free binaries.
+    actually see. An LP that its lower-bound corner settles (_lower_corner)
+    skips the simplex. Refuses models with more than max_binaries free binaries.
     """
     start = time.perf_counter()
     variables = model.variables
@@ -1086,6 +1207,8 @@ def brute_force_solve(model: UcModel,
                 if np.any(lb > ub + 1e-9):
                     cached = ("infeasible", math.inf, None)
                 else:
+                    cached = _lower_corner(comp.c, comp.a, comp.senses, rhs, lb)
+                if cached is None:
                     res = solve_lp(comp.c, comp.a, comp.senses, rhs, lb, ub)
                     cached = (res.status, res.objective, res.x)
                 memo[ci][key] = cached

@@ -131,24 +131,21 @@ def test_criterion_5_effective_parameter_table():
             want_sd = min(unit.pmax, max(unit.pmin, max(unit.pmin, unit.ramp_down) * d))
             np.testing.assert_allclose(ru, want_ru, rtol=1e-12)
             np.testing.assert_allclose(sd, want_sd, rtol=1e-12)
-            ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(
-                unit, durations
-            )
+            ut_init, ut_counts, dt_init, dt_counts = effective_min_times(unit, durations)
             if unit.min_up <= 0:
                 assert not ut_counts.any()
             else:
                 k_min = math.ceil(unit.min_up / d - 1e-9)
                 expected = np.minimum(k_min, n - np.arange(n))
                 np.testing.assert_array_equal(ut_counts, expected)
-                assert ut_end == min(k_min, n)
             assert ut_init == 0 and dt_init == 0
             np.testing.assert_array_equal(dt_counts, ut_counts)
 
     g1 = units["g1"]
     assert effective_ramp_limits(g1, [1.0] * 6)[0][3] == 200.0
     assert effective_ramp_limits(g1, [3.0] * 6)[0][3] == 360.0
-    assert effective_min_times(units["g2"], [1.0] * 24)[2][5] == 9
-    assert effective_min_times(units["g5"], [0.5] * 24)[2][5] == 10
+    assert effective_min_times(units["g2"], [1.0] * 24)[1][5] == 9
+    assert effective_min_times(units["g5"], [0.5] * 24)[1][5] == 10
     mixed_ru = effective_ramp_limits(g1, [0.5, 1.0, 2.0, 3.0])[0]
     np.testing.assert_allclose(mixed_ru, [200.0, 200.0, 200.0, 300.0])
     note(

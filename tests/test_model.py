@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,11 +16,18 @@ from helpers import (
     fixings_from,
     periods_from,
     rows_as_maps,
+    study13_window,
     two_unit_fixture,
     uc_instances,
     unit,
 )
-from oracle import brute_force_solve, model_from_rows, objective_terms, reference_build_uc_model
+from oracle import (
+    brute_force_solve,
+    model_from_rows,
+    objective_terms,
+    reference_build_uc_model,
+    reference_min_times,
+)
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid
 from tauc.ingestion import build_portfolio, compute_installed_capacity
 from tauc.model import (
@@ -34,7 +41,7 @@ from tauc.model import (
     extract_schedule,
     operating_cost,
 )
-from tauc.simulation import MODES, fix_from_plan, run_day_ahead
+from tauc.simulation import MODE_CH, MODES, day_ahead_grid, fix_from_plan, run_day_ahead
 from tauc.solver import solve
 
 G1 = ThermalUnit(
@@ -105,23 +112,18 @@ def test_ramp_limits_reject_bad_durations():
 def test_min_time_counts_hourly_nine_periods_for_8p5_hours():
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=8.5, min_down=4.0,
                     u0=0, hours_off0=24.0)
-    ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(
-        u, [1.0] * 24
-    )
+    ut_init, ut_counts, dt_init, dt_counts = effective_min_times(u, [1.0] * 24)
     assert ut_init == 0
-    assert ut_end == 9
     assert list(ut_counts[:16]) == [9] * 16
     assert list(ut_counts[16:]) == [8, 7, 6, 5, 4, 3, 2, 1]
-    assert dt_end == 4
     assert list(dt_counts[:21]) == [4] * 21
 
 
 def test_min_time_counts_on_variable_durations():
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=1.0,
                     u0=0, hours_off0=24.0)
-    _, ut_end, ut_counts, *_ = effective_min_times(u, [2.0, 0.5, 0.5])
+    _, ut_counts, *_ = effective_min_times(u, [2.0, 0.5, 0.5])
     assert list(ut_counts) == [1, 2, 1]  # the last is capped at the tail
-    assert ut_end == 2
 
 
 def test_min_time_initial_pin_from_carryover():
@@ -142,16 +144,49 @@ def test_min_time_counts_tolerate_inexact_step_sums():
     # 51 ten-minute periods sum to 8.5 h only up to float dust
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=8.5,
                     u0=0, hours_off0=24.0)
-    _, _, ut_counts, *_ = effective_min_times(u, [1.0 / 6.0] * 60)
+    _, ut_counts, *_ = effective_min_times(u, [1.0 / 6.0] * 60)
     assert ut_counts[0] == 51
+
+
+@st.composite
+def min_time_grids(draw):
+    """A unit with drawn minimum times and initial state on a uniform grid of
+    5, 10, 30 or 60 minutes, or on a clustered grid whose periods are whole
+    numbers of such steps; some minimum times are exact sums of durations."""
+    step = draw(st.sampled_from([5, 10, 30, 60]))
+    if draw(st.booleans()):
+        members = [1] * draw(st.integers(1, 96))
+    else:
+        members = draw(st.lists(st.integers(1, 16), min_size=1, max_size=40))
+    durations = [k * step / 60.0 for k in members]
+    sums = np.cumsum(durations)
+    hours = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 8.5, 24.0]),
+                      st.floats(0.0, 30.0), st.sampled_from(sums.tolist()))
+    u0 = draw(st.integers(0, 1))
+    held = st.one_of(hours.filter(lambda h: h > 0), st.just(24.0))
+    unit_ = ThermalUnit("m1", "medium", 10.0, 50.0, 20.0, min_up=draw(hours), min_down=draw(hours), u0=u0,
+                        hours_on0=draw(held) if u0 else 24.0, hours_off0=24.0 if u0 else draw(held),
+                        p0=10.0 if u0 else 0.0)
+    return unit_, durations
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_time_grids())
+def test_searched_min_time_counts_equal_the_per_period_loop(grid):
+    """The counts read off one cumulative sum equal those of the per-period
+    loop that adds durations one at a time."""
+    unit_, durations = grid
+    ut_init, ut_counts, dt_init, dt_counts = effective_min_times(unit_, durations)
+    want = reference_min_times(unit_, durations)
+    assert (ut_init, dt_init) == (want[0], want[3])
+    assert ut_counts.tolist() == want[2].tolist()
+    assert dt_counts.tolist() == want[5].tolist()
 
 
 def test_min_time_zero_gives_all_zero_counts():
     u = ThermalUnit("p1", "peak", 0.0, 50.0, 80.0)
-    ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts = effective_min_times(
-        u, [1.0] * 4
-    )
-    assert ut_init == ut_end == dt_init == dt_end == 0
+    ut_init, ut_counts, dt_init, dt_counts = effective_min_times(u, [1.0] * 4)
+    assert ut_init == dt_init == 0
     assert not ut_counts.any() and not dt_counts.any()
 
 
@@ -227,14 +262,19 @@ def test_build_variable_bounds_follow_availability():
 
 def test_build_min_time_rows_emitted_with_pins():
     model = build_uc_model(*two_unit_fixture())
-    labels = {r.label for r in model.constraints}
-    # a1 entered the horizon with 1 of its 2.5 on-hours served: 2 pinned periods
-    assert "upinit_a1" in labels
-    up_init = next(r for r in model.constraints if r.label == "upinit_a1")
-    assert up_init.coeffs == {"u_a1_1": 1.0, "u_a1_2": 1.0}
-    assert up_init.sense == "=" and up_init.rhs == 2.0
-    assert "dninit_a1" not in labels
-    assert not any(l.startswith(("up_b1", "dn_b1", "upinit_b1")) for l in labels)
+    rows = {r.label: r for r in model.constraints}
+    # a1 entered the horizon with 1 of its 2.5 on-hours served: 2 pinned
+    # periods, whose up rows ask for u_t >= 1 plus the start-ups before them
+    for t, rhs in ((1, -1.0), (2, -1.0), (3, 0.0)):
+        assert (rows[f"up_a1_{t}"].sense, rows[f"up_a1_{t}"].rhs) == ("<=", rhs)
+    assert rows["up_a1_2"].coeffs == {"su_a1_1": 1.0, "su_a1_2": 1.0, "u_a1_2": -1.0}
+    # a 2.5 h window started in period 2 still covers period 4
+    assert rows["up_a1_4"].coeffs == {"su_a1_2": 1.0, "su_a1_3": 1.0, "su_a1_4": 1.0, "u_a1_4": -1.0}
+    # a1 was on, so a stop in period 1 or 2 forbids a start-up until period 3
+    assert (rows["dn_a1_2"].coeffs, rows["dn_a1_2"].rhs) == ({"su_a1_1": 1.0, "su_a1_2": 1.0}, 0.0)
+    assert (rows["dn_a1_3"].coeffs, rows["dn_a1_3"].rhs) == ({"su_a1_2": 1.0, "su_a1_3": 1.0, "u_a1_1": 1.0}, 1.0)
+    assert not any(l.startswith(("upinit", "dninit", "upend", "dnend")) for l in rows)
+    assert not any(l.startswith(("up_b1", "dn_b1")) for l in rows)
 
 
 def test_build_ramp_rows_reference_adjacent_periods():
@@ -306,11 +346,12 @@ def test_prune_drops_constant_rows_and_reports_violations():
     fix = Fixings(commitment=np.array([[1.0] * 4, free]), dispatch=np.array([[100.0, 250.0, 100.0, 100.0], free]))
     model = build_uc_model(system, periods, fixings=fix)
     labels = {r.label for r in model.constraints}
-    assert not any(l.startswith(("rampup_a1", "onmin_a1", "up_a1", "upinit_a1")) for l in labels)
+    # a frozen commitment freezes its start-ups, so a1's start-up and
+    # minimum-time rows go too
+    assert not any(l.startswith(("rampup_a1", "onmin_a1", "up_a1", "dn_a1", "sucost_a1")) for l in labels)
     # the 100 -> 250 jump exceeds the clamped 100 MW/h room by 50
     assert ("rampup_a1_2", pytest.approx(50.0)) in model.pruned_violations
     # rows mixing fixed and free variables must stay
-    assert any(l.startswith("sucost_a1") for l in labels)
     assert "bal_1" in labels
 
 
@@ -386,6 +427,74 @@ def test_strengthened_ramp_rows_keep_the_papers_optimum_and_lift_its_lp_bound(in
     elif got.status != "infeasible":
         assert (got.status, want.status) == ("optimal", "optimal")
         assert got.objective >= want.objective - 1e-9 * max(1.0, abs(want.objective))
+
+
+def _window_model(system, periods, fixings=None) -> tuple[UcModel, tuple]:
+    """The model with the aggregated window rows of minimum times (on u
+    alone) as an array model, and its pruned rows; rows left with no terms
+    are dropped, as the array builder drops them."""
+    ref = reference_build_uc_model(system, periods, fixing_names(system, fixings), min_time="window")
+    rows = [row for row in ref.constraints if row.coeffs]
+    return model_from_rows(ref.variables, rows, ref.objective), ref.pruned_violations
+
+
+def _min_time_breaches(pruned) -> set[tuple[str, str]]:
+    """(unit, direction) of each pruned minimum-time row that the frozen values break."""
+    out = set()
+    for label, _ in pruned:
+        family, uid = label.split("_")[:2]
+        if family in ("up", "upinit", "upend", "dn", "dninit", "dnend"):
+            out.add((uid, family[:2]))
+    return out
+
+
+# a base unit with pmin 0 whose frozen commitment starts it in period 2 and
+# stops it in period 3, 15 minutes into a 30-minute minimum up time: with su
+# left free the start-up rows made the model infeasible, where the window
+# rows are pruned and the breach reported
+_BREACHED = (
+    PowerSystem(units=(ThermalUnit("g0", "base", 0.0, 40.0, 12.5, min_up=0.5),),
+                wind_capacity=0.0, solar_capacity=0.0, load_shed_cost=100.0),
+    periods_from([0.25] * 3, [0.0, 60.0, 0.0]),
+    Fixings(np.array([[0.0, 1.0, 0.0]]), np.full((1, 3), np.nan)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uc_instances())
+@example(_BREACHED)
+def test_start_up_rows_keep_the_window_rows_optimum_and_lift_its_lp_bound(instance):
+    """The shipped minimum-time rows (one per period on the start-up
+    indicators) and the aggregated window rows on u reach the same status
+    and optimum at gap 0, report a breach of a frozen commitment's minimum
+    time for the same units, and the shipped LP relaxation never sits below
+    the window form's."""
+    system, periods, fixings = instance
+    assume(any(u.min_up > 0 or u.min_down > 0 for u in system.units))
+    shipped = build_uc_model(system, periods, fixings)
+    window, window_pruned = _window_model(system, periods, fixings)
+    assert _min_time_breaches(shipped.pruned_violations) == _min_time_breaches(window_pruned)
+    got, want = solve(shipped), solve(window)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+    got, want = solve(_relaxed(shipped)), solve(_relaxed(window))
+    if want.status == "infeasible":
+        assert got.status == "infeasible"
+    elif got.status != "infeasible":
+        assert (got.status, want.status) == ("optimal", "optimal")
+        assert got.objective >= want.objective - 1e-9 * max(1.0, abs(want.objective))
+
+
+def test_study13_day_ahead_reaches_the_window_rows_optimum():
+    """The study13 fixture day at 30 minutes, seed 0: the CH day-ahead model
+    with the shipped minimum-time rows reaches the window form's optimum to
+    the cent."""
+    system, series = study13_window(0, 30)
+    periods = reduce_series(series, day_ahead_grid(series, MODE_CH))
+    got, want = solve(build_uc_model(system, periods)), solve(_window_model(system, periods)[0])
+    assert got.status == want.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, abs=5e-3)
 
 
 @settings(max_examples=80, deadline=None)

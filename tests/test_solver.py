@@ -531,6 +531,37 @@ def test_a_bound_above_the_audited_objective_is_clamped_onto_it(monkeypatch):
     assert res.dual_bound == res.objective and res.gap == 0.0
 
 
+def test_a_snapped_point_that_fails_the_audit_is_re_solved_on_its_commitment(monkeypatch):
+    """HiGHS accepts a binary within its own integrality tolerance: u = 2e-8
+    with pg = pmax * u passes its rows, but once u is snapped to 0, pg breaks
+    onmax by more than the audit allows. solve() then fixes every binary at
+    its snapped value and solves that LP once, and the new point passes."""
+    system = PowerSystem(units=(unit("g", "peak", 10.0, 400.0, 30.0),), wind_capacity=500.0,
+                         solar_capacity=0.0, load_shed_cost=1000.0)
+    model = build_uc_model(system, periods_from([1.0, 1.0], [100.0, 200.0], wind_cf=[1.0, 1.0]))
+    calls = []
+
+    def dusty_milp(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        if not calls:
+            # the free columns are u, pg, pw and shed, two periods each; wind
+            # serves the demand, so g is off
+            assert res.x[:2].tolist() == [0.0, 0.0]
+            res.x = res.x.copy()
+            res.x[:2] = 2e-8
+            res.x[2:4] = 400.0 * 2e-8
+            res.x[4:6] -= 400.0 * 2e-8
+        calls.append(np.asarray(kwargs["integrality"]).copy())
+        return res
+
+    monkeypatch.setattr("tauc.solver.milp", dusty_milp)
+    res = solve(model)
+    assert res.status == "optimal", res.message
+    assert len(calls) == 2 and calls[0].any() and not calls[1].any()
+    assert res.objective == 0.0
+    assert check_solution(model, res.x) == []
+
+
 # ---------------------------------------------------------------------------
 # exhaustive oracle vs HiGHS
 
@@ -642,9 +673,11 @@ def test_solve_reports_infeasible_models():
     assert res.objective is None
 
 
-def test_model_with_vacuous_minimum_time_rows_drops_them_and_solves():
-    """min_up = min_down = one period left up_g_1 and dn_g_1 without terms,
-    and the LP writer refused the model; the rows are dropped now."""
+def test_one_period_minimum_times_write_the_rows_the_window_form_left_empty():
+    """min_up = min_down = one period: the window rows up_g_1 and dn_g_1 had
+    no terms (the LP writer refused such a model), while the start-up rows
+    of period 1 read su_g_1 - u_g_1 <= 0 and su_g_1 <= 1 - u0; the model
+    goes through the LP writer and solves to the exhaustive oracle's optimum."""
     system = PowerSystem(
         units=(unit("g", "peak", 10.0, 100.0, 30.0, startup_cost=50.0, min_up=1.0, min_down=1.0),),
         wind_capacity=0.0,
@@ -652,10 +685,12 @@ def test_model_with_vacuous_minimum_time_rows_drops_them_and_solves():
         load_shed_cost=1000.0,
     )
     periods = periods_from([1.0] * 3, [50.0, 80.0, 20.0])
-    empty = {r.label for r in reference_build_uc_model(system, periods).constraints if not r.coeffs}
-    assert empty == {"up_g_1", "dn_g_1"}
+    window = reference_build_uc_model(system, periods, min_time="window")
+    assert {r.label for r in window.constraints if not r.coeffs} == {"up_g_1", "dn_g_1"}
     model = build_uc_model(system, periods)
-    assert not empty & {r.label for r in model.constraints}
+    rows = {r.label: r for r in model.constraints}
+    assert (rows["up_g_1"].coeffs, rows["up_g_1"].rhs) == ({"su_g_1": 1.0, "u_g_1": -1.0}, 0.0)
+    assert (rows["dn_g_1"].coeffs, rows["dn_g_1"].rhs) == ({"su_g_1": 1.0}, 1.0)
     assert model.pruned_violations == ()
     assert_models_equivalent(model, read_model_file(emit_model_file(model)))
     res = solve(model)
