@@ -10,7 +10,6 @@ names most workflows need. The command line lives in ``tauc.cli`` and is
 installed as the ``tauc`` executable.
 """
 from .aggregation import (
-    FeatureMatrix,
     HiResSeries,
     ReducedSeries,
     TimeGrid,
@@ -61,7 +60,6 @@ __all__ = [
     "BackendConfig",
     "ComparisonReport",
     "DayAheadPlan",
-    "FeatureMatrix",
     "Fixings",
     "HiResSeries",
     "LoadedTrace",

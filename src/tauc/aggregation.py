@@ -67,27 +67,6 @@ class HiResSeries:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-sample clustering features, min-max scaled column-wise to [0, 1].
-
-    Columns that were constant over the window carry no signal; they are
-    scaled to zero.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("feature matrix must be two-dimensional")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """A contiguous partition of a window into variable-duration periods.
 
@@ -145,13 +124,14 @@ def normalize_features(
     selector: str = "net_demand_only",
     wind_capacity: float | None = None,
     solar_capacity: float | None = None,
-) -> FeatureMatrix:
-    """Build the clustering feature matrix for one window.
+) -> np.ndarray:
+    """The (samples, features) clustering matrix of one window.
 
     net_demand_only uses a single column, demand minus renewable capability
     (capacities default to zero, degrading to plain demand). demand_wind_solar
     uses three columns: demand and both capacity factors. Every column is
-    min-max scaled over the window.
+    min-max scaled over the window to [0, 1]; a column that is constant over
+    the window carries no signal and is scaled to zero.
     """
     if selector not in FEATURE_SELECTORS:
         raise ValueError(f"unknown feature selector {selector!r}; expected one of {FEATURE_SELECTORS}")
@@ -171,16 +151,17 @@ def normalize_features(
             scaled[:, j] = 0.0
         else:
             scaled[:, j] = (col - lo) / (hi - lo)
-    return FeatureMatrix(values=scaled)
+    return scaled
 
 
-def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) -> TimeGrid:
+def cluster_adjacent(features: np.ndarray, target_n: int, step_minutes: int) -> TimeGrid:
     """Greedy agglomerative clustering restricted to adjacent-in-time merges.
 
-    Starts from singletons and repeatedly merges the adjacent pair with the
-    smallest merge cost until target_n clusters remain. Costs are rounded to
-    12 decimals before comparison so that exact ties resolve to the leftmost
-    pair on every platform.
+    features is a (samples, features) array such as normalize_features
+    returns. Starts from singletons and repeatedly merges the adjacent pair
+    with the smallest merge cost until target_n clusters remain. Costs are
+    rounded to 12 decimals before comparison so that exact ties resolve to
+    the leftmost pair on every platform.
 
     The adjacent pairs sit in a min-heap keyed (cost, left start, right stop),
     so a merge costs O(log n) and the whole run O(n log n). A merge changes
@@ -189,10 +170,12 @@ def cluster_adjacent(features: FeatureMatrix, target_n: int, step_minutes: int) 
     its first sample a: stop[a] is where it ends and prev[a] is its left
     neighbour.
     """
-    n = features.n_points
+    values = np.asarray(features, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("feature matrix must be two-dimensional")
+    n = len(values)
     if not 1 <= target_n <= n:
         raise ValueError(f"target_n must be in [1, {n}], got {target_n}")
-    values = features.values
     columns = [values[:, j].tolist() for j in range(values.shape[1])]
     # Between singletons the factor 2 na nb / (na + nb) is exactly 1; columns
     # are summed from the first, as in cost() (einsum's order can differ).

@@ -84,15 +84,23 @@ def _out_dir(args) -> Path:
 def _effective(config: ScenarioConfig, args) -> ScenarioConfig:
     """Apply command-line overrides on top of the config file."""
     updates = {}
-    if getattr(args, "gap", None) is not None:
+    if args.gap is not None:
         updates["gap"] = args.gap
-    if getattr(args, "lookahead_hours", None) is not None:
+    if args.lookahead_hours is not None:
         updates["lookahead_hours"] = args.lookahead_hours
     return dataclasses.replace(config, **updates) if updates else config
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows as CSV with newline line endings."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_cluster(args) -> int:
-    config = _effective(load_scenario(args.config), args)
+    config = load_scenario(args.config)
     trace = _scaled_trace(config)
     system = _system_for(config, trace)
     series = trace.series
@@ -102,38 +110,24 @@ def cmd_cluster(args) -> int:
     target = args.target if args.target is not None else round(series.horizon_hours)
     grid = cluster_adjacent(feats, target, series.step_minutes)
     out = _out_dir(args)
-    with open(out / "durations.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period", "start_sample", "stop_sample", "duration_h"])
-        for k, ((a, b), dur) in enumerate(zip(grid.cluster_bounds, grid.durations), start=1):
-            writer.writerow([k, a, b, f"{dur:g}"])
+    _write_csv(out / "durations.csv", ["period", "start_sample", "stop_sample", "duration_h"],
+               ([k, a, b, f"{dur:g}"]
+                for k, ((a, b), dur) in enumerate(zip(grid.cluster_bounds, grid.durations), start=1)))
     feature_names = (
         ["net_demand"] if config.features == "net_demand_only" else ["demand", "wind_cf", "solar_cf"]
     )
-    with open(out / "centroids.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period"] + feature_names)
-        for k, (a, b) in enumerate(grid.cluster_bounds, start=1):
-            writer.writerow([k] + [f"{v:.6f}" for v in feats.values[a:b].mean(axis=0)])
+    _write_csv(out / "centroids.csv", ["period"] + feature_names,
+               ([k] + [f"{v:.6f}" for v in feats[a:b].mean(axis=0)]
+                for k, (a, b) in enumerate(grid.cluster_bounds, start=1)))
     print(f"wrote {len(grid.cluster_bounds)} periods to {out / 'durations.csv'}")
     return 0
 
 
 def _write_plan(path: Path, system: PowerSystem, plan: DayAheadPlan) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period", "duration_h", "unit_id", "commit", "dispatch_mw"])
-        for k, dur in enumerate(plan.grid.durations, start=1):
-            for i, unit in enumerate(system.units):
-                writer.writerow(
-                    [
-                        k,
-                        f"{dur:g}",
-                        unit.unit_id,
-                        int(plan.commitment[i, k - 1]),
-                        f"{plan.dispatch[i, k - 1]:.3f}",
-                    ]
-                )
+    _write_csv(path, ["period", "duration_h", "unit_id", "commit", "dispatch_mw"],
+               ([k, f"{dur:g}", unit.unit_id, int(plan.commitment[i, k - 1]), f"{plan.dispatch[i, k - 1]:.3f}"]
+                for k, dur in enumerate(plan.grid.durations, start=1)
+                for i, unit in enumerate(system.units)))
 
 
 def cmd_plan(args) -> int:
@@ -222,10 +216,7 @@ def cmd_compare(args) -> int:
         return 2
     out = _out_dir(args)
     (out / "comparison.csv").write_text(reports_to_csv(reports))
-    with open(out / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow(_summary_row(summary))
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [_summary_row(summary)])
     print(
         f"{summary['days']} days: delta {summary['delta_pct']:.2f}%, "
         f"TA<CH {summary['n_ta_lt_ch']}, TA=CH {summary['n_ta_eq_ch']}, "
@@ -244,11 +235,8 @@ def cmd_sweep(args) -> int:
         futures = [pool.submit(_run_comparison, cfg) for cfg in configs]
         results = [(name, *future.result()) for name, future in zip(names, futures)]
     out = _out_dir(args)
-    with open(out / "sweep_summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("scenario",) + SUMMARY_COLUMNS)
-        for name, _, summary in results:
-            writer.writerow([name] + _summary_row(summary))
+    _write_csv(out / "sweep_summary.csv", ("scenario",) + SUMMARY_COLUMNS,
+               ([name] + _summary_row(summary) for name, _, summary in results))
     for name, reports, _ in results:
         (out / f"comparison_{name}.csv").write_text(reports_to_csv(reports))
     print(f"swept {len(results)} scenarios into {out / 'sweep_summary.csv'}")
@@ -279,7 +267,7 @@ def _operation_block(title: str, system: PowerSystem, rt: RealTimeResult) -> lis
     ]
     dur = rt.step_minutes / 60.0
     sched = rt.schedule
-    for t in range(rt.day_periods):
+    for t in range(len(sched.shed)):
         lines.append(
             f"  {t + 1:>6}  {dur:5.1f}  {_class_row(system, sched.dispatch, 'base', t):8.1f}"
             f"  {_class_row(system, sched.dispatch, 'medium', t):9.1f}"
@@ -334,15 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_flag=False):
+    def common(p):
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
+
+    def overrides(p):
+        """Scenario overrides, for the subcommands that solve; cluster reads neither."""
         p.add_argument("--gap", type=float, default=None, help="override MIP gap")
         p.add_argument(
             "--lookahead-hours", type=float, default=None, help="override look-ahead window"
         )
-        if mode_flag:
-            p.add_argument("--mode", choices=("ch", "ta", "both"), default="both")
 
     p_cluster = sub.add_parser("cluster", help="reduce a trace to a coarse grid")
     common(p_cluster)
@@ -352,18 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_plan = sub.add_parser("plan", help="day-ahead plan for the first complete day")
-    common(p_plan, mode_flag=True)
+    common(p_plan)
+    overrides(p_plan)
+    p_plan.add_argument("--mode", choices=("ch", "ta", "both"), default="both")
     p_plan.set_defaults(func=cmd_plan)
 
     p_compare = sub.add_parser("compare", help="rolling day-by-day comparison")
     common(p_compare)
+    overrides(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="compare several scenarios")
     p_sweep.add_argument("configs", nargs="+", help="scenario JSON files")
     p_sweep.add_argument("--out", default=".", help="output directory")
-    p_sweep.add_argument("--gap", type=float, default=None)
-    p_sweep.add_argument("--lookahead-hours", type=float, default=None)
+    overrides(p_sweep)
     p_sweep.add_argument(
         "--workers", type=_positive_int, default=1, help="parallel scenario workers (>= 1)"
     )

@@ -186,11 +186,9 @@ def _unit(
     min_down: float = 0.0,
 ) -> ThermalUnit:
     """A generator from the PORTFOLIO_HEADER columns, in its initial state:
-    base units start the horizon online at minimum, everything else cold."""
-    if flex_class == "base":
-        state = {"u0": 1, "hours_on0": 24.0, "p0": pmin}
-    else:
-        state = {"u0": 0, "hours_off0": 24.0}
+    base units start the horizon online at minimum, everything else cold,
+    each having held its state for 24 h."""
+    online = flex_class == "base"
     return ThermalUnit(
         unit_id=unit_id,
         flex_class=flex_class,
@@ -202,7 +200,8 @@ def _unit(
         ramp_down=ramp_down,
         min_up=min_up,
         min_down=min_down,
-        **state,
+        u0=int(online),
+        p0=pmin if online else 0.0,
     )
 
 

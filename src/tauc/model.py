@@ -31,8 +31,9 @@ class ThermalUnit:
 
     Ramp rates are MW per hour; None means the unit is not ramp limited.
     startup_ramp / shutdown_ramp default to max(pmin, ramp) when omitted.
-    min_up / min_down are hours. The initial state carries the commitment at
-    the instant before the horizon, how long it has held, and the dispatch.
+    min_up / min_down are hours. The initial state is the commitment u0 at
+    the instant before the horizon, the hours0 hours it has held that state,
+    and the dispatch p0.
     """
 
     unit_id: str
@@ -48,8 +49,7 @@ class ThermalUnit:
     min_up: float = 0.0
     min_down: float = 0.0
     u0: int = 0
-    hours_on0: float = 0.0
-    hours_off0: float = 24.0
+    hours0: float = 24.0
     p0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -69,16 +69,12 @@ class ThermalUnit:
             raise ValueError(f"{self.unit_id}: startup_cost must be nonnegative")
         if self.u0 not in (0, 1):
             raise ValueError(f"{self.unit_id}: u0 must be 0 or 1")
-        if self.u0:
-            if self.hours_on0 <= 0:
-                raise ValueError(f"{self.unit_id}: an online unit needs hours_on0 > 0")
-            if not self.pmin - 1e-9 <= self.p0 <= self.pmax + 1e-9:
-                raise ValueError(f"{self.unit_id}: p0 outside [pmin, pmax] while online")
-        else:
-            if self.hours_off0 <= 0:
-                raise ValueError(f"{self.unit_id}: an offline unit needs hours_off0 > 0")
-            if self.p0 != 0.0:
-                raise ValueError(f"{self.unit_id}: p0 must be 0 while offline")
+        if self.hours0 <= 0:
+            raise ValueError(f"{self.unit_id}: hours0 must be positive")
+        if self.u0 and not self.pmin - 1e-9 <= self.p0 <= self.pmax + 1e-9:
+            raise ValueError(f"{self.unit_id}: p0 outside [pmin, pmax] while online")
+        if not self.u0 and self.p0 != 0.0:
+            raise ValueError(f"{self.unit_id}: p0 must be 0 while offline")
 
     def resolved_startup_ramp(self) -> float | None:
         if self.startup_ramp is not None:
@@ -176,8 +172,8 @@ def effective_min_times(
             return np.zeros(len(start), dtype=int)
         return np.minimum(np.searchsorted(ends, ends[start] + (hours - _SUM_TOL)), n) - start
 
-    ut_pin = max(0.0, (unit.min_up - unit.hours_on0)) * unit.u0
-    dt_pin = max(0.0, (unit.min_down - unit.hours_off0)) * (1 - unit.u0)
+    ut_pin = max(0.0, unit.min_up - unit.hours0) * unit.u0
+    dt_pin = max(0.0, unit.min_down - unit.hours0) * (1 - unit.u0)
     first, every = np.zeros(1, dtype=int), np.arange(n)
     return (int(cover(first, ut_pin)[0]), cover(every, unit.min_up),
             int(cover(first, dt_pin)[0]), cover(every, unit.min_down))
@@ -622,9 +618,8 @@ class Schedule:
 
     Unit-indexed arrays follow the system's unit order; column t is period
     t+1. startup_cost is in euros: the start-up count times the unit's
-    start-up cost. p_served is demand less shed, and spill is availability
-    less injection; shed and spill are clamped of numerical dust (they are
-    asserted nonnegative to 1e-6 first).
+    start-up cost. Spill is availability less injection; shed and spill are
+    clamped of numerical dust (they are asserted nonnegative to 1e-6 first).
     """
 
     commitment: np.ndarray
@@ -632,7 +627,6 @@ class Schedule:
     startup_cost: np.ndarray
     p_wind: np.ndarray
     p_solar: np.ndarray
-    p_served: np.ndarray
     shed: np.ndarray
     wind_spill: np.ndarray
     solar_spill: np.ndarray
@@ -657,7 +651,6 @@ def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray)
     su_cost = np.array([unit.startup_cost for unit in system.units], dtype=float)
     startup = x[s_su].reshape(ng, nt) * su_cost[:, None]
     p_wind, p_solar, shed = x[s_pw], x[s_ps], x[s_shed]
-    p_served = periods.demand_mw - shed
     wind_spill = periods.wind_cf * system.wind_capacity - p_wind
     solar_spill = periods.solar_cf * system.solar_capacity - p_solar
     for name, arr in (("shed", shed), ("wind spill", wind_spill), ("solar spill", solar_spill)):
@@ -669,25 +662,18 @@ def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray)
         startup_cost=startup,
         p_wind=np.clip(p_wind, 0.0, None),
         p_solar=np.clip(p_solar, 0.0, None),
-        p_served=np.clip(p_served, 0.0, None),
         shed=np.clip(shed, 0.0, None),
         wind_spill=np.clip(wind_spill, 0.0, None),
         solar_spill=np.clip(solar_spill, 0.0, None),
     )
 
 
-def operating_cost(
-    system: PowerSystem,
-    periods: ReducedSeries,
-    schedule: Schedule,
-    span: slice | None = None,
-) -> float:
-    """Operating cost of (part of) a schedule: energy, start-ups, shed penalty."""
-    sl = span if span is not None else slice(None)
-    d = period_durations(periods)[sl]
+def operating_cost(system: PowerSystem, periods: ReducedSeries, schedule: Schedule) -> float:
+    """Operating cost of a schedule: energy, start-ups, shed penalty."""
+    d = period_durations(periods)
     cost = 0.0
     for i, unit in enumerate(system.units):
-        cost += float(np.sum(unit.marginal_cost * schedule.dispatch[i, sl] * d))
-        cost += float(np.sum(schedule.startup_cost[i, sl]))
-    cost += float(system.load_shed_cost * np.sum(schedule.shed[sl] * d))
+        cost += float(np.sum(unit.marginal_cost * schedule.dispatch[i] * d))
+        cost += float(np.sum(schedule.startup_cost[i]))
+    cost += float(system.load_shed_cost * np.sum(schedule.shed * d))
     return cost

@@ -73,20 +73,18 @@ class DayAheadPlan:
 
 @dataclass(frozen=True)
 class RealTimeResult:
-    """High-resolution operation of one window under a plan's fixings.
+    """High-resolution operation of one day under a plan's fixings.
 
-    cost covers only the first day_periods periods (the look-ahead tail is
-    planned but its cost belongs to the next day). next_units are the
-    system's units with their initial conditions set from the end of that
+    The window's look-ahead tail is solved but belongs to the next day, so
+    schedule and cost cover the day's periods only. next_units are the
+    system's units with their initial conditions set from the end of the
     day, ready to seed the following one.
     """
 
     cost: float
     schedule: Schedule
     step_minutes: int
-    day_periods: int
     next_units: tuple[ThermalUnit, ...]
-    objective: float
     solve_time: float
 
 
@@ -183,33 +181,31 @@ def fix_from_plan(
 
 
 def _next_units(
-    units: tuple[ThermalUnit, ...],
-    schedule: Schedule,
-    day_periods: int,
-    step_minutes: int,
+    units: tuple[ThermalUnit, ...], schedule: Schedule, step_minutes: int
 ) -> tuple[ThermalUnit, ...]:
-    """The units with commitment streaks and output taken from the end of the day."""
+    """The units in the state the schedule ends in, with the hours they have
+    held it (capped at 24) and their last output."""
     hours_per_period = step_minutes / 60.0
     out = []
-    for i, unit in enumerate(units):
-        row = schedule.commitment[i, :day_periods]
+    for unit, row, p in zip(units, schedule.commitment, schedule.dispatch):
         u_end = int(row[-1])
         streak = 1
-        while streak < day_periods and row[-1 - streak] == u_end:
+        while streak < len(row) and row[-1 - streak] == u_end:
             streak += 1
-        hours = min(streak * hours_per_period, 24.0)
-        if u_end:
-            p_end = float(np.clip(schedule.dispatch[i, day_periods - 1], unit.pmin, unit.pmax))
-            out.append(dataclasses.replace(unit, u0=1, hours_on0=hours, hours_off0=24.0, p0=p_end))
-        else:
-            out.append(dataclasses.replace(unit, u0=0, hours_on0=24.0, hours_off0=hours, p0=0.0))
+        p_end = float(np.clip(p[-1], unit.pmin, unit.pmax)) if u_end else 0.0
+        out.append(dataclasses.replace(unit, u0=u_end, hours0=min(streak * hours_per_period, 24.0), p0=p_end))
     return tuple(out)
 
 
 def _held_units(units: tuple[ThermalUnit, ...]) -> tuple[ThermalUnit, ...]:
     """The units after a day that could not be solved: each keeps its commitment
-    and output through the day, so both streak counters reach the 24 h cap."""
-    return tuple(dataclasses.replace(u, hours_on0=24.0, hours_off0=24.0) for u in units)
+    and output through the day, so its clock reaches the 24 h cap."""
+    return tuple(dataclasses.replace(u, hours0=24.0) for u in units)
+
+
+def _head(record: T, n: int) -> T:
+    """A Schedule or ReducedSeries cut to its first n periods."""
+    return type(record)(*(getattr(record, f.name)[..., :n] for f in dataclasses.fields(record)))
 
 
 def run_real_time(
@@ -227,7 +223,8 @@ def run_real_time(
     on. A period where that output exceeds demand makes the model
     infeasible, and the RuntimeError names the first such period and the
     excess. Rows fully pinned by fixings are dropped rather than enforced.
-    fixings None leaves every column free.
+    fixings None leaves every column free. The result keeps the first day,
+    24 * 60 // step_minutes periods, or the whole window if it is shorter.
     """
     grid = singleton_grid(series.n_points, series.step_minutes)
     periods = reduce_series(series, grid)
@@ -241,16 +238,13 @@ def run_real_time(
             why = (f"the plan freezes {excess:.1f} MW more thermal output than the demand of "
                    f"period {t} (sample {t - 1} of the window)")
         raise RuntimeError(f"real-time solve for {label} ended {result.status}: {why}")
-    schedule = extract_schedule(system, periods, result.x)
-    day_periods = min(len(periods), 24 * 60 // series.step_minutes)
-    cost = operating_cost(system, periods, schedule, slice(0, day_periods))
+    day = 24 * 60 // series.step_minutes
+    schedule = _head(extract_schedule(system, periods, result.x), day)
     return RealTimeResult(
-        cost=cost,
+        cost=operating_cost(system, _head(periods, day), schedule),
         schedule=schedule,
         step_minutes=series.step_minutes,
-        day_periods=day_periods,
-        next_units=_next_units(system.units, schedule, day_periods, series.step_minutes),
-        objective=result.objective,
+        next_units=_next_units(system.units, schedule, series.step_minutes),
         solve_time=result.wall_time,
     )
 
@@ -276,13 +270,12 @@ def cost_delta(c_ch: float, c_ta: float) -> float:
 
 def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, float]:
     """Energy share per technology over the day, in percent of served energy."""
-    sl = slice(0, result.day_periods)
     d = result.step_minutes / 60.0
     energy = dict.fromkeys(TECHNOLOGIES, 0.0)
-    energy["wind"] = float(np.sum(result.schedule.p_wind[sl]) * d)
-    energy["solar"] = float(np.sum(result.schedule.p_solar[sl]) * d)
-    for i, unit in enumerate(system.units):
-        energy[unit.flex_class] += float(np.sum(result.schedule.dispatch[i, sl]) * d)
+    energy["wind"] = float(np.sum(result.schedule.p_wind) * d)
+    energy["solar"] = float(np.sum(result.schedule.p_solar) * d)
+    for unit, p in zip(system.units, result.schedule.dispatch):
+        energy[unit.flex_class] += float(np.sum(p) * d)
     total = sum(energy.values())
     if total <= 0:
         raise ValueError("no energy served; shares are undefined")
@@ -291,11 +284,10 @@ def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, 
 
 def shed_and_spill(result: RealTimeResult) -> tuple[float, float]:
     """Shed demand and spilled wind plus solar energy over the day, in MWh."""
-    sl = slice(0, result.day_periods)
     d = result.step_minutes / 60.0
     schedule = result.schedule
-    spill = schedule.wind_spill[sl] + schedule.solar_spill[sl]
-    return float(np.sum(schedule.shed[sl]) * d), float(np.sum(spill) * d)
+    spill = schedule.wind_spill + schedule.solar_spill
+    return float(np.sum(schedule.shed) * d), float(np.sum(spill) * d)
 
 
 def run_one_mode(
@@ -447,7 +439,7 @@ def run_chain(
     Yields (label, (plan, result)) for each solved day in the date range, or
     (label, reason) for a day that failed. A solved day hands its next_units
     to the following day; after a failed day the units keep their commitment
-    and output, with both streak counters at the 24 h cap.
+    and output, with their clocks at the 24 h cap.
     """
     lo_date = _parse_date(start_date)
     hi_date = _parse_date(end_date)

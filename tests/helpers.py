@@ -75,7 +75,7 @@ def two_unit_fixture() -> tuple[PowerSystem, ReducedSeries]:
     a = unit(
         "a1", "base", 100.0, 250.0, 20.0,
         startup_cost=500.0, ramp_up=80.0, ramp_down=80.0,
-        min_up=2.5, min_down=1.5, u0=1, hours_on0=1.0, p0=150.0,
+        min_up=2.5, min_down=1.5, u0=1, hours0=1.0, p0=150.0,
     )
     b = unit("b1", "peak", 0.0, 120.0, 55.0, ramp_up=200.0, ramp_down=200.0)
     system = PowerSystem(units=(a, b), wind_capacity=0.0, solar_capacity=200.0, load_shed_cost=1000.0)
@@ -201,8 +201,8 @@ def conventional_hourly_model(system: PowerSystem, periods):
                 )
         # minimum times as start-up rows: a start-up in period a keeps the
         # unit on (off, after a stop) through a + k - 1, k whole hours
-        for word, hours, pin_h in (("up", u.min_up, max(0.0, u.min_up - u.hours_on0) * u.u0),
-                                   ("dn", u.min_down, max(0.0, u.min_down - u.hours_off0) * (1 - u.u0))):
+        for word, hours, pin_h in (("up", u.min_up, max(0.0, u.min_up - u.hours0) * u.u0),
+                                   ("dn", u.min_down, max(0.0, u.min_down - u.hours0) * (1 - u.u0))):
             if hours <= 0:
                 continue
             k = math.ceil(hours - tol)
@@ -319,8 +319,7 @@ def random_small_instance(rng: np.random.Generator) -> tuple[PowerSystem, Reduce
                 min_up=float(rng.integers(0, 4)) * 0.5,
                 min_down=float(rng.integers(0, 4)) * 0.5,
                 u0=1 if on else 0,
-                hours_on0=float(rng.integers(1, 6)) if on else 0.0,
-                hours_off0=0.0 if on else float(rng.integers(1, 6)),
+                hours0=float(rng.integers(1, 6)),
                 p0=float(rng.uniform(pmin, pmax)) if on else 0.0,
             )
         )
@@ -373,8 +372,7 @@ def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = Tru
             min_up=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 4.0])),
             min_down=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 4.0])),
             u0=u0,
-            hours_on0=draw(st.sampled_from([0.25, 1.0, 24.0])) if u0 else 24.0,
-            hours_off0=24.0 if u0 else draw(st.sampled_from([0.5, 1.0, 24.0])),
+            hours0=draw(st.sampled_from([0.25, 1.0, 24.0] if u0 else [0.5, 1.0, 24.0])),
             p0=draw(st.sampled_from([pmin, pmax])) if u0 else 0.0,
         ))
     drawn = len(units)
@@ -388,7 +386,7 @@ def uc_instances(draw, max_units: int = 3, max_periods: int = 8, fix: bool = Tru
             pmax=pmax,
             marginal_cost=draw(st.sampled_from([0.0, 12.5, 41.0])),
             u0=u0,
-            hours_on0=24.0 if u0 else 0.0,
+            hours0=24.0,
             p0=draw(st.sampled_from([0.0, pmax])) if u0 else 0.0,
         ))
     system = PowerSystem(

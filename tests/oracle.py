@@ -659,8 +659,8 @@ def reference_min_times(unit, durations) -> tuple[int, int, np.ndarray, int, int
         counts = np.array([_forward_cover(d, t, threshold_h) for t in range(n)], dtype=int)
         return init, end, counts
 
-    ut_pin = max(0.0, (unit.min_up - unit.hours_on0)) * unit.u0
-    dt_pin = max(0.0, (unit.min_down - unit.hours_off0)) * (1 - unit.u0)
+    ut_pin = max(0.0, unit.min_up - unit.hours0) * unit.u0
+    dt_pin = max(0.0, unit.min_down - unit.hours0) * (1 - unit.u0)
     ut_init, ut_end, ut_counts = family(unit.min_up, ut_pin)
     dt_init, dt_end, dt_counts = family(unit.min_down, dt_pin)
     return ut_init, ut_end, ut_counts, dt_init, dt_end, dt_counts

@@ -168,7 +168,7 @@ def test_criterion_6_property_suite_on_random_days():
             fixed = run_real_time(system, day, fix_from_plan(plan, system.units, day.n_points))
             sched = fixed.schedule
             residual = np.max(
-                np.abs(sched.dispatch.sum(axis=0) + sched.p_wind + sched.p_solar - sched.p_served)
+                np.abs(sched.dispatch.sum(axis=0) + sched.p_wind + sched.p_solar + sched.shed - day.demand)
             )
             worst_balance = max(worst_balance, float(residual))
             assert residual <= 1e-6
@@ -208,9 +208,9 @@ def test_criterion_7_duck_curve_directional():
 def chaining_portfolio() -> tuple[ThermalUnit, ...]:
     return (
         ThermalUnit("c1", "base", 300.0, 700.0, 22.0, ramp_up=250.0, ramp_down=250.0,
-                    min_up=6.0, min_down=6.0, u0=1, hours_on0=24.0, p0=500.0),
+                    min_up=6.0, min_down=6.0, u0=1, hours0=24.0, p0=500.0),
         ThermalUnit("c2", "base", 200.0, 500.0, 25.0, ramp_up=200.0, ramp_down=200.0,
-                    min_up=5.0, min_down=5.0, u0=1, hours_on0=24.0, p0=300.0),
+                    min_up=5.0, min_down=5.0, u0=1, hours0=24.0, p0=300.0),
         ThermalUnit("m1", "medium", 80.0, 300.0, 48.0, ramp_up=150.0, ramp_down=150.0,
                     min_up=3.0, min_down=3.0),
         ThermalUnit("m2", "medium", 60.0, 250.0, 52.0, ramp_up=120.0, ramp_down=120.0,
@@ -278,20 +278,16 @@ def test_criterion_8_rolling_horizon_chaining():
                 day_system, window, fix_from_plan(plan, day_system.units, window.n_points)
             )
             manual_costs[mode].append(rt.cost)
+            assert rt.schedule.commitment.shape[1] == per_day
             next_units = rt.next_units
             for i, unit in enumerate(units[mode]):
-                u_end, hours = streak_from_schedule(
-                    rt.schedule.commitment[i, : rt.day_periods], step
-                )
+                u_end, hours = streak_from_schedule(rt.schedule.commitment[i], step)
                 handed = next_units[i]
                 assert handed.u0 == u_end
+                assert handed.hours0 == pytest.approx(hours, abs=1e-9)
                 if u_end:
-                    assert handed.hours_on0 == pytest.approx(hours, abs=1e-9)
-                    assert handed.p0 == pytest.approx(
-                        rt.schedule.dispatch[i, rt.day_periods - 1], abs=1e-6
-                    )
+                    assert handed.p0 == pytest.approx(rt.schedule.dispatch[i, -1], abs=1e-6)
                 else:
-                    assert handed.hours_off0 == pytest.approx(hours, abs=1e-9)
                     assert handed.p0 == 0.0
             units[mode] = next_units
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracle import quadratic_cluster, ward_distance
 from tauc.aggregation import (
-    FeatureMatrix,
     HiResSeries,
     ReducedSeries,
     TimeGrid,
@@ -74,22 +73,22 @@ def test_normalize_net_demand_frozen_values():
     # net demand [200,200,200,200,450,850]; min-max gives (v-200)/650
     feats = normalize_features(small_series(), "net_demand_only", solar_capacity=300.0)
     expect = np.array([0.0, 0.0, 0.0, 0.0, 250.0 / 650.0, 1.0])
-    assert feats.values.shape == (6, 1)
-    assert feats.values[:, 0] == pytest.approx(expect, abs=1e-15)
+    assert feats.shape == (6, 1)
+    assert feats[:, 0] == pytest.approx(expect, abs=1e-15)
 
 
 def test_normalize_without_capacities_uses_plain_demand():
     feats = normalize_features(small_series(), "net_demand_only")
     expect = (DEMAND6 - 500.0) / 350.0
-    assert feats.values[:, 0] == pytest.approx(expect)
+    assert feats[:, 0] == pytest.approx(expect)
 
 
 def test_normalize_three_feature_selector_flags_constant_column():
     feats = normalize_features(small_series(), "demand_wind_solar")
-    assert feats.values.shape == (6, 3)
+    assert feats.shape == (6, 3)
     # wind is identically zero over the window
-    assert np.all(feats.values[:, 1] == 0.0)
-    assert feats.values[:, 0].min() == 0.0 and feats.values[:, 0].max() == 1.0
+    assert np.all(feats[:, 1] == 0.0)
+    assert feats[:, 0].min() == 0.0 and feats[:, 0].max() == 1.0
 
 
 def test_normalize_rejects_unknown_selector():
@@ -141,18 +140,20 @@ def test_cluster_identity_when_target_equals_n():
 
 
 def test_cluster_constant_trace_ties_break_leftmost():
-    feats = FeatureMatrix(np.zeros((6, 1)))
+    feats = np.zeros((6, 1))
     grid = cluster_adjacent(feats, target_n=2, step_minutes=30)
     assert grid.cluster_bounds == ((0, 5), (5, 6))
     assert all(d == 0.0 for d in grid.merge_distances)
 
 
 def test_cluster_rejects_bad_target():
-    feats = FeatureMatrix(np.zeros((4, 1)))
+    feats = np.zeros((4, 1))
     with pytest.raises(ValueError, match="target_n"):
         cluster_adjacent(feats, target_n=0, step_minutes=30)
     with pytest.raises(ValueError, match="target_n"):
         cluster_adjacent(feats, target_n=5, step_minutes=30)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        cluster_adjacent(np.zeros(4), target_n=2, step_minutes=30)
 
 
 def _greedy_oracle(values: np.ndarray, target_n: int):
@@ -184,9 +185,9 @@ def test_cluster_matches_greedy_oracle(data, target):
     n = len(data)
     target = min(target, n)
     scale = max(data) or 1.0
-    feats = FeatureMatrix(np.array(data)[:, None] / scale)
+    feats = np.array(data)[:, None] / scale
     grid = cluster_adjacent(feats, target, step_minutes=10)
-    oracle_bounds, oracle_log = _greedy_oracle(feats.values, target)
+    oracle_bounds, oracle_log = _greedy_oracle(feats, target)
     assert grid.cluster_bounds == oracle_bounds
     assert list(grid.merge_distances) == pytest.approx(oracle_log, rel=1e-9, abs=1e-12)
 
@@ -207,7 +208,7 @@ def test_cluster_equals_quadratic_reference_exactly(columns, levels, data):
     )
     target = data.draw(st.integers(1, n), label="target")
     values = np.array(codes, dtype=float).reshape(n, columns) / (levels - 1)
-    grid = cluster_adjacent(FeatureMatrix(values), target, step_minutes=5)
+    grid = cluster_adjacent(values, target, step_minutes=5)
     assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, target)
 
 
@@ -217,7 +218,7 @@ def test_three_feature_costs_sum_their_columns_in_one_order():
     the columns in another order (as np.einsum can) rounds it the other way."""
     values = np.array([[699, 534, 579], [504, 223, 35], [531, 696, 403], [38, 651, 671], [500, 696, 219]],
                       dtype=float) / 999
-    grid = cluster_adjacent(FeatureMatrix(values), 1, step_minutes=5)
+    grid = cluster_adjacent(values, 1, step_minutes=5)
     assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, 1)
 
 
@@ -228,7 +229,7 @@ def test_cluster_equals_quadratic_reference_on_3000_samples():
         np.sin(np.arange(3000) / 50.0) ** 2,
         rng.integers(0, 4, 3000) / 3.0,
     ])
-    grid = cluster_adjacent(FeatureMatrix(values), 96, step_minutes=5)
+    grid = cluster_adjacent(values, 96, step_minutes=5)
     assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, 96)
 
 
@@ -242,7 +243,7 @@ def test_cluster_partition_invariants(data, target):
     target = min(target, n)
     step = 10
     scale = max(data) or 1.0
-    feats = FeatureMatrix(np.array(data)[:, None] / scale)
+    feats = np.array(data)[:, None] / scale
     grid = cluster_adjacent(feats, target, step_minutes=step)
     # contiguous partition covering [0, n)
     assert grid.cluster_bounds[0][0] == 0
@@ -266,7 +267,7 @@ def test_cluster_partition_invariants(data, target):
 def test_cluster_recovers_hourly_blocks_from_piecewise_constant_trace(hour_values, per_hour):
     values = np.repeat(np.array(hour_values, dtype=float), per_hour)[:, None]
     step = 60 // per_hour
-    grid = cluster_adjacent(FeatureMatrix(values / values.max()), 24, step_minutes=step)
+    grid = cluster_adjacent(values / values.max(), 24, step_minutes=step)
     assert grid.cluster_bounds == tuple(
         (i * per_hour, (i + 1) * per_hour) for i in range(24)
     )

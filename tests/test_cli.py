@@ -90,7 +90,7 @@ def test_cluster_reproduces_example_partition(tmp_path, capsys):
     feats = normalize_features(series, "net_demand_only", 0.0, solar)
     for r, c in zip(rows, centroid_rows):
         a, b = int(r["start_sample"]), int(r["stop_sample"])
-        assert [c["net_demand"]] == [f"{v:.6f}" for v in feats.values[a:b].mean(axis=0)]
+        assert [c["net_demand"]] == [f"{v:.6f}" for v in feats[a:b].mean(axis=0)]
     assert [float(c["net_demand"]) for c in centroid_rows] == pytest.approx(
         [0.0, 250.0 / 650.0, 1.0], abs=5e-7
     )
@@ -105,6 +105,29 @@ def test_cluster_identity_when_target_equals_samples(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 24
     assert all(float(r["duration_h"]) == 1.0 for r in rows)
+
+
+def test_cluster_rejects_the_flags_it_would_not_read(tmp_path, capsys):
+    cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=1))
+    for flag, value in (("--gap", "0.5"), ("--lookahead-hours", "3")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_written_csv_files_end_lines_in_a_bare_newline(tmp_path):
+    cfg = write_config(tmp_path / "s.json", flat_trace_csv(tmp_path, days=1))
+    out = tmp_path / "out"
+    for command in (["cluster", "--config", str(cfg)], ["plan", "--config", str(cfg)],
+                    ["compare", "--config", str(cfg)], ["sweep", str(cfg)]):
+        assert cli.main([*command, "--out", str(out)]) == 0
+    written = sorted(path.name for path in out.iterdir())
+    assert written == ["centroids.csv", "comparison.csv", "comparison_s.csv", "durations.csv",
+                       "plan_ch.csv", "plan_ta.csv", "summary.csv", "sweep_summary.csv"]
+    for name in written:
+        assert b"\r" not in (out / name).read_bytes(), name
 
 
 def test_cluster_never_loads_scipy(tmp_path):

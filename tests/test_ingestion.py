@@ -172,7 +172,7 @@ def test_thirteen_unit_portfolio_golden_rows():
     assert g1.ramp_up == 120.0 and g1.ramp_down == 120.0
     assert g1.min_up == 9.0 and g1.min_down == 9.0
     assert g1.startup_cost == 1000.0 and g1.marginal_cost == 20.0
-    assert g1.u0 == 1 and g1.p0 == 200.0 and g1.hours_on0 == 24.0
+    assert g1.u0 == 1 and g1.p0 == 200.0 and g1.hours0 == 24.0
     assert units["g5"].min_up == 4.7
     g13 = units["g13"]
     assert g13.flex_class == "peak"

@@ -56,7 +56,7 @@ G1 = ThermalUnit(
     min_up=9.0,
     min_down=9.0,
     u0=1,
-    hours_on0=9.0,
+    hours0=9.0,
     p0=300.0,
 )
 
@@ -111,7 +111,7 @@ def test_ramp_limits_reject_bad_durations():
 
 def test_min_time_counts_hourly_nine_periods_for_8p5_hours():
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=8.5, min_down=4.0,
-                    u0=0, hours_off0=24.0)
+                    u0=0, hours0=24.0)
     ut_init, ut_counts, dt_init, dt_counts = effective_min_times(u, [1.0] * 24)
     assert ut_init == 0
     assert list(ut_counts[:16]) == [9] * 16
@@ -121,21 +121,21 @@ def test_min_time_counts_hourly_nine_periods_for_8p5_hours():
 
 def test_min_time_counts_on_variable_durations():
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=1.0,
-                    u0=0, hours_off0=24.0)
+                    u0=0, hours0=24.0)
     _, ut_counts, *_ = effective_min_times(u, [2.0, 0.5, 0.5])
     assert list(ut_counts) == [1, 2, 1]  # the last is capped at the tail
 
 
 def test_min_time_initial_pin_from_carryover():
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=5.0,
-                    u0=1, hours_on0=3.0, p0=150.0)
+                    u0=1, hours0=3.0, p0=150.0)
     ut_init, *_ = effective_min_times(u, [1.0] * 6)
     assert ut_init == 2  # two more on-hours owed
 
 
 def test_min_time_initial_pin_absent_when_offline():
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=5.0,
-                    u0=0, hours_off0=24.0)
+                    u0=0, hours0=24.0)
     ut_init, *_ = effective_min_times(u, [1.0] * 6)
     assert ut_init == 0
 
@@ -143,7 +143,7 @@ def test_min_time_initial_pin_absent_when_offline():
 def test_min_time_counts_tolerate_inexact_step_sums():
     # 51 ten-minute periods sum to 8.5 h only up to float dust
     u = ThermalUnit("m1", "medium", 100.0, 300.0, 50.0, min_up=8.5,
-                    u0=0, hours_off0=24.0)
+                    u0=0, hours0=24.0)
     _, ut_counts, *_ = effective_min_times(u, [1.0 / 6.0] * 60)
     assert ut_counts[0] == 51
 
@@ -165,7 +165,7 @@ def min_time_grids(draw):
     u0 = draw(st.integers(0, 1))
     held = st.one_of(hours.filter(lambda h: h > 0), st.just(24.0))
     unit_ = ThermalUnit("m1", "medium", 10.0, 50.0, 20.0, min_up=draw(hours), min_down=draw(hours), u0=u0,
-                        hours_on0=draw(held) if u0 else 24.0, hours_off0=24.0 if u0 else draw(held),
+                        hours0=draw(held),
                         p0=10.0 if u0 else 0.0)
     return unit_, durations
 
@@ -574,12 +574,15 @@ def test_row_activity_sums_each_row_in_triplet_order_bit_for_bit(instance, data)
 
 
 def test_unit_initial_state_validation():
-    with pytest.raises(ValueError, match="hours_on0"):
-        ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=1, hours_on0=0.0, p0=15.0)
+    for u0, p0 in ((1, 15.0), (0, 0.0)):
+        with pytest.raises(ValueError, match="hours0"):
+            ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=u0, hours0=0.0, p0=p0)
+    # a unit built without a clock has held its state for a day
+    assert ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=1, p0=15.0).hours0 == 24.0
     with pytest.raises(ValueError, match="p0"):
-        ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=1, hours_on0=2.0, p0=5.0)
+        ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=1, hours0=2.0, p0=5.0)
     with pytest.raises(ValueError, match="p0"):
-        ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=0, hours_off0=3.0, p0=15.0)
+        ThermalUnit("x", "base", 10.0, 20.0, 5.0, u0=0, hours0=3.0, p0=15.0)
     with pytest.raises(ValueError, match="class"):
         ThermalUnit("x", "nuclear", 10.0, 20.0, 5.0)
 
@@ -664,8 +667,12 @@ def test_operating_cost_full_and_sliced():
     sched = extract_schedule(system, periods, values)
     # energy: 100*1*10 + 100*0.5*10 ; shed: 20 MW * 0.5 h * 500
     assert operating_cost(system, periods, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)
-    assert operating_cost(system, periods, sched, slice(0, 1)) == pytest.approx(1000.0)
-    assert operating_cost(system, periods, sched, slice(1, 2)) == pytest.approx(5500.0)
+    # a schedule cut to one period costs that period alone
+    for t, want in ((0, 1000.0), (1, 5500.0)):
+        one = type(sched)(*(getattr(sched, f.name)[..., t:t + 1] for f in dataclasses.fields(sched)))
+        period = periods_from(periods.duration_h[t:t + 1], periods.demand_mw[t:t + 1],
+                              solar_cf=periods.solar_cf[t:t + 1])
+        assert operating_cost(system, period, one) == pytest.approx(want)
 
 
 @settings(max_examples=60, deadline=None)

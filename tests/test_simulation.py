@@ -18,7 +18,7 @@ from test_acceptance import chaining_portfolio, seven_day_trace
 from tauc import simulation, solver
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid, normalize_features
 from tauc.ingestion import LoadedTrace, illustrative_case
-from tauc.model import Fixings, PowerSystem, ThermalUnit, build_uc_model
+from tauc.model import Fixings, PowerSystem, ThermalUnit, build_uc_model, extract_schedule, operating_cost
 from tauc.simulation import (
     MODE_CH,
     MODE_TA,
@@ -118,8 +118,32 @@ def test_shed_and_spill_energy_covers_the_day_only():
     rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
     # 100 MW shed in the sixth half-hour, 200 MW of solar spilled in the fifth
     assert shed_and_spill(rt) == pytest.approx((50.0, 100.0), abs=1e-6)
-    # periods past the day's end belong to the next day
-    assert shed_and_spill(dataclasses.replace(rt, day_periods=5)) == pytest.approx((0.0, 100.0), abs=1e-6)
+
+
+def test_real_time_result_keeps_the_day_and_drops_the_look_ahead_tail():
+    """The example fleet over 24 h plus an 8 h tail, solved free at one hour.
+    The day needs m1 in hours 10-14 only; the tail asks 1400 MW, more than
+    the fleet and the sun give, so it sheds and runs m1 to its end."""
+    system, _ = illustrative_case()
+    demand = np.concatenate((np.full(9, 800.0), np.full(5, 850.0), np.full(10, 800.0), np.full(8, 1400.0)))
+    solar = np.concatenate((np.zeros(24), np.ones(8)))
+    window = HiResSeries(demand=demand, wind_cf=np.zeros(32), solar_cf=solar, step_minutes=60)
+    periods = reduce_series(window, singleton_grid(32, 60))
+    whole = extract_schedule(system, periods, solve(build_uc_model(system, periods)).x)
+    assert np.all(whole.shed[24:] > 0) and whole.commitment[4, -1] == 1
+
+    rt = run_real_time(system, window, None)
+    for field in dataclasses.fields(rt.schedule):
+        assert getattr(rt.schedule, field.name).shape[-1] == 24 * 60 // window.step_minutes
+    day = HiResSeries(demand=demand[:24], wind_cf=np.zeros(24), solar_cf=solar[:24], step_minutes=60)
+    assert rt.cost == operating_cost(system, reduce_series(day, singleton_grid(24, 60)), rt.schedule)
+    assert rt.cost == pytest.approx(24 * 800.0 * 10.0 + 5 * 50.0 * 30.0)
+    assert shed_and_spill(rt) == (0.0, 0.0)
+    assert generation_shares(rt, system)["medium"] == pytest.approx(100.0 * 250.0 / 19450.0)
+    # the next day starts from the day's last hour: m1 off for 10 hours
+    m1 = rt.next_units[4]
+    assert (m1.unit_id, m1.u0, m1.hours0, m1.p0) == ("m1", 0, 10.0, 0.0)
+    assert [u.u0 for u in rt.next_units] == rt.schedule.commitment[:, -1].tolist()
 
 
 def test_real_time_names_the_period_where_frozen_output_exceeds_demand():
@@ -127,8 +151,8 @@ def test_real_time_names_the_period_where_frozen_output_exceeds_demand():
     minimum meet 100 MW of demand in period 2. Neither shedding nor
     curtailment absorbs a surplus, so the solve is infeasible, and the error
     says where and by how much."""
-    base = ThermalUnit("b", "base", 60.0, 60.0, 10.0, u0=1, hours_on0=24.0, p0=60.0)
-    medium = ThermalUnit("m", "medium", 50.0, 100.0, 30.0, u0=1, hours_on0=24.0, p0=50.0)
+    base = ThermalUnit("b", "base", 60.0, 60.0, 10.0, u0=1, hours0=24.0, p0=60.0)
+    medium = ThermalUnit("m", "medium", 50.0, 100.0, 30.0, u0=1, hours0=24.0, p0=50.0)
     peak = ThermalUnit("p", "peak", 0.0, 50.0, 50.0)
     system = PowerSystem(units=(base, medium, peak), wind_capacity=0.0, solar_capacity=0.0,
                          load_shed_cost=1000.0)
@@ -226,7 +250,7 @@ def test_energy_accounting_served_plus_shed_is_demand():
     for mode in (MODE_CH, MODE_TA):
         plan = run_day_ahead(system, series, mode)
         rt = run_real_time(system, series, fix_from_plan(plan, system.units, series.n_points))
-        served = rt.schedule.p_served.sum()
+        served = rt.schedule.dispatch.sum() + rt.schedule.p_wind.sum() + rt.schedule.p_solar.sum()
         shed = rt.schedule.shed.sum()
         demand = series.demand.sum()
         assert served + shed == pytest.approx(demand, rel=1e-6)
@@ -246,11 +270,11 @@ def test_terminal_states_reflect_final_commitments():
         else:
             assert s.p0 == 0.0
     medium = states["m1"]
-    assert medium.u0 == 1 and medium.hours_on0 == pytest.approx(1.0)
+    assert medium.u0 == 1 and medium.hours0 == pytest.approx(1.0)
     base_states = [states[f"b{i}"] for i in range(1, 5)]
     assert all(s.u0 == 1 for s in base_states)
     chained = rt.next_units
-    assert chained[4].u0 == 1 and chained[4].hours_on0 == pytest.approx(1.0)
+    assert chained[4].u0 == 1 and chained[4].hours0 == pytest.approx(1.0)
 
 
 def test_an_uncommitted_unit_dispatches_exactly_zero():
@@ -508,9 +532,7 @@ def test_a_failed_day_holds_only_the_failing_fleet(roll_week, failing):
     for mode, day in failing:
         k = WEEK.index(day)
         if k + 1 < len(WEEK):
-            held = tuple(
-                dataclasses.replace(u, hours_on0=24.0, hours_off0=24.0) for u in seen[mode, day]
-            )
+            held = tuple(dataclasses.replace(u, hours0=24.0) for u in seen[mode, day])
             assert seen[mode, WEEK[k + 1]] == held
 
 
