@@ -1,10 +1,13 @@
 """Solving layer for commitment models.
 
-Models are solved by the in-process HiGHS MILP solver that ships with scipy.
-Every answer is audited before it is returned: binaries are snapped to
-integers, bounds and rows are re-checked against the model with an
-independent residual test, the accepted point is clipped onto its column
-bounds, and the objective is recomputed from it. A snapped point that fails
+Models are solved by the HiGHS MILP solver that ships with scipy, called in
+process through scipy's HiGHS binding (scipy.optimize._highspy._core) and
+not through scipy.optimize.milp, whose Python wrapper validates the input
+again and loops over the columns for duals that tauc never reads. Every
+answer is audited before it is returned: binaries are snapped to integers,
+bounds and rows are re-checked against the model with an independent
+residual test, the accepted point is clipped onto its column bounds, and
+the objective is recomputed from it. A snapped point that fails
 the audit gets one LP re-solve with every binary fixed at its snapped value.
 The solver can therefore be wrong but not quietly wrong.
 """
@@ -14,6 +17,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,13 +25,6 @@ from .model import UcModel, row_sense
 
 BINARY_SNAP_TOL = 1e-6
 CHECK_TOL = 1e-6
-
-# scipy's milp warns about every HiGHS option outside its own short list and
-# then passes it on verbatim; the two heuristic switches below are such
-# options. A filter installed once, rather than catch_warnings around each
-# call, because catch_warnings is not thread-safe and two solves run at once.
-warnings.filterwarnings("ignore", message=r"Unrecognized options detected: .* passed to HiGHS verbatim",
-                        category=RuntimeWarning)
 
 
 @dataclass(frozen=True)
@@ -43,9 +40,10 @@ class BackendConfig:
     The benchmark's models close at or near the root, where the two took
     about a third of HiGHS's time; with both off HiGHS reached the same
     optima in less time in all on the benchmark's models and on the study13
-    fixture days (README, "Solver"). A scipy whose
-    bundled HiGHS lacks one of these options warns with OptimizeWarning and
-    runs HiGHS with its default for it, so results do not change.
+    fixture days (README, "Solver"). milp hands both to HiGHS with
+    setOptionValue; if scipy's bundled HiGHS lacks one, milp warns with
+    RuntimeWarning and HiGHS runs with its default for it, so results do
+    not change.
     """
 
     gap: float = 0.0
@@ -80,7 +78,7 @@ class MipSolution:
 def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     """Solve a model and return an audited solution."""
     cfg = config or BackendConfig()
-    import scipy.optimize  # noqa: F401  (a first solve's wall_time leaves out the import)
+    import scipy.optimize._highspy._core  # noqa: F401  (a first solve's wall_time leaves out the import)
     start = time.perf_counter()
     raw = _solve_highs(model, cfg)
     wall = time.perf_counter() - start
@@ -168,11 +166,63 @@ def check_solution(model: UcModel, x: np.ndarray, tol: float = CHECK_TOL) -> lis
 # HiGHS
 
 
-def milp(*args, **kwargs):
-    """scipy's HiGHS MILP, looked up per call so that importing tauc does not load scipy."""
-    from scipy.optimize import milp as highs_milp
+def milp(c, *, lb, ub, matrix, row_lb, row_ub, integrality, options):
+    """HiGHS on min c @ x subject to row_lb <= matrix @ x <= row_ub and
+    lb <= x <= ub, integrality 1 marking an integer column.
 
-    return highs_milp(*args, **kwargs)
+    matrix is a scipy CSC array and options maps HiGHS option names to
+    values. The model reaches HiGHS in one passModel call on the arrays, so
+    no Python runs per column, and scipy is imported on the first call, not
+    with tauc. Returns what scipy.optimize.milp returns on the same input,
+    less what tauc never reads: status (scipy's codes: 0 optimal, 1 limit,
+    2 infeasible, 3 unbounded, 4 other), message, x, fun, mip_node_count,
+    mip_dual_bound and mip_gap. x and fun are None unless HiGHS proved an
+    optimum or, on a MIP, stopped on a limit with an incumbent; the three
+    MIP figures are None then too, and on a model with no integer column.
+    An option HiGHS refuses is skipped with a RuntimeWarning that names it,
+    and HiGHS runs with its default for it.
+    """
+    from scipy.optimize._highspy import _core as hs
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    m, n = matrix.shape
+    # HiGHS reads each array through a bare pointer, so a short one would be read past its end
+    if matrix.format != "csc" or not (c.shape == lb.shape == ub.shape == integrality.shape == (n,)
+                                      and row_lb.shape == row_ub.shape == (m,)):
+        raise ValueError("milp needs a CSC matrix, one entry per column in c, lb, ub and "
+                         "integrality, and one per row in row_lb and row_ub")
+    highs = hs._Highs()
+    highs.setOptionValue("output_flag", False)
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != hs.HighsStatus.kOk:
+            warnings.warn(f"HiGHS refused option {name}={value!r} and runs with its default for it",
+                          RuntimeWarning, stacklevel=2)
+    known = hs.HighsModelStatus
+    res = SimpleNamespace(x=None, fun=None, mip_node_count=None, mip_dual_bound=None, mip_gap=None)
+    if highs.passModel(n, m, matrix.nnz, int(hs.MatrixFormat.kColwise), int(hs.ObjSense.kMinimize), 0.0,
+                       c, lb, ub, row_lb, row_ub, matrix.indptr, matrix.indices, matrix.data,
+                       integrality) == hs.HighsStatus.kError:
+        status = known.kModelError
+        message = highs.modelStatusToString(status)
+    elif highs.run() == hs.HighsStatus.kError:  # run() releases the GIL
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+    else:
+        status, info = highs.getModelStatus(), highs.getInfo()
+        mip = bool(integrality.any())
+        stopped = status in (known.kTimeLimit, known.kIterationLimit, known.kSolutionLimit)
+        if status == known.kOptimal or (mip and stopped and info.objective_function_value != hs.kHighsInf):
+            message = highs.modelStatusToString(status)
+            res.x = np.array(highs.getSolution().col_value)
+            res.fun = info.objective_function_value
+            if mip:
+                res.mip_node_count, res.mip_dual_bound, res.mip_gap = (
+                    info.mip_node_count, info.mip_dual_bound, info.mip_gap)
+        else:
+            message = (f"model_status is {highs.modelStatusToString(status)}; primal_status is "
+                       f"{highs.solutionStatusToString(info.primal_solution_status)}")
+    res.status, res.message = _highs_to_scipy_status_message(status, message)
+    return res
 
 
 def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
@@ -192,7 +242,6 @@ def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     when HiGHS solved an LP or had no free column.
     """
     from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint
 
     free = model.lb != model.ub
     # the row bound each term pushes against when its column rises
@@ -202,32 +251,30 @@ def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     free &= ~lift
     x = np.where(free, 0.0, model.ub)
     offset = float(model.c @ x)
-    if not free.any():  # nothing to decide; milp rejects an empty problem
+    if not free.any():  # nothing to decide
         return MipSolution("optimal", offset, x, message="every column is fixed", node_count=0, dual_bound=offset)
 
-    constraints = None
-    if model.n_rows:
-        on_free = free[model.cols]
-        pinned = ~on_free
-        shift = np.bincount(model.rows[pinned], weights=model.vals[pinned] * x[model.cols[pinned]],
-                            minlength=model.n_rows)
-        renumber = np.cumsum(free) - 1
-        matrix = sparse.csr_matrix(
-            (model.vals[on_free], (model.rows[on_free], renumber[model.cols[on_free]])),
-            shape=(model.n_rows, int(renumber[-1]) + 1),
-        )
-        constraints = LinearConstraint(matrix, model.row_lb - shift, model.row_ub - shift)
+    on_free = free[model.cols]
+    pinned = ~on_free
+    shift = np.bincount(model.rows[pinned], weights=model.vals[pinned] * x[model.cols[pinned]],
+                        minlength=model.n_rows)
+    renumber = np.cumsum(free) - 1
+    matrix = sparse.csc_array(
+        (model.vals[on_free], (model.rows[on_free], renumber[model.cols[on_free]])),
+        shape=(model.n_rows, int(renumber[-1]) + 1),
+    )
 
     # Always pass the gap: left unset, HiGHS applies its own default of 1e-4
     # and can stop on a suboptimal incumbent while still reporting "optimal".
     # Two root heuristics stay off; BackendConfig says why.
-    options: dict[str, object] = {"presolve": True, "mip_rel_gap": float(cfg.gap),
+    options: dict[str, object] = {"presolve": "on", "mip_rel_gap": float(cfg.gap),
                                   "mip_heuristic_run_root_reduced_cost": False,
                                   "mip_heuristic_run_feasibility_jump": False}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
-    res = milp(c=model.c[free], constraints=constraints, integrality=model.integrality[free],
-               bounds=Bounds(model.lb[free], model.ub[free]), options=options)
+    res = milp(c=model.c[free], lb=model.lb[free], ub=model.ub[free], matrix=matrix,
+               row_lb=model.row_lb - shift, row_ub=model.row_ub - shift,
+               integrality=model.integrality[free], options=options)
 
     if res.status == 0:
         status = "optimal"

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import milp
 
 from helpers import duck_day_series, flat_day_series, random_day_series
 from oracle import brute_force_solve
@@ -590,8 +589,10 @@ def test_dispatch_returned_a_hair_below_its_bound_is_snapped_and_the_day_solved(
     """HiGHS may return a continuous column a few 1e-9 below its lower bound,
     inside the audit tolerance; the accepted point lands on the bound, so the
     plan's base dispatch fixes the real-time model without a complaint."""
+    real_milp = solver.milp
+
     def noisy_milp(*args, **kwargs):
-        res = milp(*args, **kwargs)
+        res = real_milp(*args, **kwargs)
         if res.x is not None:
             res.x[(res.x == 0.0) & (kwargs["integrality"] == 0)] = -5e-9
         return res

@@ -6,7 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -17,6 +17,7 @@ from helpers import (
     periods_from,
     random_small_instance,
     run_in_fresh_interpreter,
+    study13_window,
     two_unit_fixture,
     uc_instances,
     unit,
@@ -32,10 +33,11 @@ from oracle import (
     solve_lp,
     u_name,
 )
+import tauc.solver
 from tauc.aggregation import HiResSeries, reduce_series, singleton_grid
 from tauc.ingestion import build_portfolio
 from tauc.model import Fixings, PowerSystem, Row, UcModel, Variable, build_uc_model, extract_schedule
-from tauc.simulation import MODES, fix_from_plan, run_day_ahead
+from tauc.simulation import MODE_TA, MODES, day_ahead_grid, fix_from_plan, run_day_ahead
 from tauc.solver import BackendConfig, check_solution, solve
 
 GOLDEN_ONE_VAR_LP = (
@@ -357,14 +359,61 @@ def test_lifting_binaries_that_cannot_matter_matches_the_unfolded_solve(instance
     assert np.all(commitment[-1] == 1.0)  # the free unit, appended last
 
 
+def public_milp(call: dict):
+    """scipy's public milp on the folded arrays and options solve() handed
+    tauc.solver.milp; HiGHS's presolve "on" is the public milp's True."""
+    options = dict(call["options"], presolve=call["options"]["presolve"] == "on")
+    # the public milp says that it passes the heuristic switches on verbatim
+    with pytest.warns(RuntimeWarning, match="passed to HiGHS verbatim"):
+        return milp(c=call["c"], integrality=call["integrality"], bounds=Bounds(call["lb"], call["ub"]),
+                    constraints=LinearConstraint(call["matrix"], call["row_lb"], call["row_ub"]),
+                    options=options)
+
+
+def bits(value) -> bytes | None:
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+def study13_day_ahead(mode: str):
+    """The study13 fixture day at 30 minutes, seed 0: mode's day-ahead (system, periods)."""
+    system, series = study13_window(0, 30)
+    return system, reduce_series(series, day_ahead_grid(series, mode))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(uc_instances(), uc_instances(fix=False)))
+@example(study13_day_ahead(MODE_TA))
+def test_the_direct_highs_call_matches_scipy_milp_to_the_bit(instance):
+    """tauc.solver.milp calls HiGHS without scipy's milp wrapper; on every
+    call a gap-0 solve() makes, scipy's public milp on the same arrays and
+    options returns the same status and bit-identical x, objective, dual
+    bound and node count. Drawn fixings may make the model infeasible."""
+    calls = []
+    direct = tauc.solver.milp
+
+    def both(**kwargs):
+        res = direct(**kwargs)
+        calls.append((res, public_milp(kwargs)))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tauc.solver, "milp", both)
+        solve(build_uc_model(*instance))
+    for got, want in calls:
+        assert got.status == want.status
+        for field in ("x", "fun", "mip_dual_bound", "mip_node_count"):
+            assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+
+
 def recorded_calls(monkeypatch) -> list[dict]:
     """Patch the solver's milp to note the integrality and options of each call it gets."""
     seen = []
+    direct = tauc.solver.milp
 
     def recording_milp(*args, **kwargs):
         seen.append({"integrality": np.asarray(kwargs["integrality"]).copy(),
                      "options": dict(kwargs["options"])})
-        return milp(*args, **kwargs)
+        return direct(*args, **kwargs)
 
     monkeypatch.setattr("tauc.solver.milp", recording_milp)
     return seen
@@ -431,25 +480,40 @@ def test_every_in_process_call_turns_two_root_heuristics_off(monkeypatch):
         assert solve(model, BackendConfig(gap=1e-3)).status == "optimal"
     assert [call["integrality"].any() for call in seen] == [True, False]
     for call in seen:
-        assert call["options"] == {"presolve": True, "mip_rel_gap": 1e-3,
+        assert call["options"] == {"presolve": "on", "mip_rel_gap": 1e-3,
                                    "mip_heuristic_run_root_reduced_cost": False,
                                    "mip_heuristic_run_feasibility_jump": False}
 
 
-def test_an_option_the_bundled_highs_lacks_still_warns_and_is_ignored():
-    """tauc.solver filters only scipy's notice that it passes options on
-    verbatim; an option HiGHS does not know still raises scipy's
-    OptimizeWarning, and the solve goes on with HiGHS's default."""
+def test_an_option_the_bundled_highs_lacks_warns_once_and_is_ignored():
+    """An option HiGHS refuses is skipped with one RuntimeWarning that names
+    it, and the solve goes on with HiGHS's default: max x over one binary
+    and a row x <= 1 still reaches x = 1. HiGHS itself prints nothing."""
     proc = run_in_fresh_interpreter("""
+import numpy as np
+from scipy import sparse
 import tauc.solver
-from scipy.optimize import milp
-res = milp(c=[-1.0], integrality=[1], bounds=(0, 1), options={"mip_heuristic_run_no_such_switch": False})
-print(res.status, res.fun)
+res = tauc.solver.milp(c=np.array([-1.0]), lb=np.zeros(1), ub=np.ones(1), matrix=sparse.csc_array(np.ones((1, 1))),
+                       row_lb=np.array([-np.inf]), row_ub=np.ones(1), integrality=np.ones(1, dtype=np.uint8),
+                       options={"mip_rel_gap": 0.0, "mip_heuristic_run_no_such_switch": False})
+assert (res.status, res.fun, res.x.tolist()) == (0, -1.0, [1.0]), res
 """, "-W", "default")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "-1.0"]
-    assert "OptimizeWarning" in proc.stderr and "mip_heuristic_run_no_such_switch" in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("Warning") == 1
+    assert "RuntimeWarning" in proc.stderr and "mip_heuristic_run_no_such_switch" in proc.stderr
+
+
+def test_milp_rejects_arrays_highs_would_read_past_their_end():
+    """HiGHS reads each array through a pointer, one entry per column or row
+    of the matrix; a short array or a row-wise matrix is refused first."""
+    one = np.ones(1)
+    args = dict(c=-one, lb=0 * one, ub=one, matrix=sparse.csc_array(np.ones((1, 1))), row_lb=-one,
+                row_ub=one, integrality=np.ones(1, dtype=np.uint8), options={})
+    assert tauc.solver.milp(**args).status == 0
+    for name, bad in [("lb", np.zeros(0)), ("row_ub", np.ones(2)), ("matrix", sparse.csr_array(np.ones((1, 1))))]:
+        with pytest.raises(ValueError, match="CSC matrix"):
+            tauc.solver.milp(**dict(args, **{name: bad}))
 
 
 def test_a_model_with_every_column_fixed_skips_highs_but_not_the_audit(monkeypatch):
@@ -520,8 +584,10 @@ def test_an_optimal_solve_meets_its_gap_target_on_the_cost(instance, gap):
 def test_a_bound_above_the_audited_objective_is_clamped_onto_it(monkeypatch):
     """HiGHS's bound comes with its own objective; one that sits above the
     objective recomputed from the audited point is no bound on it."""
+    direct = tauc.solver.milp
+
     def high_milp(*args, **kwargs):
-        res = milp(*args, **kwargs)
+        res = direct(*args, **kwargs)
         res.mip_dual_bound = res.fun + 1e-3
         return res
 
@@ -540,9 +606,10 @@ def test_a_snapped_point_that_fails_the_audit_is_re_solved_on_its_commitment(mon
                          solar_capacity=0.0, load_shed_cost=1000.0)
     model = build_uc_model(system, periods_from([1.0, 1.0], [100.0, 200.0], wind_cf=[1.0, 1.0]))
     calls = []
+    direct = tauc.solver.milp
 
     def dusty_milp(*args, **kwargs):
-        res = milp(*args, **kwargs)
+        res = direct(*args, **kwargs)
         if not calls:
             # the free columns are u, pg, pw and shed, two periods each; wind
             # serves the demand, so g is off
