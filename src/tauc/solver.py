@@ -54,11 +54,14 @@ class BackendConfig:
 class MipSolution:
     """What a solve returns.
 
-    x holds one value per model column, in column order, when HiGHS
-    returned a point. node_count and dual_bound come from HiGHS, which may
-    finish in presolve with 0 nodes. solve() alone sets gap and clamps
-    dual_bound: it recomputes objective from the audited x, lowers HiGHS's
-    bound onto it where it sits above, and sets gap to
+    status and message are milp's (its docstring maps HiGHS's model status),
+    except that a point failing the audit gives "error" with the audit's
+    finding. x holds one value per model column, in column order, when
+    HiGHS returned a point. node_count and dual_bound come from HiGHS, which
+    may finish in presolve with 0 nodes; an LP reports 0 nodes and its
+    optimum as the bound. solve() alone sets gap and clamps dual_bound: it
+    recomputes objective from the audited x, lowers HiGHS's bound onto it
+    where it sits above, and sets gap to
     (objective - dual_bound) / max(1, |objective|). "optimal" means HiGHS
     met the gap target on its own objective, which is the cost less the
     cost of the folded columns; with every cost nonnegative, as
@@ -113,12 +116,10 @@ def solve(model: UcModel, config: BackendConfig | None = None) -> MipSolution:
     # so a fixing taken from it is never out of bounds
     x = np.clip(x, model.lb, model.ub)
     objective = float(model.c @ x)
-    bound, gap = raw.dual_bound, None
-    if bound is not None:
-        # HiGHS's bound comes with its own objective and may sit above the
-        # audited one by rounding; a gap HiGHS closed stays closed
-        bound = min(bound, objective) if bound < raw.objective else objective
-        gap = (objective - bound) / max(1.0, abs(objective))
+    # HiGHS's bound comes with its own objective and may sit above the
+    # audited one by rounding; a gap HiGHS closed stays closed
+    bound = min(raw.dual_bound, objective) if raw.dual_bound < raw.objective else objective
+    gap = (objective - bound) / max(1.0, abs(objective))
     return replace(raw, objective=objective, x=x, wall_time=wall, dual_bound=bound, gap=gap)
 
 
@@ -173,17 +174,26 @@ def milp(c, *, lb, ub, matrix, row_lb, row_ub, integrality, options):
     matrix is a scipy CSC array and options maps HiGHS option names to
     values. The model reaches HiGHS in one passModel call on the arrays, so
     no Python runs per column, and scipy is imported on the first call, not
-    with tauc. Returns what scipy.optimize.milp returns on the same input,
-    less what tauc never reads: status (scipy's codes: 0 optimal, 1 limit,
-    2 infeasible, 3 unbounded, 4 other), message, x, fun, mip_node_count,
-    mip_dual_bound and mip_gap. x and fun are None unless HiGHS proved an
-    optimum or, on a MIP, stopped on a limit with an incumbent; the three
-    MIP figures are None then too, and on a model with no integer column.
-    An option HiGHS refuses is skipped with a RuntimeWarning that names it,
-    and HiGHS runs with its default for it.
+    with tauc. An option HiGHS refuses is skipped with a RuntimeWarning that
+    names it, and HiGHS runs with its default for it.
+
+    This is the one place that reads HiGHS's model status. It returns a
+    record of status, message, x, objective, mip_node_count, mip_dual_bound
+    and mip_gap, where status is tauc's word for HiGHS's model status:
+
+        kOptimal                                "optimal"
+        kTimeLimit, on a MIP with an incumbent  "feasible"
+        kInfeasible                             "infeasible"
+        kUnbounded                              "unbounded"
+        anything else, a refused model too      "error"
+
+    and message is HiGHS's own string for it. x, objective and the three MIP
+    figures are None unless the status is "optimal" or "feasible"; a model
+    with no integer column reports 0 nodes, its objective as the bound and
+    gap 0. When a run with presolve on ends in kSolveError, HiGHS runs the
+    model it holds once more with presolve off, and the message says so.
     """
     from scipy.optimize._highspy import _core as hs
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
     m, n = matrix.shape
     # HiGHS reads each array through a bare pointer, so a short one would be read past its end
@@ -198,30 +208,33 @@ def milp(c, *, lb, ub, matrix, row_lb, row_ub, integrality, options):
             warnings.warn(f"HiGHS refused option {name}={value!r} and runs with its default for it",
                           RuntimeWarning, stacklevel=2)
     known = hs.HighsModelStatus
-    res = SimpleNamespace(x=None, fun=None, mip_node_count=None, mip_dual_bound=None, mip_gap=None)
+    res = SimpleNamespace(status="error", x=None, objective=None, mip_node_count=None, mip_dual_bound=None,
+                          mip_gap=None)
     if highs.passModel(n, m, matrix.nnz, int(hs.MatrixFormat.kColwise), int(hs.ObjSense.kMinimize), 0.0,
                        c, lb, ub, row_lb, row_ub, matrix.indptr, matrix.indices, matrix.data,
                        integrality) == hs.HighsStatus.kError:
-        status = known.kModelError
-        message = highs.modelStatusToString(status)
-    elif highs.run() == hs.HighsStatus.kError:  # run() releases the GIL
+        res.message = highs.modelStatusToString(known.kModelError)
+        return res
+    highs.run()  # releases the GIL
+    status = highs.getModelStatus()
+    res.message = highs.modelStatusToString(status)
+    if status == known.kSolveError and options.get("presolve") != "off":
+        highs.setOptionValue("presolve", "off")
+        highs.run()
         status = highs.getModelStatus()
-        message = highs.modelStatusToString(status)
+        res.message = (f"{highs.modelStatusToString(status)}, run again with presolve off "
+                       f"after presolve on ended in {res.message}")
+    info = highs.getInfo()
+    mip = bool(integrality.any())
+    incumbent = mip and status == known.kTimeLimit and info.objective_function_value != hs.kHighsInf
+    if status == known.kOptimal or incumbent:
+        res.status = "feasible" if incumbent else "optimal"
+        res.x = np.array(highs.getSolution().col_value)
+        res.objective = info.objective_function_value
+        res.mip_node_count, res.mip_dual_bound, res.mip_gap = (
+            (info.mip_node_count, info.mip_dual_bound, info.mip_gap) if mip else (0, res.objective, 0.0))
     else:
-        status, info = highs.getModelStatus(), highs.getInfo()
-        mip = bool(integrality.any())
-        stopped = status in (known.kTimeLimit, known.kIterationLimit, known.kSolutionLimit)
-        if status == known.kOptimal or (mip and stopped and info.objective_function_value != hs.kHighsInf):
-            message = highs.modelStatusToString(status)
-            res.x = np.array(highs.getSolution().col_value)
-            res.fun = info.objective_function_value
-            if mip:
-                res.mip_node_count, res.mip_dual_bound, res.mip_gap = (
-                    info.mip_node_count, info.mip_dual_bound, info.mip_gap)
-        else:
-            message = (f"model_status is {highs.modelStatusToString(status)}; primal_status is "
-                       f"{highs.solutionStatusToString(info.primal_solution_status)}")
-    res.status, res.message = _highs_to_scipy_status_message(status, message)
+        res.status = {known.kInfeasible: "infeasible", known.kUnbounded: "unbounded"}.get(status, "error")
     return res
 
 
@@ -238,8 +251,8 @@ def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     minimum-time rows, which may stay committed and dispatch 0 when idle.
     x comes back at full length, the folded entries exactly at their
     bounds, for solve() to audit against the whole model. The objective
-    and the dual bound include the offset; the bound is the objective itself
-    when HiGHS solved an LP or had no free column.
+    and the dual bound include the offset; a model with no free column is
+    its own optimum, with 0 nodes.
     """
     from scipy import sparse
 
@@ -275,31 +288,8 @@ def _solve_highs(model: UcModel, cfg: BackendConfig) -> MipSolution:
     res = milp(c=model.c[free], lb=model.lb[free], ub=model.ub[free], matrix=matrix,
                row_lb=model.row_lb - shift, row_ub=model.row_ub - shift,
                integrality=model.integrality[free], options=options)
-
-    if res.status == 0:
-        status = "optimal"
-    elif res.status == 2:
-        status = "infeasible"
-    elif res.status == 3:
-        status = "unbounded"
-    elif res.status == 1 and res.x is not None:
-        status = "feasible"  # stopped on a limit with an incumbent
-    else:
-        status = "error"
-    objective = None
-    if res.fun is not None:
-        objective = float(res.fun) + offset
-    solved = status in ("optimal", "feasible")
     if res.x is None:
-        x = None
-    else:
-        x[free] = res.x
-    if status == "optimal" and not model.integrality[free].any():
-        # every binary was fixed or lifted, so HiGHS solved an LP and reports no MIP
-        # figures; an LP optimum is its own bound, found without branching
-        return MipSolution(status, objective, x, message=str(res.message), node_count=0, dual_bound=objective)
-    nodes = getattr(res, "mip_node_count", None)
-    bound = getattr(res, "mip_dual_bound", None)
-    bound = float(bound) + offset if bound is not None and solved else None
-    return MipSolution(status, objective, x, message=str(res.message),
-                       node_count=None if nodes is None else int(nodes), dual_bound=bound)
+        return MipSolution(res.status, None, message=res.message)
+    x[free] = res.x
+    return MipSolution(res.status, res.objective + offset, x, message=res.message,
+                       node_count=int(res.mip_node_count), dual_bound=res.mip_dual_bound + offset)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,7 +314,12 @@ def test_array_audit_agrees_with_reference_audit(instance, data):
     assert _flagged(got) == _flagged(want)
 
 
-UNFOLDED_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+def tauc_status(res) -> str:
+    """tauc's word for the status scipy's public milp reports (0 optimal,
+    1 limit, 2 infeasible, 3 unbounded, 4 other)."""
+    if res.status == 1:
+        return "feasible" if res.x is not None else "error"
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
 
 
 def whole_model_milp(model: UcModel):
@@ -334,7 +340,7 @@ def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
     assume(fixed.any())
     folded = solve(model)
     whole = whole_model_milp(model)
-    assert folded.status == UNFOLDED_STATUS[whole.status]
+    assert folded.status == tauc_status(whole)
     if folded.status != "optimal":
         return
     assert folded.objective == pytest.approx(whole.fun, rel=1e-9, abs=1e-9)
@@ -342,27 +348,49 @@ def test_folding_fixed_columns_matches_the_unfolded_solve(instance):
     assert np.array_equal(folded.x[fixed], model.lb[fixed])
 
 
+def lp_over_commitment(model: UcModel, x: np.ndarray) -> float:
+    """The LP optimum of the whole model with every binary fixed at x's, rounded."""
+    binary = model.integrality == 1
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[binary] = ub[binary] = np.round(x[binary])
+    res = whole_model_milp(replace(model, lb=lb, ub=ub))
+    assert res.status == 0, res.message
+    return res.fun
+
+
 @settings(max_examples=200, deadline=None)
 @given(uc_instances(free_unit=True))
+@example((
+    PowerSystem(units=(unit("g0", "base", 30.0, 120.0, 12.5, startup_ramp=15.0, u0=0, hours0=0.5),
+                       unit("g1", "peak", 0.0, 40.0, 0.0, u0=0)),
+                wind_capacity=0.0, solar_capacity=150.0, load_shed_cost=100.0),
+    periods_from([0.25] * 8, [0.0] * 6 + [60.0, 60.0], solar_cf=[0.0] * 6 + [0.3, 0.0]),
+    None,
+))
 def test_lifting_binaries_that_cannot_matter_matches_the_unfolded_solve(instance):
     """A free binary that costs nothing and whose rise no row resists is fixed
-    at 1 before HiGHS; the solve still reaches the whole model's optimum."""
+    at 1 before HiGHS; the solve still reaches the whole model's optimum.
+    HiGHS's tolerances let a MIP point sit about 1e-7 below the optimum (the
+    example: solve() 93.749999, with pg_g0_8 3.2e-7 below pmin, against the
+    unfolded 93.75), so each side's commitment is judged by the LP optimum
+    over it."""
     system, periods, fixings = instance
     model = build_uc_model(system, periods, fixings)
     folded = solve(model)
     whole = whole_model_milp(model)
-    assert folded.status == UNFOLDED_STATUS[whole.status]
+    assert folded.status == tauc_status(whole)
     if folded.status != "optimal":
         return
-    assert folded.objective == pytest.approx(whole.fun, rel=1e-9, abs=1e-9)
+    assert lp_over_commitment(model, folded.x) == pytest.approx(lp_over_commitment(model, whole.x),
+                                                                rel=1e-9, abs=1e-9)
     commitment = folded.x[:len(system.units) * len(periods)].reshape(len(system.units), -1)
     assert np.all(commitment[-1] == 1.0)  # the free unit, appended last
 
 
-def public_milp(call: dict):
+def public_milp(call: dict, presolve: bool = True):
     """scipy's public milp on the folded arrays and options solve() handed
-    tauc.solver.milp; HiGHS's presolve "on" is the public milp's True."""
-    options = dict(call["options"], presolve=call["options"]["presolve"] == "on")
+    tauc.solver.milp, with presolve on or off."""
+    options = dict(call["options"], presolve=presolve)
     # the public milp says that it passes the heuristic switches on verbatim
     with pytest.warns(RuntimeWarning, match="passed to HiGHS verbatim"):
         return milp(c=call["c"], integrality=call["integrality"], bounds=Bounds(call["lb"], call["ub"]),
@@ -380,29 +408,57 @@ def study13_day_ahead(mode: str):
     return system, reduce_series(series, day_ahead_grid(series, mode))
 
 
+def presolve_failure():
+    """Draw 90 of random_small_instance(default_rng(0)): HiGHS 1.12's presolve
+    ends in kSolveError on it, and HiGHS solves it with presolve off."""
+    rng = np.random.default_rng(0)
+    for _ in range(91):
+        instance = random_small_instance(rng)
+    return instance
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(uc_instances(), uc_instances(fix=False)))
 @example(study13_day_ahead(MODE_TA))
+@example(presolve_failure())
 def test_the_direct_highs_call_matches_scipy_milp_to_the_bit(instance):
     """tauc.solver.milp calls HiGHS without scipy's milp wrapper; on every
     call a gap-0 solve() makes, scipy's public milp on the same arrays and
-    options returns the same status and bit-identical x, objective, dual
-    bound and node count. Drawn fixings may make the model infeasible."""
+    options returns the status tauc maps to and bit-identical x, objective,
+    dual bound and node count. A call that milp ran again with presolve off
+    is compared with the public milp with presolve off. On an LP, milp
+    reports 0 nodes and the objective as the bound, where the public milp
+    reports none. Drawn fixings may make the model infeasible."""
     calls = []
     direct = tauc.solver.milp
 
     def both(**kwargs):
         res = direct(**kwargs)
-        calls.append((res, public_milp(kwargs)))
+        calls.append((kwargs, res))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tauc.solver, "milp", both)
         solve(build_uc_model(*instance))
-    for got, want in calls:
-        assert got.status == want.status
-        for field in ("x", "fun", "mip_dual_bound", "mip_node_count"):
-            assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+    for kwargs, got in calls:
+        want = public_milp(kwargs, presolve="presolve off" not in got.message)
+        assert got.status == tauc_status(want)
+        assert bits(got.x) == bits(want.x) and bits(got.objective) == bits(want.fun)
+        if kwargs["integrality"].any():
+            for field in ("mip_dual_bound", "mip_node_count"):
+                assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+        elif got.x is not None:
+            assert (got.mip_node_count, got.mip_dual_bound, got.mip_gap) == (0, got.objective, 0.0)
+
+
+def test_a_model_highs_presolve_fails_on_is_run_again_with_presolve_off():
+    """The presolve failure ends "optimal" at HiGHS's presolve-off optimum,
+    and the message names the retry."""
+    res = solve(build_uc_model(*presolve_failure()))
+    assert res.status == "optimal", res.message
+    assert res.message == "Optimal, run again with presolve off after presolve on ended in Solve error"
+    assert res.objective == pytest.approx(285446.52, abs=5e-3)
+    assert res.gap == 0.0
 
 
 def recorded_calls(monkeypatch) -> list[dict]:
@@ -496,7 +552,7 @@ import tauc.solver
 res = tauc.solver.milp(c=np.array([-1.0]), lb=np.zeros(1), ub=np.ones(1), matrix=sparse.csc_array(np.ones((1, 1))),
                        row_lb=np.array([-np.inf]), row_ub=np.ones(1), integrality=np.ones(1, dtype=np.uint8),
                        options={"mip_rel_gap": 0.0, "mip_heuristic_run_no_such_switch": False})
-assert (res.status, res.fun, res.x.tolist()) == (0, -1.0, [1.0]), res
+assert (res.status, res.objective, res.x.tolist()) == ("optimal", -1.0, [1.0]), res
 """, "-W", "default")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
@@ -510,7 +566,7 @@ def test_milp_rejects_arrays_highs_would_read_past_their_end():
     one = np.ones(1)
     args = dict(c=-one, lb=0 * one, ub=one, matrix=sparse.csc_array(np.ones((1, 1))), row_lb=-one,
                 row_ub=one, integrality=np.ones(1, dtype=np.uint8), options={})
-    assert tauc.solver.milp(**args).status == 0
+    assert tauc.solver.milp(**args).status == "optimal"
     for name, bad in [("lb", np.zeros(0)), ("row_ub", np.ones(2)), ("matrix", sparse.csr_array(np.ones((1, 1))))]:
         with pytest.raises(ValueError, match="CSC matrix"):
             tauc.solver.milp(**dict(args, **{name: bad}))
@@ -588,13 +644,44 @@ def test_a_bound_above_the_audited_objective_is_clamped_onto_it(monkeypatch):
 
     def high_milp(*args, **kwargs):
         res = direct(*args, **kwargs)
-        res.mip_dual_bound = res.fun + 1e-3
+        res.mip_dual_bound = res.objective + 1e-3
         return res
 
     monkeypatch.setattr("tauc.solver.milp", high_milp)
     res = solve(build_uc_model(*two_unit_fixture()))
     assert res.status == "optimal"
     assert res.dual_bound == res.objective and res.gap == 0.0
+
+
+def test_a_feasible_incumbent_keeps_its_audited_point_and_its_gap(monkeypatch):
+    """A solve stopped on its time limit comes back "feasible" with HiGHS's
+    incumbent and a bound below it; solve() audits the point as for an
+    optimum and reports the gap on the cost."""
+    direct = tauc.solver.milp
+
+    def stopped_milp(*args, **kwargs):
+        res = direct(*args, **kwargs)
+        res.status, res.message = "feasible", "Time limit reached"
+        res.mip_dual_bound = res.objective - 10.0
+        return res
+
+    model = build_uc_model(*two_unit_fixture())
+    optimum = solve(model)
+    monkeypatch.setattr("tauc.solver.milp", stopped_milp)
+    res = solve(model)
+    assert (res.status, res.message) == ("feasible", "Time limit reached")
+    assert check_solution(model, res.x) == []
+    assert res.objective == optimum.objective
+    assert res.dual_bound == pytest.approx(optimum.objective - 10.0, rel=1e-12)
+    assert res.gap == pytest.approx(10.0 / res.objective, rel=1e-9) and res.gap > 0.0
+
+
+def test_a_model_highs_refuses_is_an_error():
+    """A NaN row bound is HiGHS's kModelError: no point, and the status is
+    "error", not "infeasible"."""
+    model = model_from_rows((Variable("x", 0.0, 1.0),), (Row("lo", {"x": 1.0}, ">=", 0.5),), {"x": 1.0})
+    res = solve(replace(model, row_ub=np.array([math.nan])))
+    assert (res.status, res.message, res.objective, res.x) == ("error", "Model error", None, None)
 
 
 def test_a_snapped_point_that_fails_the_audit_is_re_solved_on_its_commitment(monkeypatch):
