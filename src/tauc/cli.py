@@ -28,12 +28,13 @@ from .model import PowerSystem
 from .simulation import (
     MODE_CH,
     MODE_TA,
+    MODES,
+    TECHNOLOGIES,
     ComparisonReport,
     DayAheadPlan,
     RealTimeResult,
     cost_delta,
     day_windows,
-    reports_to_csv,
     run_day_ahead,
     run_one_mode,
     run_rolling_horizon,
@@ -42,6 +43,13 @@ from .simulation import (
 GOLDEN_COST_CH = 18500.0
 GOLDEN_COST_TA = 11500.0
 GOLDEN_DELTA = 37.84
+
+CSV_COLUMNS = (
+    ("date", "c_ch", "c_ta", "delta_pct")
+    + tuple(f"share_{tech}_{mode.lower()}" for mode in MODES for tech in TECHNOLOGIES)
+    + ("da_time_ch", "rt_time_ch", "da_time_ta", "rt_time_ta")
+    + ("shed_mwh_ch", "spill_mwh_ch", "shed_mwh_ta", "spill_mwh_ta")
+)
 
 SUMMARY_COLUMNS = (
     "days",
@@ -190,6 +198,20 @@ def _summary_row(summary: dict[str, float]) -> list:
     ]
 
 
+def _comparison_rows(reports: list[ComparisonReport]):
+    """Rows under CSV_COLUMNS, one per solved day, as comparison.csv carries
+    them; warning records carry no numbers and are left out."""
+    for rep in reports:
+        if rep.warning:
+            continue
+        row = [rep.date, f"{rep.c_ch:.2f}", f"{rep.c_ta:.2f}", f"{rep.delta_pct:.4f}"]
+        row.extend(f"{rep.shares_ch[tech]:.4f}" for tech in TECHNOLOGIES)
+        row.extend(f"{rep.shares_ta[tech]:.4f}" for tech in TECHNOLOGIES)
+        row.extend(f"{t:.3f}" for t in (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta))
+        row.extend(f"{e:.3f}" for e in (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta))
+        yield row
+
+
 def _run_comparison(config: ScenarioConfig) -> tuple[list[ComparisonReport], dict[str, float]]:
     trace = _scaled_trace(config)
     system = _system_for(config, trace)
@@ -215,7 +237,7 @@ def cmd_compare(args) -> int:
         print("error: no day could be compared", file=sys.stderr)
         return 2
     out = _out_dir(args)
-    (out / "comparison.csv").write_text(reports_to_csv(reports))
+    _write_csv(out / "comparison.csv", CSV_COLUMNS, _comparison_rows(reports))
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [_summary_row(summary)])
     print(
         f"{summary['days']} days: delta {summary['delta_pct']:.2f}%, "
@@ -238,7 +260,7 @@ def cmd_sweep(args) -> int:
     _write_csv(out / "sweep_summary.csv", ("scenario",) + SUMMARY_COLUMNS,
                ([name] + _summary_row(summary) for name, _, summary in results))
     for name, reports, _ in results:
-        (out / f"comparison_{name}.csv").write_text(reports_to_csv(reports))
+        _write_csv(out / f"comparison_{name}.csv", CSV_COLUMNS, _comparison_rows(reports))
     print(f"swept {len(results)} scenarios into {out / 'sweep_summary.csv'}")
     return 0
 

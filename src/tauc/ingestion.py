@@ -340,12 +340,12 @@ def illustrative_case() -> tuple[PowerSystem, HiResSeries]:
 
 
 # Value types accepted for each ScenarioConfig annotation: a number field
-# takes integers too, booleans count as neither, and a "| None" field also
-# takes None (null in JSON).
+# takes integers too but not NaN or an infinity (which json.loads accepts),
+# booleans count as neither, and a "| None" field also takes None (null in JSON).
 _CONFIG_TYPES = {
     "str": (str, "a string"),
     "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
+    "float": (numbers.Real, "a finite number"),
 }
 
 
@@ -354,7 +354,7 @@ def _check_config_type(key: str, annotation: str, value) -> None:
     if value is None and optional:
         return
     types, expected = _CONFIG_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types) or (kind == "float" and not math.isfinite(value)):
         expected += " or null" if optional else ""
         raise ValueError(f"{key} must be {expected}, got {json.dumps(value, default=repr)}")
 
@@ -402,10 +402,7 @@ class ScenarioConfig:
             )
         if self.lookahead_hours < 0:
             raise ValueError("lookahead_hours must be nonnegative")
-        if self.gap < 0:
-            raise ValueError("gap must be nonnegative")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive or None")
+        self.solver_config()  # checks gap and time_limit
         if self.shed_cost is not None and self.shed_cost <= 0:
             raise ValueError("shed_cost must be positive or None")
         if not self.portfolio:

@@ -10,7 +10,6 @@ above demand by commitments or fixings still does.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -76,20 +75,6 @@ class ThermalUnit:
         if not self.u0 and self.p0 != 0.0:
             raise ValueError(f"{self.unit_id}: p0 must be 0 while offline")
 
-    def resolved_startup_ramp(self) -> float | None:
-        if self.startup_ramp is not None:
-            return self.startup_ramp
-        if self.ramp_up is None:
-            return None
-        return max(self.pmin, self.ramp_up)
-
-    def resolved_shutdown_ramp(self) -> float | None:
-        if self.shutdown_ramp is not None:
-            return self.shutdown_ramp
-        if self.ramp_down is None:
-            return None
-        return max(self.pmin, self.ramp_down)
-
 
 @dataclass(frozen=True)
 class PowerSystem:
@@ -111,9 +96,6 @@ class PowerSystem:
             raise ValueError("capacities must be nonnegative")
         if self.load_shed_cost <= 0:
             raise ValueError("load_shed_cost must be positive")
-
-    def with_units(self, units: tuple[ThermalUnit, ...]) -> "PowerSystem":
-        return dataclasses.replace(self, units=tuple(units))
 
 
 def period_durations(periods: ReducedSeries) -> np.ndarray:
@@ -145,12 +127,13 @@ def effective_ramp_limits(
             return np.full_like(d_hat, unit.pmax)
         return np.minimum(unit.pmax, np.maximum(unit.pmin, rate * d_hat))
 
-    return (
-        clamp(unit.ramp_up),
-        clamp(unit.ramp_down),
-        clamp(unit.resolved_startup_ramp()),
-        clamp(unit.resolved_shutdown_ramp()),
-    )
+    # an omitted start-up or shut-down rate defaults to max(pmin, ramp)
+    su_rate, sd_rate = unit.startup_ramp, unit.shutdown_ramp
+    if su_rate is None and unit.ramp_up is not None:
+        su_rate = max(unit.pmin, unit.ramp_up)
+    if sd_rate is None and unit.ramp_down is not None:
+        sd_rate = max(unit.pmin, unit.ramp_down)
+    return clamp(unit.ramp_up), clamp(unit.ramp_down), clamp(su_rate), clamp(sd_rate)
 
 
 def effective_min_times(
@@ -357,33 +340,43 @@ class _RowWriter:
         self.parts: list[tuple[np.ndarray, ...]] = []
         self.n = 0
 
-    def add(self, stems, which, t, lo, hi, *terms) -> None:
-        """Append len(which) rows; row i is named stems[which[i]] (plus _t[i])
-        and bounded by lo and hi (scalars or one value per row).
+    def add(self, t, *families) -> None:
+        """Append, for each family (stem, lo, hi, *terms), one row per entry
+        of t: local row j is named stem_<t[j]> and bounded by lo and hi
+        (scalars or one value per row).
 
         Each term is (local row, column, value) with one entry per row it
         touches. A row's terms keep the order of the term arguments, and zero
-        values are left out, as a written row never carries a zero.
+        values are left out, as a written row never carries a zero. The rows
+        of k families alternate: local row j of family i is row j * k + i.
         """
-        m = len(which)
-        if m == 0:
+        m, k = len(t), len(families)
+        if m == 0 or k == 0:
             return
+        # HiGHS breaks ties by row order, so the order is part of the model:
+        # all onmin rows ahead of all onmax rows gave other tied plans on the
+        # study13 30-minute days (seed 3 TA 466691.14 for 466191.14 EUR,
+        # seed 7 CH 479063.46 for 479563.46 EUR)
+        terms = [(r * k + i if k > 1 else r, c, v) for i, family in enumerate(families) for r, c, v in family[3:]]
         r = np.concatenate([term[0] for term in terms])
         c = np.concatenate([term[1] for term in terms])
         v = np.concatenate([np.broadcast_to(np.asarray(term[2], dtype=float), len(term[0])) for term in terms])
         keep = v != 0.0
         order = np.argsort(r[keep], kind="stable")
+        bounds = np.empty((2, m, k))
+        for i, (_, lo, hi, *_) in enumerate(families):
+            bounds[0, :, i] = lo
+            bounds[1, :, i] = hi
         self.parts.append((
             r[keep][order] + self.n,
             c[keep][order],
             v[keep][order],
-            np.asarray(which) + len(self.stems),
-            np.asarray(t),
-            np.broadcast_to(np.asarray(lo, dtype=float), m),
-            np.broadcast_to(np.asarray(hi, dtype=float), m),
+            np.arange(m * k) % k + len(self.stems) if k > 1 else np.full(m, len(self.stems)),
+            np.repeat(t, k) if k > 1 else np.asarray(t),
+            *bounds.reshape(2, m * k),
         ))
-        self.stems.extend(stems)
-        self.n += m
+        self.stems.extend(family[0] for family in families)
+        self.n += m * k
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(np.concatenate(part) for part in zip(*self.parts))
@@ -398,7 +391,8 @@ def build_uc_model(
 
     Each unit's ramp limits and minimum-time counts are rescaled to the
     period durations (effective_ramp_limits, effective_min_times). Each row
-    family is written with index arrays over (unit, period). su counts
+    family (onmin, rampup, ...) is one writer statement over the periods, and
+    families written together alternate period by period. su counts
     start-ups (su_t >= u_t - u_{t-1}, priced at the unit's startup_cost) for
     each unit with a start-up cost or a minimum time; any other unit has its
     su columns pinned to 0 and no start-up rows. Minimum times are the rows
@@ -461,57 +455,44 @@ def build_uc_model(
     c[s_shed] = system.load_shed_cost * d
 
     rows = _RowWriter()
-    rows.add(["bal"], np.zeros(nt, dtype=int), tt, demand, demand,
-             *((loc, pg[g], 1.0) for g in range(ng)), (loc, pw, 1.0), (loc, ps, 1.0), (loc, shed, 1.0))
+    rows.add(tt, ("bal", demand, demand, *((loc, pg[g], 1.0) for g in range(ng)),
+                  (loc, pw, 1.0), (loc, ps, 1.0), (loc, shed, 1.0)))
 
     for g, unit in enumerate(units):
         uid = unit.unit_id
         ug, pgg = u[g], pg[g]
         ru_hat, rd_hat, su_hat, sd_hat = effective_ramp_limits(unit, d)
         ut_init, ut_counts, dt_init, dt_counts = effective_min_times(unit, d)
-        # commitment-linked dispatch bounds, onmin and onmax alternating by period
-        pair = np.arange(2 * nt)
-        rows.add([f"onmin_{uid}", f"onmax_{uid}"], np.tile([0, 1], nt), np.repeat(tt, 2),
-                 np.tile([0.0, -math.inf], nt), np.tile([math.inf, 0.0], nt),
-                 (pair, np.repeat(pgg, 2), 1.0),
-                 (pair, np.repeat(ug, 2), np.tile([-unit.pmin, -unit.pmax], nt)))
+        # commitment-linked dispatch bounds
+        rows.add(tt, (f"onmin_{uid}", 0.0, math.inf, (loc, pgg, 1.0), (loc, ug, -unit.pmin)),
+                 (f"onmax_{uid}", -math.inf, 0.0, (loc, pgg, 1.0), (loc, ug, -unit.pmax)))
         # start-up indicators, su_t >= u_t - u_{t-1}
         if counts_su[g]:
-            lo = np.zeros(nt)
-            lo[0] = -unit.u0
-            rows.add([f"sucost_{uid}"], np.zeros(nt, dtype=int), tt, lo, math.inf,
-                     (loc, su[g], 1.0), (loc, ug, -1.0), (loc[1:], ug[:-1], 1.0))
+            rows.add(tt, (f"sucost_{uid}", np.where(loc == 0, -unit.u0, 0.0), math.inf,
+                          (loc, su[g], 1.0), (loc, ug, -1.0), (loc[1:], ug[:-1], 1.0)))
         # ramping, skipped entirely for rate-unlimited units (rows are vacuous
-        # once every limit clamps to pmax); rampup and rampdn alternate by
-        # period. m is each row's big-M, smaller than the paper's pmax (see above)
+        # once every limit clamps to pmax). m is each row's big-M, smaller
+        # than the paper's pmax (see above); period 1 moves u_0 and p_0 into the bound
         emit_up = unit.ramp_up is not None or unit.startup_ramp is not None
         emit_dn = unit.ramp_down is not None or unit.shutdown_ramp is not None
-        families = []
+        ramps = []
         if emit_up:
             m = np.maximum(0.0, su_hat - ru_hat - unit.pmin)
             first = m[0] + (unit.p0 + (ru_hat[0] - su_hat[0]) * unit.u0)
-            families.append(("rampup", m, first, (pgg, 1.0), (ug, m - su_hat),
-                             (pgg[:-1], -1.0), (ug[:-1], su_hat[1:] - ru_hat[1:])))
+            ramps.append((f"rampup_{uid}", -math.inf, np.concatenate(([first], m[1:])),
+                          (loc, pgg, 1.0), (loc, ug, m - su_hat),
+                          (loc[1:], pgg[:-1], -1.0), (loc[1:], ug[:-1], su_hat[1:] - ru_hat[1:])))
         if emit_dn:
             m = np.maximum(0.0, sd_hat - rd_hat - unit.pmin)
             first = m[0] + (-unit.p0 - (m[0] - sd_hat[0]) * unit.u0)
-            families.append(("rampdn", m, first, (pgg, -1.0), (ug, sd_hat - rd_hat),
-                             (pgg[:-1], 1.0), (ug[:-1], m[1:] - sd_hat[1:])))
-        if families:
-            k = len(families)
-            hi = np.empty((nt, k))
-            terms = []
-            for i, (_, m, first, now_p, now_u, prev_p, prev_u) in enumerate(families):
-                hi[:, i] = m
-                hi[0, i] = first
-                r = loc * k + i
-                terms += [(r, *now_p), (r, *now_u), (r[1:], *prev_p), (r[1:], *prev_u)]
-            rows.add([f"{family[0]}_{uid}" for family in families], np.tile(np.arange(k), nt),
-                     np.repeat(tt, k), -math.inf, hi.ravel(), *terms)
+            ramps.append((f"rampdn_{uid}", -math.inf, np.concatenate(([first], m[1:])),
+                          (loc, pgg, -1.0), (loc, ug, sd_hat - rd_hat),
+                          (loc[1:], pgg[:-1], 1.0), (loc[1:], ug[:-1], m[1:] - sd_hat[1:])))
+        rows.add(tt, *ramps)
         if emit_dn:
             r = loc[:-1]
-            rows.add([f"sdramp_{uid}"], np.zeros(nt - 1, dtype=int), tt[:-1], -math.inf, 0.0,
-                     (r, pgg[:-1], 1.0), (r, ug[1:], sd_hat[:-1] - unit.pmax), (r, ug[:-1], -sd_hat[:-1]))
+            rows.add(tt[:-1], (f"sdramp_{uid}", -math.inf, 0.0, (r, pgg[:-1], 1.0),
+                               (r, ug[1:], sd_hat[:-1] - unit.pmax), (r, ug[:-1], -sd_hat[:-1])))
         # minimum up and down times: a is the first period whose window,
         # started there, still covers t; windows end in order, so it is a search
         for word, hours, pin, counts in (("up", unit.min_up, ut_init, ut_counts),
@@ -524,14 +505,14 @@ def build_uc_model(
             window = (rr, su[g][np.repeat(a - np.cumsum(w) + w, w) + np.arange(len(rr))], 1.0)
             hi = np.where(loc < pin, -1.0, 0.0)
             if word == "up":
-                rows.add([f"up_{uid}"], np.zeros(nt, dtype=int), tt, -math.inf, hi, window, (loc, ug, -1.0))
+                rows.add(tt, (f"up_{uid}", -math.inf, hi, window, (loc, ug, -1.0)))
             else:
                 later = a > 0
-                rows.add([f"dn_{uid}"], np.zeros(nt, dtype=int), tt, -math.inf,
-                         hi + np.where(later, 1.0, 1.0 - unit.u0), window, (loc[later], ug[a[later] - 1], 1.0))
+                rows.add(tt, (f"dn_{uid}", -math.inf, hi + np.where(later, 1.0, 1.0 - unit.u0),
+                              window, (loc[later], ug[a[later] - 1], 1.0)))
 
-    r, cols, vals, which, t, row_lb, row_ub = rows.arrays()
-    row_names = Names(tuple(rows.stems), which, t)
+    r, cols, vals, stem, t, row_lb, row_ub = rows.arrays()
+    row_names = Names(tuple(rows.stems), stem, t)
 
     if fixings is not None:
         _apply_fixings(fixings, (ng, nt), col_names, integrality, lb, ub)

@@ -21,10 +21,7 @@ import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
-from io import StringIO
 from typing import Callable, Iterator, TypeVar
-
-import csv
 
 import numpy as np
 
@@ -195,12 +192,6 @@ def _next_units(
         p_end = float(np.clip(p[-1], unit.pmin, unit.pmax)) if u_end else 0.0
         out.append(dataclasses.replace(unit, u0=u_end, hours0=min(streak * hours_per_period, 24.0), p0=p_end))
     return tuple(out)
-
-
-def _held_units(units: tuple[ThermalUnit, ...]) -> tuple[ThermalUnit, ...]:
-    """The units after a day that could not be solved: each keeps its commitment
-    and output through the day, so its clock reaches the 24 h cap."""
-    return tuple(dataclasses.replace(u, hours0=24.0) for u in units)
 
 
 def _head(record: T, n: int) -> T:
@@ -451,10 +442,11 @@ def run_chain(
             plan, rt = run_one_mode(system, window, mode, features, config, label)
         except (RuntimeError, ValueError) as exc:
             yield label, str(exc)
-            system = system.with_units(_held_units(system.units))
+            units = tuple(dataclasses.replace(unit, hours0=24.0) for unit in system.units)
         else:
             yield label, (plan, rt)
-            system = system.with_units(rt.next_units)
+            units = rt.next_units
+        system = dataclasses.replace(system, units=units)
 
 
 def run_rolling_horizon(
@@ -497,27 +489,3 @@ def run_rolling_horizon(
                 reports.append(_skipped_day(label, str(exc)))
     return reports
 
-
-CSV_COLUMNS = (
-    ("date", "c_ch", "c_ta", "delta_pct")
-    + tuple(f"share_{tech}_{mode.lower()}" for mode in MODES for tech in TECHNOLOGIES)
-    + ("da_time_ch", "rt_time_ch", "da_time_ta", "rt_time_ta")
-    + ("shed_mwh_ch", "spill_mwh_ch", "shed_mwh_ta", "spill_mwh_ta")
-)
-
-
-def reports_to_csv(reports: list[ComparisonReport]) -> str:
-    """Render solved days as CSV; warning records carry no numbers and are left out."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rep in reports:
-        if rep.warning:
-            continue
-        row = [rep.date, f"{rep.c_ch:.2f}", f"{rep.c_ta:.2f}", f"{rep.delta_pct:.4f}"]
-        row.extend(f"{rep.shares_ch[tech]:.4f}" for tech in TECHNOLOGIES)
-        row.extend(f"{rep.shares_ta[tech]:.4f}" for tech in TECHNOLOGIES)
-        row.extend(f"{t:.3f}" for t in (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta))
-        row.extend(f"{e:.3f}" for e in (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta))
-        writer.writerow(row)
-    return buf.getvalue()

@@ -31,8 +31,8 @@ CHECK_TOL = 1e-6
 class BackendConfig:
     """How to run a solve.
 
-    gap is the relative MIP gap target; time_limit, in seconds, stops
-    HiGHS with its incumbent.
+    gap is the relative MIP gap target, finite and nonnegative; time_limit,
+    in seconds, finite and positive, stops HiGHS with its incumbent.
 
     HiGHS always runs with two root heuristics switched off:
     mip_heuristic_run_root_reduced_cost (the sub-MIP on the columns the
@@ -48,6 +48,12 @@ class BackendConfig:
 
     gap: float = 0.0
     time_limit: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gap) and self.gap >= 0):
+            raise ValueError(f"gap must be a finite nonnegative number, got {self.gap}")
+        if self.time_limit is not None and not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise ValueError(f"time_limit must be a finite positive number or None, got {self.time_limit}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ of the measured values (visible with -s or on failure).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from datetime import datetime, timezone
@@ -272,7 +273,7 @@ def test_criterion_8_rolling_horizon_chaining():
             step_minutes=step,
         )
         for mode in (MODE_CH, MODE_TA):
-            day_system = system.with_units(units[mode])
+            day_system = dataclasses.replace(system, units=units[mode])
             plan = run_day_ahead(day_system, window, mode)
             rt = run_real_time(
                 day_system, window, fix_from_plan(plan, day_system.units, window.n_points)

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from helpers import duck_day_series, run_in_fresh_interpreter
+from helpers import duck_day_series, flat_day_series, run_in_fresh_interpreter
+from test_simulation import make_trace, repeat_days
 from tauc import cli, simulation
 from tauc.aggregation import HiResSeries, normalize_features
 from tauc.ingestion import compute_installed_capacity, illustrative_case, load_scenario, write_timeseries
@@ -187,6 +189,7 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
         ("alpha_wind", "x"),
         ("lookahead_hours", None),
         ("time_limit", 0),
+        ("lookahead_hours", math.inf),
     ],
 )
 def test_config_value_of_wrong_type_or_range_exits_two(tmp_path, capsys, key, value):
@@ -219,6 +222,41 @@ def test_compare_flat_days_reports_zero_delta(tmp_path, capsys):
     assert summary["n_ta_eq_ch"] == "2"
     assert summary["n_skipped"] == "0"
     assert "2 days" in capsys.readouterr().out
+
+
+def test_reports_render_as_csv(tmp_path):
+    system, _ = illustrative_case()
+    day = flat_day_series(step_minutes=60)
+    trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, tzinfo=timezone.utc))
+    reports = simulation.run_rolling_horizon(system, trace, lookahead_hours=4.0)
+    reports.append(
+        simulation.ComparisonReport(
+            date="2023-06-03", c_ch=math.nan, c_ta=math.nan, delta_pct=math.nan,
+            shares_ch={}, shares_ta={}, da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
+            shed_mwh_ch=math.nan, spill_mwh_ch=math.nan, shed_mwh_ta=math.nan, spill_mwh_ta=math.nan,
+            warning="day skipped: no data",
+        )
+    )
+    cli._write_csv(tmp_path / "comparison.csv", cli.CSV_COLUMNS, cli._comparison_rows(reports))
+    text = (tmp_path / "comparison.csv").read_text()
+    lines = text.strip().split("\n")
+    assert lines[0] == (
+        "date,c_ch,c_ta,delta_pct,"
+        "share_wind_ch,share_solar_ch,share_base_ch,share_medium_ch,share_peak_ch,"
+        "share_wind_ta,share_solar_ta,share_base_ta,share_medium_ta,share_peak_ta,"
+        "da_time_ch,rt_time_ch,da_time_ta,rt_time_ta,"
+        "shed_mwh_ch,spill_mwh_ch,shed_mwh_ta,spill_mwh_ta"
+    )
+    assert len(lines) == 3
+    first = lines[1].split(",")
+    assert first[0] == "2023-06-01"
+    assert float(first[1]) == pytest.approx(reports[0].c_ch, abs=0.01)
+    rep = reports[0]
+    times = (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta)
+    assert min(times) > 0.0
+    assert first[-8:-4] == [f"{t:.3f}" for t in times]
+    energies = (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta)
+    assert first[-4:] == [f"{e:.3f}" for e in energies]
 
 
 def test_plan_emits_requested_modes(tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -347,6 +348,19 @@ def test_load_scenario_rejects_unknown_keys(tmp_path, key):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"data_path": "t.csv", key: "glpk"}))
     with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "key",
+    ["step_minutes", "demand_scale", "alpha_wind", "alpha_solar", "lookahead_hours", "shed_cost", "gap", "time_limit"],
+)
+def test_load_scenario_rejects_non_finite_numbers(tmp_path, key, value):
+    """json.loads reads NaN, Infinity and -Infinity; no number field takes them."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"data_path": "t.csv", key: value}))
+    with pytest.raises(ValueError, match=f": {key} must be (an integer|a finite number)"):
         load_scenario(path)
 
 

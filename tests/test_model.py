@@ -291,6 +291,23 @@ def test_build_ramp_rows_reference_adjacent_periods():
     assert first.rhs == pytest.approx(0.0 + 150.0 + (100.0 - 100.0) * 1)
 
 
+def test_rows_follow_the_written_order_and_paired_families_alternate_by_period():
+    """HiGHS breaks ties by row order, so the order is part of the model:
+    a unit's families follow each other, and onmin/onmax and rampup/rampdn
+    alternate period by period."""
+    labels = build_uc_model(*two_unit_fixture()).row_names.tolist()
+    periods = range(1, 5)
+    a1 = (
+        [f"{stem}_a1_{t}" for t in periods for stem in ("onmin", "onmax")]
+        + [f"sucost_a1_{t}" for t in periods]
+        + [f"{stem}_a1_{t}" for t in periods for stem in ("rampup", "rampdn")]
+        + [f"sdramp_a1_{t}" for t in periods if t < 4]
+        + [f"up_a1_{t}" for t in periods]
+        + [f"dn_a1_{t}" for t in periods]
+    )
+    assert labels[:4 + len(a1)] == [f"bal_{t}" for t in periods] + a1
+
+
 def test_structural_equality_with_conventional_hourly_builder():
     system, periods = two_unit_fixture()
     model = build_uc_model(system, periods)

@@ -21,13 +21,11 @@ from tauc.model import Fixings, PowerSystem, ThermalUnit, build_uc_model, extrac
 from tauc.simulation import (
     MODE_CH,
     MODE_TA,
-    ComparisonReport,
     compare_day,
     cost_delta,
     day_ahead_grid,
     fix_from_plan,
     generation_shares,
-    reports_to_csv,
     run_day_ahead,
     run_chain,
     run_real_time,
@@ -408,40 +406,6 @@ def test_rolling_date_filter_and_short_trace_warning():
     warn = run_rolling_horizon(system, short, lookahead_hours=0.0)
     assert len(warn) == 1 and warn[0].warning
     assert math.isnan(warn[0].c_ch)
-
-
-def test_reports_render_as_csv():
-    system, _ = illustrative_case()
-    day = flat_day_series(step_minutes=60)
-    trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, tzinfo=timezone.utc))
-    reports = run_rolling_horizon(system, trace, lookahead_hours=4.0)
-    reports.append(
-        ComparisonReport(
-            date="2023-06-03", c_ch=math.nan, c_ta=math.nan, delta_pct=math.nan,
-            shares_ch={}, shares_ta={}, da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
-            shed_mwh_ch=math.nan, spill_mwh_ch=math.nan, shed_mwh_ta=math.nan, spill_mwh_ta=math.nan,
-            warning="day skipped: no data",
-        )
-    )
-    text = reports_to_csv(reports)
-    lines = text.strip().split("\n")
-    assert lines[0] == (
-        "date,c_ch,c_ta,delta_pct,"
-        "share_wind_ch,share_solar_ch,share_base_ch,share_medium_ch,share_peak_ch,"
-        "share_wind_ta,share_solar_ta,share_base_ta,share_medium_ta,share_peak_ta,"
-        "da_time_ch,rt_time_ch,da_time_ta,rt_time_ta,"
-        "shed_mwh_ch,spill_mwh_ch,shed_mwh_ta,spill_mwh_ta"
-    )
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "2023-06-01"
-    assert float(first[1]) == pytest.approx(reports[0].c_ch, abs=0.01)
-    rep = reports[0]
-    times = (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta)
-    assert min(times) > 0.0
-    assert first[-8:-4] == [f"{t:.3f}" for t in times]
-    energies = (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta)
-    assert first[-4:] == [f"{e:.3f}" for e in energies]
 
 
 def test_duck_day_favors_the_adaptive_grid():

@@ -816,6 +816,19 @@ def test_solve_accepts_gap_and_oracle_backend():
     assert loose.objective <= exact.objective * 1.05 + 1e-6
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("gap", -1.0), ("gap", math.nan), ("gap", math.inf), ("gap", -math.inf),
+     ("time_limit", 0.0), ("time_limit", -1.0), ("time_limit", math.nan), ("time_limit", math.inf),
+     ("time_limit", -math.inf)],
+)
+def test_backend_config_rejects_a_gap_or_time_limit_highs_cannot_honour(key, value):
+    """HiGHS reads a negative gap as its default 1e-4, calls any point optimal
+    at an infinite gap and ends a run with time_limit 0 in an error."""
+    with pytest.raises(ValueError, match=f"^{key} must be a finite"):
+        BackendConfig(**{key: value})
+
+
 def test_solve_reports_infeasible_models():
     model = model_from_rows(
         (Variable("x", 0.0, 1.0),),
