@@ -42,6 +42,7 @@ from .model import (
 from .simulation import (
     ComparisonReport,
     DayAheadPlan,
+    ModeDay,
     RealTimeResult,
     compare_day,
     fix_from_plan,
@@ -64,6 +65,7 @@ __all__ = [
     "HiResSeries",
     "LoadedTrace",
     "MipSolution",
+    "ModeDay",
     "PowerSystem",
     "RealTimeResult",
     "ReducedSeries",

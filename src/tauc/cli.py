@@ -204,11 +204,11 @@ def _comparison_rows(reports: list[ComparisonReport]):
     for rep in reports:
         if rep.warning:
             continue
+        days = (rep.ch, rep.ta)
         row = [rep.date, f"{rep.c_ch:.2f}", f"{rep.c_ta:.2f}", f"{rep.delta_pct:.4f}"]
-        row.extend(f"{rep.shares_ch[tech]:.4f}" for tech in TECHNOLOGIES)
-        row.extend(f"{rep.shares_ta[tech]:.4f}" for tech in TECHNOLOGIES)
-        row.extend(f"{t:.3f}" for t in (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta))
-        row.extend(f"{e:.3f}" for e in (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta))
+        row.extend(f"{day.shares[tech]:.4f}" for day in days for tech in TECHNOLOGIES)
+        row.extend(f"{t:.3f}" for day in days for t in (day.da_time, day.rt_time))
+        row.extend(f"{e:.3f}" for day in days for e in (day.shed_mwh, day.spill_mwh))
         yield row
 
 

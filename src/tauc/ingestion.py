@@ -40,26 +40,26 @@ class LoadedTrace:
     start: datetime
 
 
-def _parse_timestamp(raw: str, line_no: int) -> datetime:
+def _parse_timestamp(raw: str, path: Path, line_no: int) -> datetime:
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
-        raise ValueError(f"line {line_no}: cannot parse timestamp {raw!r}") from None
+        raise ValueError(f"{path} line {line_no}: cannot parse timestamp {raw!r}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.astimezone(timezone.utc)
 
 
-def _parse_float(raw: str, column: str, line_no: int) -> float:
+def _parse_float(raw: str, column: str, path: Path, line_no: int) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"line {line_no}: {column} value {raw!r} is not a number") from None
+        raise ValueError(f"{path} line {line_no}: {column} value {raw!r} is not a number") from None
     if not math.isfinite(value):
-        raise ValueError(f"line {line_no}: {column} value {raw!r} is not finite")
+        raise ValueError(f"{path} line {line_no}: {column} value {raw!r} is not finite")
     return value
 
 
@@ -90,15 +90,22 @@ def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
     Errors carry the 1-based line number of the offending row.
     """
     path = Path(path)
+    step = timedelta(minutes=step_minutes)
     stamps: list[datetime] = []
     demand: list[float] = []
     wind: list[float] = []
     solar: list[float] = []
     for line_no, row in _csv_rows(path, TRACE_HEADER):
-        stamps.append(_parse_timestamp(row[0], line_no))
-        demand.append(_parse_float(row[1], "demand_mw", line_no))
-        wind.append(_parse_float(row[2], "wind_cf", line_no))
-        solar.append(_parse_float(row[3], "solar_cf", line_no))
+        stamp = _parse_timestamp(row[0], path, line_no)
+        if stamps and stamp - stamps[-1] != step:
+            raise ValueError(
+                f"{path} line {line_no}: expected timestamp "
+                f"{stamps[-1] + step:%Y-%m-%dT%H:%M:%SZ}, got {stamp:%Y-%m-%dT%H:%M:%SZ}"
+            )
+        stamps.append(stamp)
+        demand.append(_parse_float(row[1], "demand_mw", path, line_no))
+        wind.append(_parse_float(row[2], "wind_cf", path, line_no))
+        solar.append(_parse_float(row[3], "solar_cf", path, line_no))
         if demand[-1] < 0:
             raise ValueError(f"{path} line {line_no}: demand_mw must be nonnegative")
         for column, value in (("wind_cf", wind[-1]), ("solar_cf", solar[-1])):
@@ -106,14 +113,6 @@ def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
                 raise ValueError(f"{path} line {line_no}: {column} must lie in [0, 1]")
     if not stamps:
         raise ValueError(f"{path}: no data rows")
-    step = timedelta(minutes=step_minutes)
-    for i in range(1, len(stamps)):
-        if stamps[i] - stamps[i - 1] != step:
-            raise ValueError(
-                f"{path} line {i + 2}: expected timestamp "
-                f"{stamps[i - 1] + step:%Y-%m-%dT%H:%M:%SZ}, got "
-                f"{stamps[i]:%Y-%m-%dT%H:%M:%SZ}"
-            )
     series = HiResSeries(
         demand=np.array(demand),
         wind_cf=np.array(wind),
@@ -289,7 +288,7 @@ def _read_portfolio_csv(path: Path) -> tuple[ThermalUnit, ...]:
             if cell == "" and column in ("ramp_up", "ramp_down"):
                 numbers.append(None)
                 continue
-            numbers.append(_parse_float(cell, column, line_no))
+            numbers.append(_parse_float(cell, column, path, line_no))
         try:
             units.append(_unit(unit_id, flex_class, *numbers))
         except ValueError as exc:

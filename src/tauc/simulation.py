@@ -10,15 +10,15 @@ difference between the two real-time outcomes is the value of the adaptive
 grid. A rolling run is one chain of days per mode: each day's real-time
 result hands the fleet, with its initial conditions set from the day's end,
 to the next day of the same mode, and the comparison joins the two chains by
-date. The modes share nothing within a day, so each day runs them side by
-side: TA on a worker thread, CH on the calling thread.
+date. The chains share nothing, so they run side by side, each to its
+end: TA on a worker thread, CH on the calling thread.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Callable, Iterator, TypeVar
@@ -86,28 +86,45 @@ class RealTimeResult:
 
 
 @dataclass(frozen=True)
+class ModeDay:
+    """One mode's outcome on one day: the real-time cost, the energy share
+    of each technology in percent, the wall seconds of the day-ahead and
+    real-time solves, and the shed demand and spilled wind plus solar energy
+    in MWh, all over the day's periods as the cost is."""
+
+    cost: float
+    shares: dict[str, float]
+    da_time: float
+    rt_time: float
+    shed_mwh: float
+    spill_mwh: float
+
+
+@dataclass(frozen=True)
 class ComparisonReport:
     """One day's outcome under both modes. A nonempty warning marks a day
-    that was skipped (costs, shed and spill are NaN then). da_time_* and
-    rt_time_* are the wall seconds of each mode's day-ahead and real-time
-    solves; shed_mwh_* and spill_mwh_* are each mode's shed demand and
-    spilled wind plus solar energy over the day's periods, as the cost is."""
+    that was skipped; ch and ta are None then, and c_ch, c_ta and delta_pct
+    read NaN."""
 
     date: str
-    c_ch: float
-    c_ta: float
-    delta_pct: float
-    shares_ch: dict[str, float]
-    shares_ta: dict[str, float]
-    da_time_ch: float
-    rt_time_ch: float
-    da_time_ta: float
-    rt_time_ta: float
-    shed_mwh_ch: float
-    spill_mwh_ch: float
-    shed_mwh_ta: float
-    spill_mwh_ta: float
+    ch: ModeDay | None = None
+    ta: ModeDay | None = None
     warning: str = ""
+
+    @property
+    def c_ch(self) -> float:
+        return math.nan if self.ch is None else self.ch.cost
+
+    @property
+    def c_ta(self) -> float:
+        return math.nan if self.ta is None else self.ta.cost
+
+    @property
+    def delta_pct(self) -> float:
+        """cost_delta of the day, 0.0 when the hourly cost is not positive."""
+        if self.ch is None or self.ta is None:
+            return math.nan
+        return cost_delta(self.c_ch, self.c_ta) if self.c_ch > 0 else 0.0
 
 
 def day_ahead_grid(
@@ -296,44 +313,25 @@ def run_one_mode(
     return plan, result
 
 
-def _report(
-    label: str,
-    system: PowerSystem,
-    ch: tuple[DayAheadPlan, RealTimeResult],
-    ta: tuple[DayAheadPlan, RealTimeResult],
-) -> ComparisonReport:
-    """One day's report from the (plan, real-time result) pair of each mode."""
-    (plan_ch, rt_ch), (plan_ta, rt_ta) = ch, ta
-    shed_ch, spill_ch = shed_and_spill(rt_ch)
-    shed_ta, spill_ta = shed_and_spill(rt_ta)
-    return ComparisonReport(
-        date=label,
-        c_ch=rt_ch.cost,
-        c_ta=rt_ta.cost,
-        delta_pct=cost_delta(rt_ch.cost, rt_ta.cost) if rt_ch.cost > 0 else 0.0,
-        shares_ch=generation_shares(rt_ch, system),
-        shares_ta=generation_shares(rt_ta, system),
-        da_time_ch=plan_ch.solve_time,
-        rt_time_ch=rt_ch.solve_time,
-        da_time_ta=plan_ta.solve_time,
-        rt_time_ta=rt_ta.solve_time,
-        shed_mwh_ch=shed_ch,
-        spill_mwh_ch=spill_ch,
-        shed_mwh_ta=shed_ta,
-        spill_mwh_ta=spill_ta,
-    )
+def _mode_day(system: PowerSystem, plan: DayAheadPlan, rt: RealTimeResult) -> ModeDay:
+    """One mode's day from its plan and real-time result. Raises ValueError
+    when the day served no energy, so its shares are undefined."""
+    shed, spill = shed_and_spill(rt)
+    return ModeDay(rt.cost, generation_shares(rt, system), plan.solve_time, rt.solve_time, shed, spill)
 
 
-def _side_by_side(worker: Executor, ch_step: Callable[[], T], ta_step: Callable[[], T]) -> tuple[T, T]:
-    """Run ta_step on the worker thread while ch_step runs on this one; return (ch, ta).
+def _side_by_side(ch_step: Callable[[], T], ta_step: Callable[[], T]) -> tuple[T, T]:
+    """Run ta_step on a worker thread while ch_step runs on this one; return (ch, ta).
 
-    The two modes share nothing within a day, and HiGHS releases the GIL
-    while it solves, so the two solves overlap. An exception from ta_step
-    propagates here; one from ch_step propagates once the caller's worker
-    has finished.
+    A step is one mode's day (compare_day) or one mode's whole chain
+    (run_rolling_horizon); neither waits for the other. The two modes share
+    nothing, and HiGHS releases the GIL while it solves, so the two modes'
+    solves overlap. An exception from either step propagates here once the
+    worker has finished.
     """
-    ta = worker.submit(ta_step)
-    ch = ch_step()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tauc-ta") as worker:
+        ta = worker.submit(ta_step)
+        ch = ch_step()
     return ch, ta.result()
 
 
@@ -347,24 +345,9 @@ def compare_day(
     """Run both modes on one window, side by side, and assemble the day's report."""
     steps = [functools.partial(run_one_mode, system, window, mode, features, config, day_label)
              for mode in MODES]
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tauc-ta") as worker:
-        ch, ta = _side_by_side(worker, *steps)
-    return _report(day_label, system, ch, ta), ch[1], ta[1]
-
-
-def _skipped_day(label: str, reason: str) -> ComparisonReport:
-    """The record of a day that could not be compared: no costs, only the reason."""
-    return ComparisonReport(
-        date=label,
-        c_ch=math.nan,
-        c_ta=math.nan,
-        delta_pct=math.nan,
-        shares_ch={},
-        shares_ta={},
-        da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
-        shed_mwh_ch=math.nan, spill_mwh_ch=math.nan, shed_mwh_ta=math.nan, spill_mwh_ta=math.nan,
-        warning=f"day skipped: {reason}",
-    )
+    ch, ta = _side_by_side(*steps)
+    report = ComparisonReport(day_label, _mode_day(system, *ch), _mode_day(system, *ta))
+    return report, ch[1], ta[1]
 
 
 def _parse_date(value) -> date | None:
@@ -449,6 +432,23 @@ def run_chain(
         system = dataclasses.replace(system, units=units)
 
 
+def _mode_days(
+    system: PowerSystem, chain: Iterator[tuple[str, tuple[DayAheadPlan, RealTimeResult] | str]]
+) -> list[tuple[str, ModeDay | str]]:
+    """Run one mode's chain to its end, keeping (label, ModeDay) for each
+    solved day and (label, reason) for each day that failed or served no
+    energy."""
+    days = []
+    for label, out in chain:
+        if not isinstance(out, str):
+            try:
+                out = _mode_day(system, *out)
+            except ValueError as exc:  # no energy served, so no shares
+                out = str(exc)
+        days.append((label, out))
+    return days
+
+
 def run_rolling_horizon(
     system: PowerSystem,
     trace: LoadedTrace,
@@ -460,32 +460,26 @@ def run_rolling_horizon(
 ) -> list[ComparisonReport]:
     """Compare both modes over every complete midnight-to-midnight day.
 
-    Each mode runs its own chain (see run_chain) and the reports join the
-    two chains by date, one day at a time: each day, the TA chain advances
-    on a worker thread while the CH chain advances on this one, so only one
-    day per mode is in memory. Days outside the requested date range are
-    left out; a day that fails in either mode, or a trace without one
-    complete day, gives a warning record instead of a result.
+    Each mode runs its own chain (see run_chain) to its end, the TA chain
+    on a worker thread while the CH chain runs on this one, and reduces
+    each day to a ModeDay as it comes. The reports then join the two
+    chains by date. Days outside the requested date range are left out; a
+    day that fails or serves no energy in either mode, or a trace without
+    one complete day, gives a warning record instead of a result.
     """
     if next(day_windows(trace, lookahead_hours), None) is None:
         first = _sample_date(trace, _first_midnight(trace))
-        return [_skipped_day(first.isoformat(), "trace shorter than one full day")]
+        return [ComparisonReport(first.isoformat(), warning="day skipped: trace shorter than one full day")]
     chains = [
         run_chain(system, trace, mode, lookahead_hours, features, config, start_date, end_date)
         for mode in MODES
     ]
-    steps = [functools.partial(next, chain, None) for chain in chains]
-    reports: list[ComparisonReport] = []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tauc-ta") as worker:
-        while None not in (days := _side_by_side(worker, *steps)):  # the chains end together
-            (label, ch), (_, ta) = days
-            failed = [f"{mode}: {out}" for mode, out in zip(MODES, (ch, ta)) if isinstance(out, str)]
-            if failed:
-                reports.append(_skipped_day(label, "; ".join(failed)))
-                continue
-            try:
-                reports.append(_report(label, system, ch, ta))
-            except ValueError as exc:  # no energy served, so no shares
-                reports.append(_skipped_day(label, str(exc)))
+    ch_days, ta_days = _side_by_side(*(functools.partial(_mode_days, system, chain) for chain in chains))
+    reports = []
+    for (label, ch), (_, ta) in zip(ch_days, ta_days, strict=True):  # both chains walk the same days
+        failed = [f"{mode}: {out}" for mode, out in zip(MODES, (ch, ta)) if isinstance(out, str)]
+        if failed:
+            reports.append(ComparisonReport(label, warning="day skipped: " + "; ".join(failed)))
+        else:
+            reports.append(ComparisonReport(label, ch, ta))
     return reports
-

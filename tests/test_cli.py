@@ -230,12 +230,7 @@ def test_reports_render_as_csv(tmp_path):
     trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, tzinfo=timezone.utc))
     reports = simulation.run_rolling_horizon(system, trace, lookahead_hours=4.0)
     reports.append(
-        simulation.ComparisonReport(
-            date="2023-06-03", c_ch=math.nan, c_ta=math.nan, delta_pct=math.nan,
-            shares_ch={}, shares_ta={}, da_time_ch=0.0, rt_time_ch=0.0, da_time_ta=0.0, rt_time_ta=0.0,
-            shed_mwh_ch=math.nan, spill_mwh_ch=math.nan, shed_mwh_ta=math.nan, spill_mwh_ta=math.nan,
-            warning="day skipped: no data",
-        )
+        simulation.ComparisonReport("2023-06-03", warning="day skipped: no data")
     )
     cli._write_csv(tmp_path / "comparison.csv", cli.CSV_COLUMNS, cli._comparison_rows(reports))
     text = (tmp_path / "comparison.csv").read_text()
@@ -252,10 +247,10 @@ def test_reports_render_as_csv(tmp_path):
     assert first[0] == "2023-06-01"
     assert float(first[1]) == pytest.approx(reports[0].c_ch, abs=0.01)
     rep = reports[0]
-    times = (rep.da_time_ch, rep.rt_time_ch, rep.da_time_ta, rep.rt_time_ta)
+    times = (rep.ch.da_time, rep.ch.rt_time, rep.ta.da_time, rep.ta.rt_time)
     assert min(times) > 0.0
     assert first[-8:-4] == [f"{t:.3f}" for t in times]
-    energies = (rep.shed_mwh_ch, rep.spill_mwh_ch, rep.shed_mwh_ta, rep.spill_mwh_ta)
+    energies = (rep.ch.shed_mwh, rep.ch.spill_mwh, rep.ta.shed_mwh, rep.ta.spill_mwh)
     assert first[-4:] == [f"{e:.3f}" for e in energies]
 
 

@@ -110,6 +110,26 @@ def test_load_rejects_gap_in_timestamps(tmp_path):
         load_timeseries(path, step_minutes=60)
 
 
+def test_trace_row_errors_name_the_real_line_past_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    head = (
+        "timestamp,demand_mw,wind_cf,solar_cf\n"
+        "2023-01-01T00:00:00Z,100,0,0\n"
+        "2023-01-01T01:00:00Z,100,0,0\n"
+        "\n"
+        "\n"
+    )
+    cases = (
+        ("2023-01-01T03:00:00Z,100,0,0", "line 6: expected timestamp 2023-01-01T02:00:00Z, got 2023-01-01T03:00:00Z"),
+        ("yesterday,100,0,0", "line 6: cannot parse timestamp 'yesterday'"),
+    )
+    for row, message in cases:
+        path.write_text(f"{head}{row}\n")
+        with pytest.raises(ValueError) as err:
+            load_timeseries(path, step_minutes=60)
+        assert str(err.value) == f"{path} {message}"
+
+
 def test_load_rejects_unparseable_number(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(
@@ -246,13 +266,18 @@ def test_portfolio_csv_rejects_negative_marginal_cost(tmp_path):
     (PORTFOLIO_HEADER, "a1,base,100,250,12.5,600,80,80,6,6", build_portfolio),
 ])
 def test_trace_and_portfolio_csvs_follow_one_set_of_rules(tmp_path, header, good_row, load):
-    """An empty file, a wrong header and a row with the wrong field count
-    raise the same errors for both inputs; blank lines are skipped but counted."""
+    """An empty file, a wrong header, a row with the wrong field count and a
+    field that is not a number raise the same errors for both inputs; blank
+    lines are skipped but counted."""
     path = tmp_path / "input.csv"
+    fields = good_row.split(",")
+    k = fields.index("100")
+    bad_row = ",".join(fields[:k] + ["x"] + fields[k + 1:])
     cases = (
         ("", f"{path}: file is empty"),
         (f"a,b\n{good_row}\n", f"{path} line 1: header must be {','.join(header)}, got a,b"),
         (f"{','.join(header)}\n{good_row}\n\n1,2\n", f"{path} line 4: expected {len(header)} fields, got 2"),
+        (f"{','.join(header)}\n\n{bad_row}\n", f"{path} line 3: {header[k]} value 'x' is not a number"),
     )
     for text, message in cases:
         path.write_text(text)

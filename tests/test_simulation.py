@@ -353,7 +353,7 @@ def test_two_identical_flat_days_give_identical_reports():
     first, second = reports
     assert second.c_ch == pytest.approx(first.c_ch, rel=1e-9)
     assert second.c_ta == pytest.approx(first.c_ta, rel=1e-9)
-    assert second.shares_ch == pytest.approx(first.shares_ch)
+    assert second.ch.shares == pytest.approx(first.ch.shares)
 
 
 def test_rolling_aligns_to_midnight_and_truncates_lookahead():
@@ -406,6 +406,27 @@ def test_rolling_date_filter_and_short_trace_warning():
     warn = run_rolling_horizon(system, short, lookahead_hours=0.0)
     assert len(warn) == 1 and warn[0].warning
     assert math.isnan(warn[0].c_ch)
+
+
+def test_a_day_without_energy_is_skipped_in_both_modes_and_the_chains_go_on():
+    system, _ = illustrative_case()
+    served = HiResSeries(demand=np.full(24, 500.0), wind_cf=np.zeros(24), solar_cf=np.zeros(24), step_minutes=60)
+    idle = dataclasses.replace(served, demand=np.zeros(24))
+    days = (served, idle, served)
+    series = HiResSeries(
+        *(np.concatenate([getattr(d, name) for d in days]) for name in ("demand", "wind_cf", "solar_cf")),
+        step_minutes=60,
+    )
+    reports = run_rolling_horizon(system, make_trace(series, datetime(2023, 6, 1, tzinfo=timezone.utc)), 0.0)
+    assert [r.date for r in reports] == ["2023-06-01", "2023-06-02", "2023-06-03"]
+    first, skipped, third = reports
+    assert skipped.warning == (
+        "day skipped: CH: no energy served; shares are undefined; TA: no energy served; shares are undefined"
+    )
+    assert skipped.ch is None and skipped.ta is None and math.isnan(skipped.delta_pct)
+    for report in (first, third):
+        assert not report.warning
+        assert (f"{report.c_ch:.2f}", f"{report.c_ta:.2f}", report.delta_pct) == ("168000.00", "168000.00", 0.0)
 
 
 def test_duck_day_favors_the_adaptive_grid():
@@ -509,7 +530,7 @@ def test_rolling_run_equals_a_sequential_join_of_the_two_chains():
         assert label_ta == label
         expected.append((label, rt_ch.cost, rt_ta.cost, cost_delta(rt_ch.cost, rt_ta.cost),
                          generation_shares(rt_ch, system), generation_shares(rt_ta, system), ""))
-    got = [(r.date, r.c_ch, r.c_ta, r.delta_pct, r.shares_ch, r.shares_ta, r.warning) for r in reports]
+    got = [(r.date, r.c_ch, r.c_ta, r.delta_pct, r.ch.shares, r.ta.shares, r.warning) for r in reports]
     assert [r[0] for r in got] == WEEK
     assert got == expected  # every field but the solve times
 
