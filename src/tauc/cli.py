@@ -24,7 +24,7 @@ from .ingestion import (
     load_scenario,
     load_timeseries,
 )
-from .model import PowerSystem
+from .model import PowerSystem, Schedule
 from .simulation import (
     MODE_CH,
     MODE_TA,
@@ -32,7 +32,6 @@ from .simulation import (
     TECHNOLOGIES,
     ComparisonReport,
     DayAheadPlan,
-    RealTimeResult,
     cost_delta,
     day_windows,
     run_day_ahead,
@@ -132,8 +131,9 @@ def cmd_cluster(args) -> int:
 
 
 def _write_plan(path: Path, system: PowerSystem, plan: DayAheadPlan) -> None:
+    sched = plan.schedule
     _write_csv(path, ["period", "duration_h", "unit_id", "commit", "dispatch_mw"],
-               ([k, f"{dur:g}", unit.unit_id, int(plan.commitment[i, k - 1]), f"{plan.dispatch[i, k - 1]:.3f}"]
+               ([k, f"{dur:g}", unit.unit_id, int(sched.commitment[i, k - 1]), f"{sched.dispatch[i, k - 1]:.3f}"]
                 for k, dur in enumerate(plan.grid.durations, start=1)
                 for i, unit in enumerate(system.units)))
 
@@ -142,9 +142,9 @@ def cmd_plan(args) -> int:
     config = _effective(load_scenario(args.config), args)
     trace = _scaled_trace(config)
     system = _system_for(config, trace)
-    first = next(day_windows(trace, config.lookahead_hours), None)
+    first = next(day_windows(trace, config.lookahead_hours, config.start_date, config.end_date), None)
     if first is None:
-        raise ValueError("trace does not contain one complete midnight-to-midnight day")
+        raise ValueError("trace does not contain one complete midnight-to-midnight day in the date range")
     day, window = first
     out = _out_dir(args)
     modes = {"ch": [MODE_CH], "ta": [MODE_TA], "both": [MODE_CH, MODE_TA]}[args.mode]
@@ -184,18 +184,12 @@ def _summary_counts(reports: list[ComparisonReport]) -> dict[str, float]:
     }
 
 
-def _summary_row(summary: dict[str, float]) -> list:
+_SUMMARY_FORMATS = {"c_ch_total": ".2f", "c_ta_total": ".2f", "delta_pct": ".4f"}
+
+
+def _summary_row(summary: dict[str, float]) -> list[str]:
     """One row under SUMMARY_COLUMNS, formatted as summary.csv and sweep_summary.csv carry it."""
-    return [
-        summary["days"],
-        f"{summary['c_ch_total']:.2f}",
-        f"{summary['c_ta_total']:.2f}",
-        f"{summary['delta_pct']:.4f}",
-        summary["n_ta_lt_ch"],
-        summary["n_ta_eq_ch"],
-        summary["n_ta_gt_ch"],
-        summary["n_skipped"],
-    ]
+    return [format(summary[name], _SUMMARY_FORMATS.get(name, "")) for name in SUMMARY_COLUMNS]
 
 
 def _comparison_rows(reports: list[ComparisonReport]):
@@ -265,37 +259,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _class_row(system: PowerSystem, matrix: np.ndarray, flex: str, col: int) -> float:
-    return float(
-        sum(matrix[i, col] for i, u in enumerate(system.units) if u.flex_class == flex)
-    )
-
-
-def _plan_block(title: str, system: PowerSystem, plan: DayAheadPlan) -> list[str]:
-    lines = [title, "  period  dur_h   base_mw  medium_mw  peak_mw"]
-    for k, dur in enumerate(plan.grid.durations):
+def _schedule_block(title: str, system: PowerSystem, durations, schedule: Schedule) -> list[str]:
+    """A schedule as a table, one row per period of the given durations:
+    thermal output by flexibility class, solar, shed and spilled wind plus
+    solar, all in MW."""
+    flex = np.array([unit.flex_class for unit in system.units])
+    base, medium, peak = (schedule.dispatch[flex == c].sum(axis=0) for c in ("base", "medium", "peak"))
+    spill = schedule.solar_spill + schedule.wind_spill
+    lines = [title, "  period  dur_h   base_mw  medium_mw  peak_mw  solar_mw  shed_mw  spill_mw"]
+    for t, dur in enumerate(durations):
         lines.append(
-            f"  {k + 1:>6}  {dur:5.1f}  {_class_row(system, plan.dispatch, 'base', k):8.1f}"
-            f"  {_class_row(system, plan.dispatch, 'medium', k):9.1f}"
-            f"  {_class_row(system, plan.dispatch, 'peak', k):7.1f}"
-        )
-    return lines
-
-
-def _operation_block(title: str, system: PowerSystem, rt: RealTimeResult) -> list[str]:
-    lines = [
-        title,
-        "  period  dur_h   base_mw  medium_mw  peak_mw  solar_mw  shed_mw  spill_mw",
-    ]
-    dur = rt.step_minutes / 60.0
-    sched = rt.schedule
-    for t in range(len(sched.shed)):
-        lines.append(
-            f"  {t + 1:>6}  {dur:5.1f}  {_class_row(system, sched.dispatch, 'base', t):8.1f}"
-            f"  {_class_row(system, sched.dispatch, 'medium', t):9.1f}"
-            f"  {_class_row(system, sched.dispatch, 'peak', t):7.1f}"
-            f"  {sched.p_solar[t]:8.1f}  {sched.shed[t]:7.1f}"
-            f"  {sched.solar_spill[t] + sched.wind_spill[t]:8.1f}"
+            f"  {t + 1:>6}  {dur:5.1f}  {base[t]:8.1f}  {medium[t]:9.1f}  {peak[t]:7.1f}"
+            f"  {schedule.p_solar[t]:8.1f}  {schedule.shed[t]:7.1f}  {spill[t]:8.1f}"
         )
     return lines
 
@@ -307,9 +282,10 @@ def cmd_reproduce_example(args) -> int:
     for mode, name in ((MODE_CH, "Hourly"), (MODE_TA, "Adaptive")):
         plan, rt = run_one_mode(system, series, mode, label="example")
         results[mode] = rt
-        lines.extend(_plan_block(f"{name} day-ahead plan:", system, plan))
+        lines.extend(_schedule_block(f"{name} day-ahead plan:", system, plan.grid.durations, plan.schedule))
         lines.append("")
-        lines.extend(_operation_block(f"{name} real-time operation:", system, rt))
+        rt_durations = np.full(len(rt.schedule.shed), rt.step_minutes / 60.0)
+        lines.extend(_schedule_block(f"{name} real-time operation:", system, rt_durations, rt.schedule))
         lines.append("")
     c_ch = results[MODE_CH].cost
     c_ta = results[MODE_TA].cost

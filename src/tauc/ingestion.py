@@ -172,36 +172,29 @@ def default_shed_cost(portfolio: str) -> float:
     return 10000.0
 
 
-def _unit(
-    unit_id: str,
-    flex_class: str,
-    pmin: float,
-    pmax: float,
-    marginal_cost: float,
-    startup_cost: float = 0.0,
-    ramp_up: float | None = None,
-    ramp_down: float | None = None,
-    min_up: float = 0.0,
-    min_down: float = 0.0,
-) -> ThermalUnit:
-    """A generator from the PORTFOLIO_HEADER columns, in its initial state:
-    base units start the horizon online at minimum, everything else cold,
-    each having held its state for 24 h."""
-    online = flex_class == "base"
-    return ThermalUnit(
-        unit_id=unit_id,
-        flex_class=flex_class,
-        pmin=pmin,
-        pmax=pmax,
-        marginal_cost=marginal_cost,
-        startup_cost=startup_cost,
-        ramp_up=ramp_up,
-        ramp_down=ramp_down,
-        min_up=min_up,
-        min_down=min_down,
-        u0=int(online),
-        p0=pmin if online else 0.0,
-    )
+PORTFOLIO_HEADER = (
+    "unit_id",
+    "flex_class",
+    "pmin",
+    "pmax",
+    "marginal_cost",
+    "startup_cost",
+    "ramp_up",
+    "ramp_down",
+    "min_up",
+    "min_down",
+)
+
+
+def _unit(*values) -> ThermalUnit:
+    """A generator from its values in PORTFOLIO_HEADER order, which are
+    ThermalUnit fields; trailing values left out take the ThermalUnit
+    defaults. The initial state is added: base units start the horizon
+    online at minimum, everything else cold, each having held its state
+    for 24 h."""
+    fields = dict(zip(PORTFOLIO_HEADER, values))
+    online = fields["flex_class"] == "base"
+    return ThermalUnit(**fields, u0=int(online), p0=fields["pmin"] if online else 0.0)
 
 
 def _example6() -> tuple[ThermalUnit, ...]:
@@ -256,20 +249,6 @@ def _spanish70() -> tuple[ThermalUnit, ...]:
             )
             index += 1
     return tuple(units)
-
-
-PORTFOLIO_HEADER = (
-    "unit_id",
-    "flex_class",
-    "pmin",
-    "pmax",
-    "marginal_cost",
-    "startup_cost",
-    "ramp_up",
-    "ramp_down",
-    "min_up",
-    "min_down",
-)
 
 
 def _read_portfolio_csv(path: Path) -> tuple[ThermalUnit, ...]:
@@ -399,8 +378,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"features must be one of {FEATURE_SELECTORS}, got {self.features!r}"
             )
-        if self.lookahead_hours < 0:
-            raise ValueError("lookahead_hours must be nonnegative")
+        if self.lookahead_hours < 0 or self.lookahead_hours % 1:
+            raise ValueError(
+                f"lookahead_hours must be a nonnegative whole number of hours, got {self.lookahead_hours}"
+            )
         self.solver_config()  # checks gap and time_limit
         if self.shed_cost is not None and self.shed_cost <= 0:
             raise ValueError("shed_cost must be positive or None")

@@ -58,12 +58,12 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class DayAheadPlan:
-    """Commitment and dispatch solved on a reduced grid."""
+    """One mode's day-ahead Schedule, solved on its reduced grid: column k
+    of each schedule array is period k+1 of the grid."""
 
     mode: str
     grid: TimeGrid
-    commitment: np.ndarray
-    dispatch: np.ndarray
+    schedule: Schedule
     objective: float
     solve_time: float
 
@@ -164,14 +164,7 @@ def run_day_ahead(
     if result.status != "optimal":
         raise RuntimeError(f"day-ahead {mode} solve for {label} ended {result.status}: {result.message}")
     schedule = extract_schedule(system, periods, result.x)
-    return DayAheadPlan(
-        mode=mode,
-        grid=grid,
-        commitment=schedule.commitment,
-        dispatch=schedule.dispatch,
-        objective=result.objective,
-        solve_time=result.wall_time,
-    )
+    return DayAheadPlan(mode, grid, schedule, result.objective, result.wall_time)
 
 
 def fix_from_plan(
@@ -189,8 +182,8 @@ def fix_from_plan(
     owner = owner[:n_hi_periods]
     flex = np.array([unit.flex_class for unit in units])[:, None]
     return Fixings(
-        commitment=np.where(flex != "peak", plan.commitment[:, owner], np.nan),
-        dispatch=np.where(flex == "base", plan.dispatch[:, owner], np.nan),
+        commitment=np.where(flex != "peak", plan.schedule.commitment[:, owner], np.nan),
+        dispatch=np.where(flex == "base", plan.schedule.dispatch[:, owner], np.nan),
     )
 
 
@@ -358,35 +351,45 @@ def _parse_date(value) -> date | None:
 
 def _first_midnight(trace: LoadedTrace) -> int:
     """Index of the first sample that falls on a midnight."""
-    step = trace.series.step_minutes
+    step = timedelta(minutes=trace.series.step_minutes)
     start = trace.start
-    offset_hours = start.hour + start.minute / 60.0 + start.second / 3600.0
-    skip = ((24.0 - offset_hours) % 24.0) * (60 // step)
-    if abs(skip - round(skip)) > 1e-9:
+    midnight = start.replace(hour=0, minute=0, second=0, microsecond=0)
+    skip, rest = divmod((midnight - start) % timedelta(days=1), step)
+    if rest:
         raise ValueError(
-            f"trace starts {offset_hours} h past midnight, which the "
-            f"{step}-minute step cannot align to a day boundary"
+            f"trace starts {start - midnight} past midnight, which the "
+            f"{trace.series.step_minutes}-minute step cannot align to a day boundary"
         )
-    return int(round(skip))
+    return skip
 
 
 def _sample_date(trace: LoadedTrace, index: int) -> date:
     return (trace.start + timedelta(minutes=index * trace.series.step_minutes)).date()
 
 
-def day_windows(trace: LoadedTrace, lookahead_hours: float) -> Iterator[tuple[date, HiResSeries]]:
-    """Yield (date, window) for each complete midnight-to-midnight day of a trace.
+def day_windows(
+    trace: LoadedTrace, lookahead_hours: float, start_date=None, end_date=None
+) -> Iterator[tuple[date, HiResSeries]]:
+    """Yield (date, window) for each complete midnight-to-midnight day of a
+    trace from start_date to end_date (dates or ISO strings, inclusive;
+    None leaves that end open).
 
     A window is the day's 24 hours plus a look-ahead tail of lookahead_hours,
-    truncated to whole hours where the trace ends first.
+    which must be whole hours, truncated to whole hours where the trace ends
+    first.
     """
-    if lookahead_hours < 0:
-        raise ValueError("lookahead_hours must be nonnegative")
+    if lookahead_hours < 0 or lookahead_hours % 1:
+        raise ValueError(f"lookahead_hours must be a nonnegative whole number of hours, got {lookahead_hours}")
+    lo_date = _parse_date(start_date)
+    hi_date = _parse_date(end_date)
     series = trace.series
     per_hour = 60 // series.step_minutes
     per_day = 24 * per_hour
-    lookahead = int(round(lookahead_hours * per_hour))
+    lookahead = int(lookahead_hours) * per_hour
     for start in range(_first_midnight(trace), series.n_points - per_day + 1, per_day):
+        day = _sample_date(trace, start)
+        if (lo_date is not None and day < lo_date) or (hi_date is not None and day > hi_date):
+            continue
         tail = min(lookahead, series.n_points - start - per_day)
         stop = start + per_day + tail - tail % per_hour
         window = HiResSeries(
@@ -395,7 +398,7 @@ def day_windows(trace: LoadedTrace, lookahead_hours: float) -> Iterator[tuple[da
             solar_cf=series.solar_cf[start:stop],
             step_minutes=series.step_minutes,
         )
-        yield _sample_date(trace, start), window
+        yield day, window
 
 
 def run_chain(
@@ -415,11 +418,7 @@ def run_chain(
     to the following day; after a failed day the units keep their commitment
     and output, with their clocks at the 24 h cap.
     """
-    lo_date = _parse_date(start_date)
-    hi_date = _parse_date(end_date)
-    for day, window in day_windows(trace, lookahead_hours):
-        if (lo_date is not None and day < lo_date) or (hi_date is not None and day > hi_date):
-            continue
+    for day, window in day_windows(trace, lookahead_hours, start_date, end_date):
         label = day.isoformat()
         try:
             plan, rt = run_one_mode(system, window, mode, features, config, label)

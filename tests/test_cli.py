@@ -190,6 +190,7 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
         ("lookahead_hours", None),
         ("time_limit", 0),
         ("lookahead_hours", math.inf),
+        ("lookahead_hours", 8.5),
     ],
 )
 def test_config_value_of_wrong_type_or_range_exits_two(tmp_path, capsys, key, value):
@@ -343,8 +344,6 @@ def test_plan_plans_the_first_rolling_window(tmp_path, capsys, monkeypatch):
     )
     trace = tmp_path / "trace.csv"
     write_timeseries(trace, series, datetime(2023, 5, 31, 18, tzinfo=timezone.utc))
-    cfg = write_config(tmp_path / "s.json", trace, lookahead_hours=8.0)
-
     first_plans = {}
     run_day_ahead = simulation.run_day_ahead
 
@@ -354,14 +353,19 @@ def test_plan_plans_the_first_rolling_window(tmp_path, capsys, monkeypatch):
         return plan
 
     monkeypatch.setattr(simulation, "run_day_ahead", recording)
-    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
-    capsys.readouterr()
-    assert cli.main(["plan", "--config", str(cfg), "--out", str(tmp_path / "plan")]) == 0
-    out = capsys.readouterr().out
-    for mode in (simulation.MODE_CH, simulation.MODE_TA):
-        plan = first_plans[mode]
-        assert plan.grid.n_periods == 32  # 24 hours plus the full 8-hour look-ahead
-        assert f"{mode}: 32 periods, objective {plan.objective:.2f}," in out
+    # the whole trace: 24 hours plus the full 8-hour look-ahead; from the
+    # second day on: 24 hours plus the 2 hours left of the trace
+    for start_date, n_periods in ((None, 32), ("2023-06-02", 26)):
+        cfg = write_config(tmp_path / "s.json", trace, lookahead_hours=8.0, start_date=start_date)
+        first_plans.clear()
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+        capsys.readouterr()
+        assert cli.main(["plan", "--config", str(cfg), "--out", str(tmp_path / "plan")]) == 0
+        out = capsys.readouterr().out
+        for mode in (simulation.MODE_CH, simulation.MODE_TA):
+            plan = first_plans[mode]
+            assert plan.grid.n_periods == n_periods
+            assert f"{mode}: {n_periods} periods, objective {plan.objective:.2f}," in out
 
 
 def test_plan_on_a_trace_shorter_than_one_day_exits_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for trace loading, fleet sizing, portfolios and scenario configs."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 from datetime import datetime, timezone
@@ -12,6 +13,7 @@ from helpers import scenario_to_json
 from tauc.aggregation import HiResSeries
 from tauc.ingestion import (
     PORTFOLIO_HEADER,
+    PORTFOLIO_IDS,
     TRACE_HEADER,
     ScenarioConfig,
     build_portfolio,
@@ -236,6 +238,23 @@ def test_portfolio_csv_round_trip(tmp_path):
     assert units[0].unit_id == "a1" and units[0].marginal_cost == 12.5
     assert units[0].u0 == 1 and units[0].p0 == 100.0
     assert units[1].ramp_up is None and units[1].u0 == 0
+
+
+def test_every_builtin_fleet_reads_back_from_a_portfolio_csv(tmp_path):
+    """The built-in fleets and a portfolio CSV go through one schema: each
+    fleet written under PORTFOLIO_HEADER, an empty cell for no ramp limit,
+    reads back as the same units, initial state included."""
+    n_units = 0
+    for portfolio in PORTFOLIO_IDS:
+        units = build_portfolio(portfolio)
+        path = tmp_path / f"{portfolio}.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)  # writes None as an empty cell and floats exactly
+            writer.writerow(PORTFOLIO_HEADER)
+            writer.writerows([getattr(u, name) for name in PORTFOLIO_HEADER] for u in units)
+        assert build_portfolio(path) == units
+        n_units += len(units)
+    assert n_units == 89
 
 
 def test_portfolio_csv_reports_bad_row_line(tmp_path):

@@ -54,16 +54,16 @@ def test_hourly_day_ahead_plan_matches_published_tables():
     system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_CH)
     np.testing.assert_allclose(
-        class_totals(system, plan.dispatch, "base"), [200.0, 200.0, 600.0], atol=1e-6
+        class_totals(system, plan.schedule.dispatch, "base"), [200.0, 200.0, 600.0], atol=1e-6
     )
     np.testing.assert_allclose(
-        class_totals(system, plan.dispatch, "medium"), [0.0, 0.0, 50.0], atol=1e-6
+        class_totals(system, plan.schedule.dispatch, "medium"), [0.0, 0.0, 50.0], atol=1e-6
     )
     np.testing.assert_allclose(
-        class_totals(system, plan.dispatch, "peak"), [0.0, 0.0, 0.0], atol=1e-6
+        class_totals(system, plan.schedule.dispatch, "peak"), [0.0, 0.0, 0.0], atol=1e-6
     )
     np.testing.assert_array_equal(
-        class_totals(system, plan.commitment, "base"), [1, 1, 3]
+        class_totals(system, plan.schedule.commitment, "base"), [1, 1, 3]
     )
 
 
@@ -71,10 +71,10 @@ def test_adaptive_day_ahead_plan_matches_published_tables():
     system, series = illustrative_case()
     plan = run_day_ahead(system, series, MODE_TA)
     np.testing.assert_allclose(
-        class_totals(system, plan.dispatch, "base"), [200.0, 400.0, 800.0], atol=1e-6
+        class_totals(system, plan.schedule.dispatch, "base"), [200.0, 400.0, 800.0], atol=1e-6
     )
     np.testing.assert_allclose(
-        class_totals(system, plan.dispatch, "medium"), [0.0, 50.0, 50.0], atol=1e-6
+        class_totals(system, plan.schedule.dispatch, "medium"), [0.0, 50.0, 50.0], atol=1e-6
     )
     assert plan.objective == pytest.approx(11500.0, abs=1e-5)
 
@@ -290,9 +290,9 @@ def test_an_uncommitted_unit_dispatches_exactly_zero():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "milp", noisy_milp)
         plan = run_day_ahead(system, series, MODE_CH)
-    off = plan.commitment == 0
+    off = plan.schedule.commitment == 0
     assert off[[i for i, u in enumerate(system.units) if u.flex_class == "base"]].any()
-    assert np.all(plan.dispatch[off] == 0.0)
+    assert np.all(plan.schedule.dispatch[off] == 0.0)
     fixings = fix_from_plan(plan, system.units, series.n_points)
     model = build_uc_model(system, reduce_series(series, singleton_grid(series.n_points, series.step_minutes)), fixings)
     base_off = (fixings.commitment == 0) & ~np.isnan(fixings.dispatch)
@@ -313,8 +313,8 @@ def test_fix_from_plan_copies_each_plan_period_onto_its_members():
             for t in range(a, min(b, 5)):
                 on = fixings.commitment[i, t]
                 p = fixings.dispatch[i, t]
-                assert math.isnan(on) if unit.flex_class == "peak" else on == plan.commitment[i, k]
-                assert p == plan.dispatch[i, k] if unit.flex_class == "base" else math.isnan(p)
+                assert math.isnan(on) if unit.flex_class == "peak" else on == plan.schedule.commitment[i, k]
+                assert p == plan.schedule.dispatch[i, k] if unit.flex_class == "base" else math.isnan(p)
 
 
 def test_fixings_must_cover_the_window():
@@ -381,10 +381,22 @@ def test_rolling_aligns_to_midnight_and_truncates_lookahead():
 
 
 def test_day_windows_reject_a_start_off_the_step_grid():
-    day = flat_day_series(step_minutes=10)
-    trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, 0, 7, tzinfo=timezone.utc))
-    with pytest.raises(ValueError, match="cannot align to a day boundary"):
-        next(simulation.day_windows(trace, 0.0))
+    # 7 minutes past midnight, and half a second past it, off any step
+    for step, start, offset in ((10, datetime(2023, 6, 1, 0, 7), "0:07:00"),
+                                (30, datetime(2023, 6, 1, 0, 0, 0, 500000), "0:00:00.500000")):
+        day = flat_day_series(step_minutes=step)
+        trace = make_trace(repeat_days(day, 2), start.replace(tzinfo=timezone.utc))
+        with pytest.raises(ValueError, match=f"starts {offset} past midnight, .* cannot align to a day boundary"):
+            next(simulation.day_windows(trace, 0.0))
+
+
+def test_day_windows_reject_a_lookahead_that_is_not_whole_hours():
+    day = flat_day_series(step_minutes=30)
+    trace = make_trace(repeat_days(day, 2), datetime(2023, 6, 1, tzinfo=timezone.utc))
+    for hours in (8.5, 0.5):
+        with pytest.raises(ValueError, match=f"whole number of hours, got {hours}"):
+            next(simulation.day_windows(trace, hours))
+    assert [w.n_points for _, w in simulation.day_windows(trace, 8.0)] == [48 + 16, 48]
 
 
 def test_rolling_date_filter_and_short_trace_warning():
@@ -591,6 +603,6 @@ def test_dispatch_returned_a_hair_below_its_bound_is_snapped_and_the_day_solved(
     )
     series = flat_day_series(step_minutes=60, hours=24.0, demand=500.0)
     plan = run_day_ahead(system, series, MODE_CH)
-    assert np.all(plan.dispatch[0] == 0.0)  # the base unit is too dear to run
+    assert np.all(plan.schedule.dispatch[0] == 0.0)  # the base unit is too dear to run
     reports = run_rolling_horizon(system, make_trace(series, datetime(2023, 6, 5, tzinfo=timezone.utc)), 0.0)
     assert [(r.date, r.warning) for r in reports] == [("2023-06-05", "")]
