@@ -15,7 +15,9 @@ import numpy as np
 
 ALLOWED_STEPS = (5, 10, 30, 60)
 
-FEATURE_SELECTORS = ("net_demand_only", "demand_wind_solar")
+# the columns normalize_features returns under each selector
+FEATURE_COLUMNS = {"net_demand_only": ("net_demand",), "demand_wind_solar": ("demand", "wind_cf", "solar_cf")}
+FEATURE_SELECTORS = tuple(FEATURE_COLUMNS)
 
 
 @dataclass(frozen=True)

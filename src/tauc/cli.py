@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import cluster_adjacent, normalize_features
+from .aggregation import FEATURE_COLUMNS, cluster_adjacent, normalize_features
 from .ingestion import (
     LoadedTrace,
     ScenarioConfig,
@@ -120,10 +120,7 @@ def cmd_cluster(args) -> int:
     _write_csv(out / "durations.csv", ["period", "start_sample", "stop_sample", "duration_h"],
                ([k, a, b, f"{dur:g}"]
                 for k, ((a, b), dur) in enumerate(zip(grid.cluster_bounds, grid.durations), start=1)))
-    feature_names = (
-        ["net_demand"] if config.features == "net_demand_only" else ["demand", "wind_cf", "solar_cf"]
-    )
-    _write_csv(out / "centroids.csv", ["period"] + feature_names,
+    _write_csv(out / "centroids.csv", ("period",) + FEATURE_COLUMNS[config.features],
                ([k] + [f"{v:.6f}" for v in feats[a:b].mean(axis=0)]
                 for k, (a, b) in enumerate(grid.cluster_bounds, start=1)))
     print(f"wrote {len(grid.cluster_bounds)} periods to {out / 'durations.csv'}")
@@ -134,7 +131,7 @@ def _write_plan(path: Path, system: PowerSystem, plan: DayAheadPlan) -> None:
     sched = plan.schedule
     _write_csv(path, ["period", "duration_h", "unit_id", "commit", "dispatch_mw"],
                ([k, f"{dur:g}", unit.unit_id, int(sched.commitment[i, k - 1]), f"{sched.dispatch[i, k - 1]:.3f}"]
-                for k, dur in enumerate(plan.grid.durations, start=1)
+                for k, dur in enumerate(sched.duration_h, start=1)
                 for i, unit in enumerate(system.units)))
 
 
@@ -259,15 +256,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _schedule_block(title: str, system: PowerSystem, durations, schedule: Schedule) -> list[str]:
-    """A schedule as a table, one row per period of the given durations:
-    thermal output by flexibility class, solar, shed and spilled wind plus
-    solar, all in MW."""
+def _schedule_block(title: str, system: PowerSystem, schedule: Schedule) -> list[str]:
+    """A schedule as a table, one row per period: its duration, thermal
+    output by flexibility class, solar, shed and spilled wind plus solar,
+    all in MW."""
     flex = np.array([unit.flex_class for unit in system.units])
     base, medium, peak = (schedule.dispatch[flex == c].sum(axis=0) for c in ("base", "medium", "peak"))
     spill = schedule.solar_spill + schedule.wind_spill
     lines = [title, "  period  dur_h   base_mw  medium_mw  peak_mw  solar_mw  shed_mw  spill_mw"]
-    for t, dur in enumerate(durations):
+    for t, dur in enumerate(schedule.duration_h):
         lines.append(
             f"  {t + 1:>6}  {dur:5.1f}  {base[t]:8.1f}  {medium[t]:9.1f}  {peak[t]:7.1f}"
             f"  {schedule.p_solar[t]:8.1f}  {schedule.shed[t]:7.1f}  {spill[t]:8.1f}"
@@ -282,10 +279,9 @@ def cmd_reproduce_example(args) -> int:
     for mode, name in ((MODE_CH, "Hourly"), (MODE_TA, "Adaptive")):
         plan, rt = run_one_mode(system, series, mode, label="example")
         results[mode] = rt
-        lines.extend(_schedule_block(f"{name} day-ahead plan:", system, plan.grid.durations, plan.schedule))
+        lines.extend(_schedule_block(f"{name} day-ahead plan:", system, plan.schedule))
         lines.append("")
-        rt_durations = np.full(len(rt.schedule.shed), rt.step_minutes / 60.0)
-        lines.extend(_schedule_block(f"{name} real-time operation:", system, rt_durations, rt.schedule))
+        lines.extend(_schedule_block(f"{name} real-time operation:", system, rt.schedule))
         lines.append("")
     c_ch = results[MODE_CH].cost
     c_ta = results[MODE_TA].cost

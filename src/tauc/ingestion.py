@@ -53,6 +53,11 @@ def _parse_timestamp(raw: str, path: Path, line_no: int) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
+def _format_timestamp(stamp: datetime) -> str:
+    """A UTC stamp as ISO 8601 with a Z, with its microseconds when it has any."""
+    return f"{stamp:%Y-%m-%dT%H:%M:%S.%fZ}" if stamp.microsecond else f"{stamp:%Y-%m-%dT%H:%M:%SZ}"
+
+
 def _parse_float(raw: str, column: str, path: Path, line_no: int) -> float:
     try:
         value = float(raw)
@@ -100,7 +105,7 @@ def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
         if stamps and stamp - stamps[-1] != step:
             raise ValueError(
                 f"{path} line {line_no}: expected timestamp "
-                f"{stamps[-1] + step:%Y-%m-%dT%H:%M:%SZ}, got {stamp:%Y-%m-%dT%H:%M:%SZ}"
+                f"{_format_timestamp(stamps[-1] + step)}, got {_format_timestamp(stamp)}"
             )
         stamps.append(stamp)
         demand.append(_parse_float(row[1], "demand_mw", path, line_no))
@@ -138,7 +143,7 @@ def write_timeseries(path: str | Path, series: HiResSeries, start: datetime) -> 
             stamp = start + i * step
             writer.writerow(
                 [
-                    f"{stamp:%Y-%m-%dT%H:%M:%SZ}",
+                    _format_timestamp(stamp),
                     repr(float(series.demand[i])),
                     repr(float(series.wind_cf[i])),
                     repr(float(series.solar_cf[i])),

@@ -24,6 +24,11 @@ FLEX_CLASSES = ("base", "medium", "peak")
 _SUM_TOL = 1e-9  # slack when a duration sum must reach an hour threshold
 
 
+# every numeric ThermalUnit field; only the ramps may be None
+_UNIT_NUMBERS = ("pmin", "pmax", "marginal_cost", "startup_cost", "ramp_up", "ramp_down", "startup_ramp",
+                 "shutdown_ramp", "min_up", "min_down", "u0", "hours0", "p0")
+
+
 @dataclass(frozen=True)
 class ThermalUnit:
     """One dispatchable generator with its technical data and initial state.
@@ -54,6 +59,10 @@ class ThermalUnit:
     def __post_init__(self) -> None:
         if self.flex_class not in FLEX_CLASSES:
             raise ValueError(f"unknown flexibility class {self.flex_class!r}")
+        for name in _UNIT_NUMBERS:
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{self.unit_id}: {name} must be finite, got {val}")
         if not 0 <= self.pmin <= self.pmax:
             raise ValueError(f"{self.unit_id}: need 0 <= pmin <= pmax")
         for name in ("ramp_up", "ramp_down", "startup_ramp", "shutdown_ramp"):
@@ -92,6 +101,9 @@ class PowerSystem:
         ids = [u.unit_id for u in self.units]
         if len(set(ids)) != len(ids):
             raise ValueError("unit ids must be unique")
+        for name in ("wind_capacity", "solar_capacity", "load_shed_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.wind_capacity < 0 or self.solar_capacity < 0:
             raise ValueError("capacities must be nonnegative")
         if self.load_shed_cost <= 0:
@@ -597,12 +609,14 @@ def _apply_fixings(fixings: Fixings, shape: tuple[int, int], col_names: Names,
 class Schedule:
     """Solved operating plan on one grid, in physical quantities.
 
-    Unit-indexed arrays follow the system's unit order; column t is period
-    t+1. startup_cost is in euros: the start-up count times the unit's
-    start-up cost. Spill is availability less injection; shed and spill are
-    clamped of numerical dust (they are asserted nonnegative to 1e-6 first).
+    duration_h is each period's length in hours. Unit-indexed arrays follow
+    the system's unit order; column t is period t+1. startup_cost is in
+    euros: the start-up count times the unit's start-up cost. Spill is
+    availability less injection; shed and spill are clamped of numerical
+    dust (they are asserted nonnegative to 1e-6 first).
     """
 
+    duration_h: np.ndarray
     commitment: np.ndarray
     dispatch: np.ndarray
     startup_cost: np.ndarray
@@ -638,6 +652,7 @@ def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray)
         if np.any(arr < -1e-6):
             raise ValueError(f"negative {name} of {arr.min():g} MW in solution")
     return Schedule(
+        duration_h=period_durations(periods),
         commitment=commitment,
         dispatch=dispatch,
         startup_cost=startup,
@@ -649,9 +664,9 @@ def extract_schedule(system: PowerSystem, periods: ReducedSeries, x: np.ndarray)
     )
 
 
-def operating_cost(system: PowerSystem, periods: ReducedSeries, schedule: Schedule) -> float:
-    """Operating cost of a schedule: energy, start-ups, shed penalty."""
-    d = period_durations(periods)
+def operating_cost(system: PowerSystem, schedule: Schedule) -> float:
+    """Operating cost of a schedule over its own periods: energy, start-ups, shed penalty."""
+    d = schedule.duration_h
     cost = 0.0
     for i, unit in enumerate(system.units):
         cost += float(np.sum(unit.marginal_cost * schedule.dispatch[i] * d))

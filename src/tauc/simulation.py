@@ -45,7 +45,7 @@ from .model import (
     extract_schedule,
     operating_cost,
 )
-from .solver import BackendConfig, solve
+from .solver import BackendConfig, MipSolution, solve
 
 MODE_CH = "CH"
 MODE_TA = "TA"
@@ -80,7 +80,6 @@ class RealTimeResult:
 
     cost: float
     schedule: Schedule
-    step_minutes: int
     next_units: tuple[ThermalUnit, ...]
     solve_time: float
 
@@ -158,12 +157,7 @@ def run_day_ahead(
 ) -> DayAheadPlan:
     """Solve the commitment problem on the reduced grid for one window."""
     grid = day_ahead_grid(series, mode, features, system.wind_capacity, system.solar_capacity)
-    periods = reduce_series(series, grid)
-    model = build_uc_model(system, periods)
-    result = solve(model, config)
-    if result.status != "optimal":
-        raise RuntimeError(f"day-ahead {mode} solve for {label} ended {result.status}: {result.message}")
-    schedule = extract_schedule(system, periods, result.x)
+    schedule, result = _solve_window(system, series, grid, None, config, f"day-ahead {mode} solve for {label}")
     return DayAheadPlan(mode, grid, schedule, result.objective, result.wall_time)
 
 
@@ -187,12 +181,10 @@ def fix_from_plan(
     )
 
 
-def _next_units(
-    units: tuple[ThermalUnit, ...], schedule: Schedule, step_minutes: int
-) -> tuple[ThermalUnit, ...]:
-    """The units in the state the schedule ends in, with the hours they have
-    held it (capped at 24) and their last output."""
-    hours_per_period = step_minutes / 60.0
+def _next_units(units: tuple[ThermalUnit, ...], schedule: Schedule) -> tuple[ThermalUnit, ...]:
+    """The units in the state the uniform schedule ends in, with the hours
+    they have held it (capped at 24) and their last output."""
+    hours_per_period = float(schedule.duration_h[-1])
     out = []
     for unit, row, p in zip(units, schedule.commitment, schedule.dispatch):
         u_end = int(row[-1])
@@ -204,9 +196,24 @@ def _next_units(
     return tuple(out)
 
 
-def _head(record: T, n: int) -> T:
-    """A Schedule or ReducedSeries cut to its first n periods."""
-    return type(record)(*(getattr(record, f.name)[..., :n] for f in dataclasses.fields(record)))
+def _head(schedule: Schedule, n: int) -> Schedule:
+    """A Schedule cut to its first n periods."""
+    return Schedule(*(getattr(schedule, f.name)[..., :n] for f in dataclasses.fields(schedule)))
+
+
+def _solve_window(system: PowerSystem, series: HiResSeries, grid: TimeGrid, fixings: Fixings | None,
+                  config: BackendConfig | None, what: str) -> tuple[Schedule, MipSolution]:
+    """Reduce a window onto a grid, build its model under the fixings (None
+    for none) and solve it; return the solved Schedule and the solution.
+    Any status but "optimal" raises a RuntimeError that names what was
+    solved and why: _frozen_excess's finding if there is one, else HiGHS's
+    message."""
+    periods = reduce_series(series, grid)
+    result = solve(build_uc_model(system, periods, fixings=fixings), config)
+    if result.status != "optimal":
+        why = (fixings is not None and _frozen_excess(system, periods, fixings)) or result.message
+        raise RuntimeError(f"{what} ended {result.status}: {why}")
+    return extract_schedule(system, periods, result.x), result
 
 
 def run_real_time(
@@ -228,38 +235,25 @@ def run_real_time(
     24 * 60 // step_minutes periods, or the whole window if it is shorter.
     """
     grid = singleton_grid(series.n_points, series.step_minutes)
-    periods = reduce_series(series, grid)
-    model = build_uc_model(system, periods, fixings=fixings)
-    result = solve(model, config)
-    if result.status != "optimal":
-        why = result.message
-        over = None if fixings is None else _frozen_excess(system, periods, fixings)
-        if over is not None:
-            t, excess = over
-            why = (f"the plan freezes {excess:.1f} MW more thermal output than the demand of "
-                   f"period {t} (sample {t - 1} of the window)")
-        raise RuntimeError(f"real-time solve for {label} ended {result.status}: {why}")
-    day = 24 * 60 // series.step_minutes
-    schedule = _head(extract_schedule(system, periods, result.x), day)
-    return RealTimeResult(
-        cost=operating_cost(system, _head(periods, day), schedule),
-        schedule=schedule,
-        step_minutes=series.step_minutes,
-        next_units=_next_units(system.units, schedule, series.step_minutes),
-        solve_time=result.wall_time,
-    )
+    schedule, result = _solve_window(system, series, grid, fixings, config, f"real-time solve for {label}")
+    schedule = _head(schedule, 24 * 60 // series.step_minutes)
+    next_units = _next_units(system.units, schedule)
+    return RealTimeResult(operating_cost(system, schedule), schedule, next_units, result.wall_time)
 
 
-def _frozen_excess(system: PowerSystem, periods: ReducedSeries, fixings: Fixings) -> tuple[int, float] | None:
-    """(period, MW) of the first period whose frozen thermal output, fixed
-    dispatch or else pmin times a fixed commitment, exceeds demand; None if none does."""
+def _frozen_excess(system: PowerSystem, periods: ReducedSeries, fixings: Fixings) -> str | None:
+    """The first period whose frozen thermal output, fixed dispatch or else
+    pmin times a fixed commitment, exceeds demand, and by how much; None if
+    none does."""
     pmin = np.array([unit.pmin for unit in system.units])[:, None]
     floor = np.where(np.isnan(fixings.dispatch), np.nan_to_num(fixings.commitment) * pmin, fixings.dispatch)
     excess = floor.sum(axis=0) - periods.demand_mw
     over = np.flatnonzero(excess > 1e-6)
     if len(over) == 0:
         return None
-    return int(over[0]) + 1, float(excess[over[0]])
+    t = int(over[0])
+    return (f"the plan freezes {excess[t]:.1f} MW more thermal output than the demand of "
+            f"period {t + 1} (sample {t} of the window)")
 
 
 def cost_delta(c_ch: float, c_ta: float) -> float:
@@ -271,12 +265,13 @@ def cost_delta(c_ch: float, c_ta: float) -> float:
 
 def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, float]:
     """Energy share per technology over the day, in percent of served energy."""
-    d = result.step_minutes / 60.0
+    schedule = result.schedule
+    d = schedule.duration_h
     energy = dict.fromkeys(TECHNOLOGIES, 0.0)
-    energy["wind"] = float(np.sum(result.schedule.p_wind) * d)
-    energy["solar"] = float(np.sum(result.schedule.p_solar) * d)
-    for unit, p in zip(system.units, result.schedule.dispatch):
-        energy[unit.flex_class] += float(np.sum(p) * d)
+    energy["wind"] = float(schedule.p_wind @ d)
+    energy["solar"] = float(schedule.p_solar @ d)
+    for unit, e in zip(system.units, schedule.dispatch @ d):
+        energy[unit.flex_class] += float(e)
     total = sum(energy.values())
     if total <= 0:
         raise ValueError("no energy served; shares are undefined")
@@ -285,10 +280,9 @@ def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, 
 
 def shed_and_spill(result: RealTimeResult) -> tuple[float, float]:
     """Shed demand and spilled wind plus solar energy over the day, in MWh."""
-    d = result.step_minutes / 60.0
     schedule = result.schedule
     spill = schedule.wind_spill + schedule.solar_spill
-    return float(np.sum(schedule.shed) * d), float(np.sum(spill) * d)
+    return float(schedule.shed @ schedule.duration_h), float(spill @ schedule.duration_h)
 
 
 def run_one_mode(

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from oracle import quadratic_cluster, ward_distance
 from tauc.aggregation import (
+    FEATURE_COLUMNS,
+    FEATURE_SELECTORS,
     HiResSeries,
     ReducedSeries,
     TimeGrid,
@@ -89,6 +91,11 @@ def test_normalize_three_feature_selector_flags_constant_column():
     # wind is identically zero over the window
     assert np.all(feats[:, 1] == 0.0)
     assert feats[:, 0].min() == 0.0 and feats[:, 0].max() == 1.0
+
+
+@pytest.mark.parametrize("selector", FEATURE_SELECTORS)
+def test_each_selector_names_one_column_per_feature(selector):
+    assert normalize_features(small_series(), selector).shape == (6, len(FEATURE_COLUMNS[selector]))
 
 
 def test_normalize_rejects_unknown_selector():

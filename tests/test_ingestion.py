@@ -112,6 +112,27 @@ def test_load_rejects_gap_in_timestamps(tmp_path):
         load_timeseries(path, step_minutes=60)
 
 
+def test_a_sub_second_start_survives_the_round_trip(tmp_path):
+    start = datetime(2023, 6, 1, 0, 0, 0, 500000, tzinfo=timezone.utc)
+    path = tmp_path / "trace.csv"
+    write_timeseries(path, series_for_tests(n=3), start)
+    assert path.read_text().splitlines()[1].startswith("2023-06-01T00:00:00.500000Z,")
+    assert load_timeseries(path, step_minutes=30).start == start
+
+
+def test_a_gap_message_prints_the_sub_second_part(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "timestamp,demand_mw,wind_cf,solar_cf\n"
+        "2023-06-01T00:00:00Z,100,0,0\n"
+        "2023-06-01T00:30:00.5Z,100,0,0\n"
+    )
+    with pytest.raises(ValueError) as err:
+        load_timeseries(path, step_minutes=30)
+    assert str(err.value) == (f"{path} line 3: expected timestamp 2023-06-01T00:30:00Z, "
+                              "got 2023-06-01T00:30:00.500000Z")
+
+
 def test_trace_row_errors_name_the_real_line_past_blank_lines(tmp_path):
     path = tmp_path / "trace.csv"
     head = (

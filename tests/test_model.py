@@ -611,6 +611,23 @@ def test_negative_marginal_cost_is_rejected():
     assert ThermalUnit("x", "peak", 0.0, 20.0, 0.0).marginal_cost == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(ThermalUnit)[2:]] + ["wind_capacity", "solar_capacity", "load_shed_cost"]
+)
+def test_a_non_finite_number_is_rejected_naming_its_field(field, value):
+    """A NaN minimum time once read as "stay on to the end of the window",
+    and an infinite pmax failed only in the model, naming no unit or field."""
+    if field in ("wind_capacity", "solar_capacity", "load_shed_cost"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PowerSystem(units=(G1,), **{"wind_capacity": 0.0, "solar_capacity": 0.0, "load_shed_cost": 100.0,
+                                        field: value})
+    else:
+        with pytest.raises(ValueError, match=f"^g1: {field} must be finite"):
+            dataclasses.replace(G1, **{field: value})
+    assert dataclasses.replace(G1, ramp_up=None, ramp_down=None).ramp_up is None
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="unique"):
         PowerSystem(
@@ -683,13 +700,12 @@ def test_operating_cost_full_and_sliced():
     system, periods, values, _ = _toy_solution()
     sched = extract_schedule(system, periods, values)
     # energy: 100*1*10 + 100*0.5*10 ; shed: 20 MW * 0.5 h * 500
-    assert operating_cost(system, periods, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)
-    # a schedule cut to one period costs that period alone
+    assert operating_cost(system, sched) == pytest.approx(1000.0 + 500.0 + 5000.0)
+    # a schedule cut to one period carries that period's duration and costs that period alone
     for t, want in ((0, 1000.0), (1, 5500.0)):
         one = type(sched)(*(getattr(sched, f.name)[..., t:t + 1] for f in dataclasses.fields(sched)))
-        period = periods_from(periods.duration_h[t:t + 1], periods.demand_mw[t:t + 1],
-                              solar_cf=periods.solar_cf[t:t + 1])
-        assert operating_cost(system, period, one) == pytest.approx(want)
+        assert one.duration_h.tolist() == [periods.duration_h[t]]
+        assert operating_cost(system, one) == pytest.approx(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -701,4 +717,4 @@ def test_solved_objective_equals_operating_cost_of_the_schedule(instance):
     solved = solve(build_uc_model(system, periods))
     assume(solved.status == "optimal")  # a unit held at pmin may oversupply
     schedule = extract_schedule(system, periods, solved.x)
-    assert operating_cost(system, periods, schedule) == pytest.approx(solved.objective, rel=1e-9, abs=1e-9)
+    assert operating_cost(system, schedule) == pytest.approx(solved.objective, rel=1e-9, abs=1e-9)

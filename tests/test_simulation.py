@@ -133,7 +133,8 @@ def test_real_time_result_keeps_the_day_and_drops_the_look_ahead_tail():
     for field in dataclasses.fields(rt.schedule):
         assert getattr(rt.schedule, field.name).shape[-1] == 24 * 60 // window.step_minutes
     day = HiResSeries(demand=demand[:24], wind_cf=np.zeros(24), solar_cf=solar[:24], step_minutes=60)
-    assert rt.cost == operating_cost(system, reduce_series(day, singleton_grid(24, 60)), rt.schedule)
+    np.testing.assert_array_equal(rt.schedule.duration_h, reduce_series(day, singleton_grid(24, 60)).duration_h)
+    assert rt.cost == operating_cost(system, rt.schedule)
     assert rt.cost == pytest.approx(24 * 800.0 * 10.0 + 5 * 50.0 * 30.0)
     assert shed_and_spill(rt) == (0.0, 0.0)
     assert generation_shares(rt, system)["medium"] == pytest.approx(100.0 * 250.0 / 19450.0)
@@ -141,6 +142,17 @@ def test_real_time_result_keeps_the_day_and_drops_the_look_ahead_tail():
     m1 = rt.next_units[4]
     assert (m1.unit_id, m1.u0, m1.hours0, m1.p0) == ("m1", 0, 10.0, 0.0)
     assert [u.u0 for u in rt.next_units] == rt.schedule.commitment[:, -1].tolist()
+
+
+@pytest.mark.parametrize("mode", [MODE_CH, MODE_TA])
+def test_an_infeasible_day_ahead_solve_names_the_mode_and_the_window(mode):
+    """A base unit that must stay on at 300 MW or more for four more hours
+    oversupplies a 100 MW window, and nothing absorbs thermal output."""
+    stuck = ThermalUnit("b", "base", 300.0, 400.0, 10.0, min_up=5.0, u0=1, hours0=1.0, p0=300.0)
+    system = PowerSystem(units=(stuck,), wind_capacity=0.0, solar_capacity=0.0, load_shed_cost=1000.0)
+    with pytest.raises(RuntimeError) as err:
+        run_day_ahead(system, flat_day_series(demand=100.0), mode, label="w")
+    assert str(err.value) == f"day-ahead {mode} solve for w ended infeasible: Infeasible"
 
 
 def test_real_time_names_the_period_where_frozen_output_exceeds_demand():
