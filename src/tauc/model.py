@@ -102,8 +102,9 @@ class PowerSystem:
         if len(set(ids)) != len(ids):
             raise ValueError("unit ids must be unique")
         for name in ("wind_capacity", "solar_capacity", "load_shed_cost"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if self.wind_capacity < 0 or self.solar_capacity < 0:
             raise ValueError("capacities must be nonnegative")
         if self.load_shed_cost <= 0:
