@@ -611,21 +611,22 @@ def test_negative_marginal_cost_is_rejected():
     assert ThermalUnit("x", "peak", 0.0, 20.0, 0.0).marginal_cost == 0.0
 
 
+SYSTEM_NUMBERS = ("wind_capacity", "solar_capacity", "load_shed_cost")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "field", [f.name for f in dataclasses.fields(ThermalUnit)[2:]] + ["wind_capacity", "solar_capacity", "load_shed_cost"]
-)
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ThermalUnit)[2:]] + list(SYSTEM_NUMBERS))
 def test_a_non_finite_number_is_rejected_naming_its_field(field, value):
     """A NaN minimum time once read as "stay on to the end of the window",
-    and an infinite pmax failed only in the model, naming no unit or field."""
-    if field in ("wind_capacity", "solar_capacity", "load_shed_cost"):
+    and an infinite pmax failed only in the model, naming no unit or field.
+    A None ramp stays allowed."""
+    if field in SYSTEM_NUMBERS:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            PowerSystem(units=(G1,), **{"wind_capacity": 0.0, "solar_capacity": 0.0, "load_shed_cost": 100.0,
-                                        field: value})
+            PowerSystem(units=(G1,), **{**dict.fromkeys(SYSTEM_NUMBERS, 100.0), field: value})
     else:
         with pytest.raises(ValueError, match=f"^g1: {field} must be finite"):
             dataclasses.replace(G1, **{field: value})
-    assert dataclasses.replace(G1, ramp_up=None, ramp_down=None).ramp_up is None
+    assert dataclasses.replace(G1, ramp_up=None).ramp_up is None
 
 
 def test_instance_validation():
