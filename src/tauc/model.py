@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,11 +22,6 @@ from .aggregation import ReducedSeries
 FLEX_CLASSES = ("base", "medium", "peak")
 
 _SUM_TOL = 1e-9  # slack when a duration sum must reach an hour threshold
-
-
-# every numeric ThermalUnit field; only the ramps may be None
-_UNIT_NUMBERS = ("pmin", "pmax", "marginal_cost", "startup_cost", "ramp_up", "ramp_down", "startup_ramp",
-                 "shutdown_ramp", "min_up", "min_down", "u0", "hours0", "p0")
 
 
 @dataclass(frozen=True)
@@ -59,8 +54,8 @@ class ThermalUnit:
     def __post_init__(self) -> None:
         if self.flex_class not in FLEX_CLASSES:
             raise ValueError(f"unknown flexibility class {self.flex_class!r}")
-        for name in _UNIT_NUMBERS:
-            val = getattr(self, name)
+        for field in fields(self)[2:]:  # every numeric field; only the ramps may be None
+            name, val = field.name, getattr(self, field.name)
             if val is not None and not math.isfinite(val):
                 raise ValueError(f"{self.unit_id}: {name} must be finite, got {val}")
         if not 0 <= self.pmin <= self.pmax:

@@ -266,12 +266,12 @@ def cost_delta(c_ch: float, c_ta: float) -> float:
 def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, float]:
     """Energy share per technology over the day, in percent of served energy."""
     schedule = result.schedule
-    d = schedule.duration_h
+    d = float(schedule.duration_h[0])  # real-time periods all last one sampling step
     energy = dict.fromkeys(TECHNOLOGIES, 0.0)
-    energy["wind"] = float(schedule.p_wind @ d)
-    energy["solar"] = float(schedule.p_solar @ d)
-    for unit, e in zip(system.units, schedule.dispatch @ d):
-        energy[unit.flex_class] += float(e)
+    energy["wind"] = float(np.sum(schedule.p_wind) * d)
+    energy["solar"] = float(np.sum(schedule.p_solar) * d)
+    for unit, p in zip(system.units, schedule.dispatch):
+        energy[unit.flex_class] += float(np.sum(p) * d)
     total = sum(energy.values())
     if total <= 0:
         raise ValueError("no energy served; shares are undefined")
@@ -281,8 +281,9 @@ def generation_shares(result: RealTimeResult, system: PowerSystem) -> dict[str, 
 def shed_and_spill(result: RealTimeResult) -> tuple[float, float]:
     """Shed demand and spilled wind plus solar energy over the day, in MWh."""
     schedule = result.schedule
+    d = float(schedule.duration_h[0])  # real-time periods all last one sampling step
     spill = schedule.wind_spill + schedule.solar_spill
-    return float(schedule.shed @ schedule.duration_h), float(spill @ schedule.duration_h)
+    return float(np.sum(schedule.shed) * d), float(np.sum(spill) * d)
 
 
 def run_one_mode(

@@ -125,7 +125,7 @@ def test_a_gap_message_prints_the_sub_second_part(tmp_path):
     path.write_text(
         "timestamp,demand_mw,wind_cf,solar_cf\n"
         "2023-06-01T00:00:00Z,100,0,0\n"
-        "2023-06-01T00:30:00.5Z,100,0,0\n"
+        "2023-06-01T00:30:00.500Z,100,0,0\n"
     )
     with pytest.raises(ValueError) as err:
         load_timeseries(path, step_minutes=30)

@@ -150,9 +150,8 @@ def test_an_infeasible_day_ahead_solve_names_the_mode_and_the_window(mode):
     oversupplies a 100 MW window, and nothing absorbs thermal output."""
     stuck = ThermalUnit("b", "base", 300.0, 400.0, 10.0, min_up=5.0, u0=1, hours0=1.0, p0=300.0)
     system = PowerSystem(units=(stuck,), wind_capacity=0.0, solar_capacity=0.0, load_shed_cost=1000.0)
-    with pytest.raises(RuntimeError) as err:
+    with pytest.raises(RuntimeError, match=rf"^day-ahead {mode} solve for w ended infeasible: "):
         run_day_ahead(system, flat_day_series(demand=100.0), mode, label="w")
-    assert str(err.value) == f"day-ahead {mode} solve for w ended infeasible: Infeasible"
 
 
 def test_real_time_names_the_period_where_frozen_output_exceeds_demand():
