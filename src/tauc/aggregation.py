@@ -244,23 +244,29 @@ def singleton_grid(n_points: int, step_minutes: int) -> TimeGrid:
     return TimeGrid(tuple((i, i + 1) for i in range(n_points)), step_minutes)
 
 
-def reduce_series(series: HiResSeries, grid: TimeGrid) -> ReducedSeries:
-    """Collapse a window onto a grid by per-period arithmetic means.
+def member_means(grid: TimeGrid, *values: np.ndarray) -> list[np.ndarray]:
+    """Each array of values averaged over the grid's periods, along its first
+    axis: values[a:b].mean(axis=0) per period, bit for bit.
 
-    Periods of k members are averaged as rows of one (periods, k) gather per
-    quantity: arr[a:b].mean() bit for bit, which a 3-D gather is not.
+    Periods of k members are averaged as the rows of one (periods, k, ...)
+    gather per array, which sums in the order a slice does, for 1-D and 2-D
+    arrays alike. Stacking 1-D arrays into one 2-D gather would not.
     """
+    starts, stops = np.array(grid.cluster_bounds).T
+    counts = stops - starts
+    means = [np.empty((len(starts),) + arr.shape[1:]) for arr in values]
+    for k in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == k)
+        members = starts[sel, None] + np.arange(k)
+        for arr, out in zip(values, means):
+            out[sel] = arr[members].mean(axis=1)
+    return means
+
+
+def reduce_series(series: HiResSeries, grid: TimeGrid) -> ReducedSeries:
+    """Collapse a window onto a grid by per-period arithmetic means."""
     if grid.cluster_bounds[-1][1] != series.n_points:
         raise ValueError("grid does not cover the series")
     if grid.step_minutes != series.step_minutes:
         raise ValueError("grid and series disagree on the sampling step")
-    starts, stops = np.array(grid.cluster_bounds).T
-    counts = stops - starts
-    data = (series.demand, series.wind_cf, series.solar_cf)
-    means = [np.empty(len(starts)) for _ in data]
-    for k in np.unique(counts).tolist():
-        sel = np.flatnonzero(counts == k)
-        members = starts[sel, None] + np.arange(k)
-        for arr, out in zip(data, means):
-            out[sel] = arr[members].mean(axis=1)
-    return ReducedSeries(grid.durations, *means)
+    return ReducedSeries(grid.durations, *member_means(grid, series.demand, series.wind_cf, series.solar_cf))

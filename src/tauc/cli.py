@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import FEATURE_COLUMNS, cluster_adjacent, normalize_features
+from .aggregation import FEATURE_COLUMNS, cluster_adjacent, member_means, normalize_features
 from .ingestion import (
     LoadedTrace,
     ScenarioConfig,
@@ -120,9 +120,9 @@ def cmd_cluster(args) -> int:
     _write_csv(out / "durations.csv", ["period", "start_sample", "stop_sample", "duration_h"],
                ([k, a, b, f"{dur:g}"]
                 for k, ((a, b), dur) in enumerate(zip(grid.cluster_bounds, grid.durations), start=1)))
+    centroids = member_means(grid, feats)[0]
     _write_csv(out / "centroids.csv", ("period",) + FEATURE_COLUMNS[config.features],
-               ([k] + [f"{v:.6f}" for v in feats[a:b].mean(axis=0)]
-                for k, (a, b) in enumerate(grid.cluster_bounds, start=1)))
+               ([k] + [f"{v:.6f}" for v in row] for k, row in enumerate(centroids.tolist(), start=1)))
     print(f"wrote {len(grid.cluster_bounds)} periods to {out / 'durations.csv'}")
     return 0
 

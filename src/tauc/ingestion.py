@@ -93,8 +93,65 @@ def load_timeseries(path: str | Path, step_minutes: int) -> LoadedTrace:
     The header must be exactly timestamp,demand_mw,wind_cf,solar_cf.
     Timestamps are ISO 8601; a trailing Z and naive stamps both mean UTC.
     Errors carry the 1-based line number of the offending row.
+
+    A file in the canonical form that write_timeseries writes is read in one
+    numpy pass (_read_canonical); every other file goes through the row loop
+    (_read_rows), which is the only code that words an error.
     """
     path = Path(path)
+    return _read_canonical(path, step_minutes) or _read_rows(path, step_minutes)
+
+
+# One canonical row as np.loadtxt reads it. The stamp field holds one byte
+# more than a canonical stamp, so a longer stamp fills that byte instead of
+# being cut to fit.
+_CANONICAL_ROW = np.dtype([("timestamp", "S21")] + [(column, "f8") for column in TRACE_HEADER[1:]])
+# the stamp field byte by byte; each 9 stands for any digit
+_CANONICAL_STAMP = b"9999-99-99T99:99:99Z\0"
+
+
+def _read_canonical(path: Path, step_minutes: int) -> LoadedTrace | None:
+    """The trace in path, read in one np.loadtxt pass, or None unless the
+    file is canonical and passes every check of the row loop.
+
+    Canonical is the exact header, then rows stamped YYYY-MM-DDTHH:MM:SSZ
+    exactly one step apart, each with four fields of which the last three
+    are numbers. Like the row loop, loadtxt skips blank lines. loadtxt warns
+    only when it reads no row, which a nonblank second line rules out, so
+    the process-wide warning filters stay untouched (sweep loads traces on
+    worker threads).
+    """
+    try:
+        with open(path) as handle:
+            if handle.readline() != ",".join(TRACE_HEADER) + "\n":
+                return None
+            body = handle.tell()
+            if not handle.readline().strip():
+                return None
+            handle.seek(body)
+            rows = np.loadtxt(handle, dtype=_CANONICAL_ROW, delimiter=",", comments=None, ndmin=1)
+        stamps = rows.view(np.uint8).reshape(len(rows), -1)
+        for i, byte in enumerate(_CANONICAL_STAMP):
+            column = stamps[:, i]
+            fits = (column >= ord("0")) & (column <= ord("9")) if byte == ord("9") else column == byte
+            if not fits.all():
+                return None
+        stamps[:, _CANONICAL_STAMP.index(b"Z")] = 0  # numpy reads a zoned stamp only with a warning
+        times = rows["timestamp"].astype("datetime64[s]")
+        if not (np.diff(times) == np.timedelta64(step_minutes, "m")).all():
+            return None
+        # datetime refuses year 0, which numpy reads
+        start = datetime.fromisoformat(rows["timestamp"][0].decode()).replace(tzinfo=timezone.utc)
+        # HiResSeries refuses exactly the values the row loop refuses
+        series = HiResSeries(*(np.array(rows[column]) for column in TRACE_HEADER[1:]), step_minutes)
+    except ValueError:
+        return None
+    return LoadedTrace(series=series, start=start)
+
+
+def _read_rows(path: Path, step_minutes: int) -> LoadedTrace:
+    """Read a trace row by row: any form load_timeseries accepts, and the
+    wording of every error it raises."""
     step = timedelta(minutes=step_minutes)
     stamps: list[datetime] = []
     demand: list[float] = []

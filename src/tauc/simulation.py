@@ -42,6 +42,7 @@ from .model import (
     Schedule,
     ThermalUnit,
     build_uc_model,
+    effective_min_times,
     extract_schedule,
     operating_cost,
 )
@@ -206,12 +207,13 @@ def _solve_window(system: PowerSystem, series: HiResSeries, grid: TimeGrid, fixi
     """Reduce a window onto a grid, build its model under the fixings (None
     for none) and solve it; return the solved Schedule and the solution.
     Any status but "optimal" raises a RuntimeError that names what was
-    solved and why: _frozen_excess's finding if there is one, else HiGHS's
-    message."""
+    solved and why: _frozen_excess's finding if there is one, else
+    _pinned_excess's, else HiGHS's message."""
     periods = reduce_series(series, grid)
     result = solve(build_uc_model(system, periods, fixings=fixings), config)
     if result.status != "optimal":
-        why = (fixings is not None and _frozen_excess(system, periods, fixings)) or result.message
+        why = ((fixings is not None and _frozen_excess(system, periods, fixings))
+               or _pinned_excess(system, periods) or result.message)
         raise RuntimeError(f"{what} ended {result.status}: {why}")
     return extract_schedule(system, periods, result.x), result
 
@@ -254,6 +256,24 @@ def _frozen_excess(system: PowerSystem, periods: ReducedSeries, fixings: Fixings
     t = int(over[0])
     return (f"the plan freezes {excess[t]:.1f} MW more thermal output than the demand of "
             f"period {t + 1} (sample {t} of the window)")
+
+
+def _pinned_excess(system: PowerSystem, periods: ReducedSeries) -> str | None:
+    """The first period whose pinned thermal output, pmin of each unit that
+    its initial state holds on (effective_min_times' leading periods),
+    exceeds demand, with those units and the excess; None if none does."""
+    pins = [(unit, effective_min_times(unit, periods.duration_h)[0]) for unit in system.units]
+    floor = np.zeros(len(periods))
+    for unit, pin in pins:
+        floor[:pin] += unit.pmin
+    excess = floor - periods.demand_mw
+    over = np.flatnonzero(excess > 1e-6)
+    if len(over) == 0:
+        return None
+    t = int(over[0])
+    held = ", ".join(unit.unit_id for unit, pin in pins if pin > t)
+    return (f"the initial state holds {held} on, which pins {excess[t]:.1f} MW more thermal output "
+            f"than the demand of period {t + 1}")
 
 
 def cost_delta(c_ch: float, c_ta: float) -> float:

@@ -36,6 +36,9 @@ result the package computes another way, so tests can compare the two:
   ``cluster_adjacent``, which recomputes every adjacent cost after each
   merge; the heap-based loop must reproduce its partitions and merge costs
   exactly, ties included.
+- ``slice_means`` is the earlier per-period slice mean that ``tauc cluster``
+  wrote its centroids from; ``tauc.aggregation.member_means`` must give the
+  same floats bit for bit.
 """
 from __future__ import annotations
 
@@ -1287,3 +1290,8 @@ def quadratic_cluster(values: np.ndarray, target_n: int) -> tuple[tuple, tuple]:
         sizes = np.delete(sizes, k + 1)
         sizes[k] = merged_size
     return tuple(bounds), tuple(merges)
+
+
+def slice_means(values: np.ndarray, bounds) -> np.ndarray:
+    """Each period's rows of values averaged, one slice per (start, stop)."""
+    return np.array([values[a:b].mean(axis=0) for a, b in bounds])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import quadratic_cluster, ward_distance
+from oracle import quadratic_cluster, slice_means, ward_distance
 from tauc.aggregation import (
     FEATURE_COLUMNS,
     FEATURE_SELECTORS,
@@ -17,6 +17,7 @@ from tauc.aggregation import (
     TimeGrid,
     cluster_adjacent,
     hourly_grid,
+    member_means,
     normalize_features,
     reduce_series,
     singleton_grid,
@@ -353,6 +354,25 @@ def test_reduce_series_equals_per_slice_means_bit_for_bit(case):
                      (periods.solar_cf, series.solar_cf)):
         want = [arr[a:b].mean() for a, b in grid.cluster_bounds]
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 400), st.sampled_from(FEATURE_SELECTORS), st.integers(0, 2**32 - 1), st.data())
+def test_member_means_equal_slice_means_of_features_bit_for_bit(n, selector, seed, data):
+    """The centroids tauc cluster writes: a feature matrix of either selector
+    averaged over periods of 1 to 40 samples."""
+    rng = np.random.default_rng(seed)
+    series = HiResSeries(demand=rng.uniform(0.0, 3000.0, n), wind_cf=rng.uniform(0.0, 1.0, n),
+                         solar_cf=rng.uniform(0.0, 1.0, n), step_minutes=5)
+    feats = normalize_features(series, selector, 800.0, 500.0)
+    edges = [0]
+    while edges[-1] < n:
+        edges.append(min(n, edges[-1] + data.draw(st.integers(1, 40))))
+    grid = TimeGrid(tuple(zip(edges[:-1], edges[1:])), 5)
+    got = member_means(grid, feats)[0]
+    want = slice_means(feats, grid.cluster_bounds)
+    assert got.shape == want.shape == (grid.n_periods, len(FEATURE_COLUMNS[selector]))
+    assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
 
 
 def test_reduce_series_rejects_mismatched_grid():

@@ -4,18 +4,24 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import scenario_to_json
-from tauc.aggregation import HiResSeries
+from tauc.aggregation import ALLOWED_STEPS, HiResSeries
 from tauc.ingestion import (
     PORTFOLIO_HEADER,
     PORTFOLIO_IDS,
     TRACE_HEADER,
     ScenarioConfig,
+    _read_canonical,
+    _read_rows,
     build_portfolio,
     compute_installed_capacity,
     default_shed_cost,
@@ -145,12 +151,26 @@ def test_trace_row_errors_name_the_real_line_past_blank_lines(tmp_path):
     cases = (
         ("2023-01-01T03:00:00Z,100,0,0", "line 6: expected timestamp 2023-01-01T02:00:00Z, got 2023-01-01T03:00:00Z"),
         ("yesterday,100,0,0", "line 6: cannot parse timestamp 'yesterday'"),
+        ("2023-01-01T01:00:00Z,100,0,0", "line 6: expected timestamp 2023-01-01T02:00:00Z, got 2023-01-01T01:00:00Z"),
+        ("2023-01-01T02:00:00Z,100,0", "line 6: expected 4 fields, got 3"),
+        ("2023-01-01T02:00:00Z,100,0,0,0", "line 6: expected 4 fields, got 5"),
+        ("2023-01-01T02:00:00Z,nan,0,0", "line 6: demand_mw value 'nan' is not finite"),
+        ("2023-01-01T02:00:00Z,100,inf,0", "line 6: wind_cf value 'inf' is not finite"),
+        ("#2023-01-01T02:00:00Z,100,0,0", "line 6: cannot parse timestamp '#2023-01-01T02:00:00Z'"),
+        ("2023-01-01T02:00:00Z0,100,0,0", "line 6: cannot parse timestamp '2023-01-01T02:00:00Z0'"),
+        ("2023-01-01T02:00:00Z,100,0,1.5", "line 6: solar_cf must lie in [0, 1]"),
+        ("2023-01-01T02:00:00Z,-5,0,0", "line 6: demand_mw must be nonnegative"),
     )
     for row, message in cases:
         path.write_text(f"{head}{row}\n")
         with pytest.raises(ValueError) as err:
             load_timeseries(path, step_minutes=60)
         assert str(err.value) == f"{path} {message}"
+        # the same row after two rows in the form write_timeseries writes
+        path.write_bytes(f"{head.strip()}\n{row}\n".replace("\n", "\r\n").encode())
+        with pytest.raises(ValueError) as err:
+            load_timeseries(path, step_minutes=60)
+        assert str(err.value) == f"{path} {message.replace('line 6', 'line 4')}"
 
 
 def test_load_rejects_unparseable_number(tmp_path):
@@ -167,6 +187,91 @@ def test_load_rejects_empty_file(tmp_path):
     path.write_text("timestamp,demand_mw,wind_cf,solar_cf\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_timeseries(path, step_minutes=60)
+    for text in (b"timestamp,demand_mw,wind_cf,solar_cf\r\n", b"timestamp,demand_mw,wind_cf,solar_cf\n\n  \n"):
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as err:
+            load_timeseries(path, step_minutes=60)
+        assert str(err.value) == f"{path}: no data rows"
+
+
+def _same_trace(got, want) -> bool:
+    """Two LoadedTraces equal bit for bit, the start's time zone included."""
+    return (got.start == want.start and got.start.tzinfo == want.start.tzinfo
+            and got.series.step_minutes == want.series.step_minutes
+            and all(getattr(got.series, name).tobytes() == getattr(want.series, name).tobytes()
+                    for name in ("demand", "wind_cf", "solar_cf")))
+
+
+def test_every_accepted_form_reads_as_the_file_write_timeseries_writes(tmp_path):
+    """LF endings, a missing last newline, blank and whitespace-only lines,
+    quoted fields, an underscore in a number (float reads 1_000), and
+    +00:00, +01:00 or naive stamps read as the canonical file."""
+    header = ",".join(TRACE_HEADER)
+    stamps = ("2023-01-01T00:00:00Z", "2023-01-01T01:00:00Z", "2023-01-01T02:00:00Z")
+    values = ("1000.0,0.0,1.0", "0.0,0.5,0.25", "1e+300,1.0,0.0")
+    rows = [f"{stamp},{value}" for stamp, value in zip(stamps, values)]
+    canonical = tmp_path / "canonical.csv"
+    series = HiResSeries(demand=np.array([1000.0, 0.0, 1e300]), wind_cf=np.array([0.0, 0.5, 1.0]),
+                         solar_cf=np.array([1.0, 0.25, 0.0]), step_minutes=60)
+    write_timeseries(canonical, series, datetime(2023, 1, 1, tzinfo=timezone.utc))
+    assert canonical.read_bytes() == "".join(f"{line}\r\n" for line in (header, *rows)).encode()
+    want = load_timeseries(canonical, step_minutes=60)
+    quoted = [",".join(f'"{cell}"' for cell in row.split(",")) for row in rows]
+    variants = (
+        "\n".join((header, *rows)) + "\n",
+        "\n".join((header, *rows)),
+        "\n".join((header, rows[0], "", rows[1], "", "", rows[2], "")) + "\n",
+        "\n".join((header, "", *rows)) + "\n",
+        "\n".join((header, rows[0], "   ", rows[1], "\t", rows[2])) + "\n",
+        "\n".join((header, *quoted)) + "\n",
+        "\n".join((header, rows[0].replace("1000.0", "1_000"), *rows[1:])) + "\n",
+        "\n".join((header, *(row.replace("Z,", "+00:00,") for row in rows))) + "\n",
+        "\n".join((header, *(row.replace("Z,", ",") for row in rows))) + "\n",
+        "\n".join((header, rows[0], rows[1].replace("01:00:00Z", "02:00:00+01:00"), rows[2])) + "\n",
+        "\n".join((header, *(row.replace(f"0{h}:00:00Z", f"0{h + 1}:00:00+01:00") for h, row in enumerate(rows)))),
+    )
+    path = tmp_path / "trace.csv"
+    for text in variants:
+        path.write_bytes(text.encode())
+        assert _same_trace(load_timeseries(path, step_minutes=60), want), text
+
+
+@st.composite
+def written_traces(draw):
+    """A series and a start as write_timeseries takes them: 1 to 2 000
+    samples at any allowed step, from a start with or without a sub-second
+    part, with demands that include 0, 1 and 1e300 MW."""
+    n = draw(st.integers(1, 2000))
+    start = draw(st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)))
+    if draw(st.booleans()):
+        start = start.replace(microsecond=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    demand = rng.uniform(0.0, 1.0, n) * 10.0 ** draw(st.integers(-3, 300))
+    wind, solar = rng.uniform(0.0, 1.0, (2, n))
+    for arr, values in ((demand, st.sampled_from([0.0, 1.0, 1e300]) | st.floats(0.0, 1e300)),
+                        (wind, st.floats(0.0, 1.0)), (solar, st.floats(0.0, 1.0))):
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+            arr[i] = draw(values)
+    step = draw(st.sampled_from(ALLOWED_STEPS))
+    series = HiResSeries(demand=demand, wind_cf=wind, solar_cf=solar, step_minutes=step)
+    return series, start.replace(tzinfo=timezone.utc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_traces())
+def test_load_timeseries_equals_the_row_loop_on_every_written_trace(case):
+    """A trace write_timeseries writes reads the same bit for bit through
+    load_timeseries and through the row loop alone; it takes the one-pass
+    read unless its stamps carry a sub-second part."""
+    series, start = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "trace.csv"
+        write_timeseries(path, series, start)
+        got = load_timeseries(path, series.step_minutes)
+        want = _read_rows(path, series.step_minutes)
+        assert (_read_canonical(path, series.step_minutes) is None) == bool(start.microsecond)
+    assert want.start == start
+    assert _same_trace(got, want)
 
 
 def test_capacity_sizing_hits_target_energy_share():

@@ -150,7 +150,9 @@ def test_an_infeasible_day_ahead_solve_names_the_mode_and_the_window(mode):
     oversupplies a 100 MW window, and nothing absorbs thermal output."""
     stuck = ThermalUnit("b", "base", 300.0, 400.0, 10.0, min_up=5.0, u0=1, hours0=1.0, p0=300.0)
     system = PowerSystem(units=(stuck,), wind_capacity=0.0, solar_capacity=0.0, load_shed_cost=1000.0)
-    with pytest.raises(RuntimeError, match=rf"^day-ahead {mode} solve for w ended infeasible: "):
+    with pytest.raises(RuntimeError, match=rf"^day-ahead {mode} solve for w ended infeasible: the initial state "
+                                            r"holds b on, which pins 200\.0 MW more thermal output than the "
+                                            r"demand of period 1$"):
         run_day_ahead(system, flat_day_series(demand=100.0), mode, label="w")
 
 
