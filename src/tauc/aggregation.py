@@ -165,12 +165,28 @@ def cluster_adjacent(features: np.ndarray, target_n: int, step_minutes: int) -> 
     rounded to 12 decimals before comparison so that exact ties resolve to
     the leftmost pair on every platform.
 
-    The adjacent pairs sit in a min-heap keyed (cost, left start, right stop),
-    so a merge costs O(log n) and the whole run O(n log n). A merge changes
-    only the two pairs that touch the merged cluster; their new costs are
-    pushed and the old entries are skipped when popped. A cluster is named by
-    its first sample a: stop[a] is where it ends and prev[a] is its left
-    neighbour.
+    A cluster is named by its first sample a: stop[a] is where it ends and
+    prev[a] is its left neighbour. The pair that cluster a starts sits in a
+    min-heap as one Python int, K * n + a, where K = round(cost * 1e12) is
+    its cost in units of 1e-12: the smallest key is the cheapest pair and, of
+    equal costs, the leftmost. live[a] is the key of the pair that a starts
+    now (-1 when it starts none), so the heap top is current iff
+    live[a] == top, and stale tops are popped and skipped. A merge changes
+    only the two pairs that touch the merged cluster and pushes their new
+    keys, so it costs O(log n) and the whole run O(n log n). The reported
+    merge costs are K / 1e12, the costs rounded to 12 decimals.
+
+    Below a cost of 2**13 = 8192, doubles lie at most 2**-40 < 1e-12 apart,
+    so distinct 12-decimal costs are distinct doubles and the int order is
+    exactly the order of the rounded float costs. A normalized matrix of n
+    samples and c columns costs at most c * n / 2 per merge, so that covers
+    every day-ahead window (under 455 hours at a 5-minute step) and every
+    test and benchmark input. Above it two rounded costs can be one double,
+    and the int key still orders them by their exact 12-decimal values.
+    Keys are Python ints, since K * n outgrows int64 on unnormalized input.
+
+    A NaN or infinite feature, or a merge cost that overflows, raises
+    ValueError naming the samples and the column.
     """
     values = np.asarray(features, dtype=float)
     if values.ndim != 2:
@@ -178,55 +194,90 @@ def cluster_adjacent(features: np.ndarray, target_n: int, step_minutes: int) -> 
     n = len(values)
     if not 1 <= target_n <= n:
         raise ValueError(f"target_n must be in [1, {n}], got {target_n}")
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"feature column {j} of sample {i} is {values[i, j]}, not a finite number")
     columns = [values[:, j].tolist() for j in range(values.shape[1])]
     # Between singletons the factor 2 na nb / (na + nb) is exactly 1; columns
-    # are summed from the first, as in cost() (einsum's order can differ).
-    diff = values[:-1] - values[1:]
-    initial = np.round(sum(diff[:, j] * diff[:, j] for j in range(diff.shape[1])), 12)
-    heap = list(zip(initial.tolist(), range(n - 1), range(2, n + 1)))
+    # are summed from the first, as in key() (einsum's order can differ), and
+    # rint(x * 1e12) is the K of np.round(x, 12).
+    with np.errstate(over="ignore"):
+        diff = values[:-1] - values[1:]
+        scaled = np.rint(sum(diff[:, j] * diff[:, j] for j in range(diff.shape[1])) * 1e12)
+    overflow = np.flatnonzero(~np.isfinite(scaled))
+    if len(overflow):
+        a = int(overflow[0])
+        raise _overflow(columns, a, a + 1, a + 2)
+    live = [int(k) * n + a for a, k in enumerate(scaled.tolist())]
+    heap = live.copy()
     heapq.heapify(heap)
-    del diff, initial
+    live.append(-1)
+    del diff, scaled
     stop = list(range(1, n + 1))
     prev = list(range(-1, n - 1))
 
-    def cost(a: int, b: int, e: int) -> float:
+    def key(a: int, b: int, e: int) -> int:
         # Plain floats in numpy's operation order (columns summed from the
-        # first; round(x * 1e12) / 1e12 equals np.round(x, 12)), so costs and
+        # first; round(x * 1e12) is the K of np.round(x, 12)), so keys and
         # ties are bit-identical to a vectorised recomputation of every pair.
         na, nb = b - a, e - b
         sq = 0.0
         for col in columns:
             d = col[a] - col[b]
             sq += d * d
-        return round(2.0 * na * nb / (na + nb) * sq * 1e12) / 1e12
+        try:
+            return round(2.0 * na * nb / (na + nb) * sq * 1e12) * n + a
+        except (OverflowError, ValueError):  # an infinite or NaN cost
+            raise _overflow(columns, a, b, e) from None
 
-    merges: list[float] = []
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    merges: list[int] = []
     for _ in range(n - target_n):
-        while True:
-            dist, a, e = heapq.heappop(heap)
-            b = stop[a]
-            # current only while a still starts a cluster and both halves
-            # of the pair still end where they did when it was pushed
-            if b < n and prev[b] == a and stop[b] == e:
-                break
-        merges.append(dist)
+        item = heap[0]
+        a = item % n
+        while live[a] != item:
+            heappop(heap)
+            item = heap[0]
+            a = item % n
+        merges.append(item)
+        b = stop[a]
+        e = stop[b]
+        live[b] = -1
         na, nb = b - a, e - b
         for col in columns:
             col[a] = (na * col[a] + nb * col[b]) / (na + nb)
         stop[a] = e
-        if a > 0:
-            p = prev[a]
-            heapq.heappush(heap, (cost(p, a, e), p, e))
+        # the merged pair's key leaves the heap top; the new pair on its
+        # right takes its place in one sift
         if e < n:
             prev[e] = a
-            f = stop[e]
-            heapq.heappush(heap, (cost(a, e, f), a, f))
+            live[a] = item = key(a, e, stop[e])
+            heapreplace(heap, item)
+        else:
+            live[a] = -1
+            heappop(heap)
+        if a > 0:
+            p = prev[a]
+            live[p] = item = key(p, a, e)
+            heappush(heap, item)
     bounds = []
     a = 0
     while a < n:
         bounds.append((a, stop[a]))
         a = stop[a]
-    return TimeGrid(tuple(bounds), step_minutes, tuple(merges))
+    return TimeGrid(tuple(bounds), step_minutes, tuple([item // n / 1e12 for item in merges]))
+
+
+def _overflow(columns: list[list[float]], a: int, b: int, e: int) -> ValueError:
+    """The error for the merge cost of clusters [a, b) and [b, e) that is not
+    finite, naming the column whose centroids differ the most (NaN first)."""
+    gaps = [abs(col[a] - col[b]) for col in columns]
+    j = max(range(len(gaps)), key=lambda j: (gaps[j] != gaps[j], gaps[j]))
+    return ValueError(
+        f"merge cost of samples [{a}, {b}) and [{b}, {e}) overflows: "
+        f"their centroids differ by {gaps[j]} in feature column {j}"
+    )
 
 
 def hourly_grid(n_points: int, step_minutes: int) -> TimeGrid:

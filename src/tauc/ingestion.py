@@ -54,8 +54,12 @@ def _parse_timestamp(raw: str, path: Path, line_no: int) -> datetime:
 
 
 def _format_timestamp(stamp: datetime) -> str:
-    """A UTC stamp as ISO 8601 with a Z, with its microseconds when it has any."""
-    return f"{stamp:%Y-%m-%dT%H:%M:%S.%fZ}" if stamp.microsecond else f"{stamp:%Y-%m-%dT%H:%M:%SZ}"
+    """A UTC stamp as ISO 8601 with a Z, with its microseconds when it has any.
+
+    isoformat pads the year to four digits; strftime's %Y does not on glibc,
+    which would write year 999 as 999-01-01.
+    """
+    return stamp.replace(tzinfo=None).isoformat() + "Z"
 
 
 def _parse_float(raw: str, column: str, path: Path, line_no: int) -> float:

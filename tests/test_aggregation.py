@@ -241,6 +241,47 @@ def test_cluster_equals_quadratic_reference_on_3000_samples():
     assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, 96)
 
 
+@pytest.mark.parametrize("selector", FEATURE_SELECTORS)
+def test_cluster_equals_quadratic_reference_on_a_step_with_large_keys_and_ties(selector):
+    """2 000 samples of flat noise on four levels at 0, then at 1, in every
+    column: the flat halves tie often, and the last merges cost over 1 000,
+    so their heap keys are multi-digit ints."""
+    rng = np.random.default_rng(11)
+    noise = rng.integers(0, 4, (2000, len(FEATURE_COLUMNS[selector]))) / 1000
+    values = np.where(np.arange(2000)[:, None] < 1000, -noise, 1.0 + noise)
+    grid = cluster_adjacent(values, 1, step_minutes=5)
+    assert grid.merge_distances[-1] > 1000
+    assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, 1)
+
+
+def test_cluster_keys_outgrow_int64_on_unnormalized_input():
+    values = np.random.default_rng(3).uniform(0.0, 1e6, (48, 1))
+    grid = cluster_adjacent(values, 12, step_minutes=5)
+    assert max(grid.merge_distances) * 1e12 * 48 > 2**63
+    assert (grid.cluster_bounds, grid.merge_distances) == quadratic_cluster(values, 12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape, sample, column", [((2, 1), 1, 0), ((4, 3), 2, 1)])
+def test_cluster_rejects_a_feature_that_is_not_finite(bad, shape, sample, column):
+    values = np.zeros(shape)
+    values[sample, column] = bad
+    with pytest.raises(ValueError, match=f"feature column {column} of sample {sample} is {bad}"):
+        cluster_adjacent(values, 1, step_minutes=5)
+
+
+@pytest.mark.parametrize("values, pair", [
+    # the squared difference of two samples overflows
+    ([0.0, 1e200], r"\[0, 1\) and \[1, 2\)"),
+    # every singleton cost is finite; the factor 2 na nb / (na + nb) of a
+    # 4-sample and a 2-sample cluster makes their cost overflow
+    ([0.0] * 4 + [1e148] * 4, r"\[0, 4\) and \[4, 6\)"),
+])
+def test_cluster_rejects_a_merge_cost_that_overflows(values, pair):
+    with pytest.raises(ValueError, match=f"merge cost of samples {pair} overflows: .* feature column 0"):
+        cluster_adjacent(np.array(values)[:, None], 1, step_minutes=5)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(st.floats(0.0, 5000.0, allow_nan=False), min_size=3, max_size=60),

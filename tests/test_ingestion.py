@@ -5,7 +5,7 @@ import csv
 import json
 import math
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,14 @@ def test_a_sub_second_start_survives_the_round_trip(tmp_path):
     assert load_timeseries(path, step_minutes=30).start == start
 
 
+def test_a_start_before_year_1000_survives_the_round_trip(tmp_path):
+    start = datetime(999, 1, 1, tzinfo=timezone.utc)
+    path = tmp_path / "trace.csv"
+    write_timeseries(path, series_for_tests(n=2), start)
+    assert path.read_text().splitlines()[1].startswith("0999-01-01T00:00:00Z,")
+    assert load_timeseries(path, step_minutes=30).start == start
+
+
 def test_a_gap_message_prints_the_sub_second_part(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(
@@ -239,10 +247,12 @@ def test_every_accepted_form_reads_as_the_file_write_timeseries_writes(tmp_path)
 @st.composite
 def written_traces(draw):
     """A series and a start as write_timeseries takes them: 1 to 2 000
-    samples at any allowed step, from a start with or without a sub-second
-    part, with demands that include 0, 1 and 1e300 MW."""
+    samples at any allowed step, from any start whose last sample datetime
+    can still hold, with or without a sub-second part, with demands that
+    include 0, 1 and 1e300 MW."""
     n = draw(st.integers(1, 2000))
-    start = draw(st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)))
+    step = draw(st.sampled_from(ALLOWED_STEPS))
+    start = draw(st.datetimes(max_value=datetime.max - (n - 1) * timedelta(minutes=step)))
     if draw(st.booleans()):
         start = start.replace(microsecond=0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -252,7 +262,6 @@ def written_traces(draw):
                         (wind, st.floats(0.0, 1.0)), (solar, st.floats(0.0, 1.0))):
         for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
             arr[i] = draw(values)
-    step = draw(st.sampled_from(ALLOWED_STEPS))
     series = HiResSeries(demand=demand, wind_cf=wind, solar_cf=solar, step_minutes=step)
     return series, start.replace(tzinfo=timezone.utc)
 
